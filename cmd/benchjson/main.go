@@ -466,19 +466,19 @@ func main() {
 				schv.ExecGrid(tv.Grid.Padded().Raw(), xpad, bp, ybuf)
 			}
 		}))
-	tm := dbt.NewMatMul(am, bm, 3)
-	schm := schedule.MatMulFor(tm)
-	aPack := make([]float64, schm.Dim*3)
-	bPack := make([]float64, schm.Dim*3)
-	tm.PackAHat(aPack)
-	tm.PackBHat(bPack)
-	ext := make([]float64, len(schm.ExtInits))
+	// The matmul row replays the grid-direct plan (ExecGrid) over the
+	// padded A grid in place and a once-staged transposed B — what the
+	// compiled matmul path executes per pass, minus the B staging.
+	schm := schedule.MatMulFor(3, 3, 3, 3)
+	btm := make([]float64, schm.BTLen())
+	schm.StageB(btm, bm)
 	oband := make([]float64, schm.OLen())
+	cm := make([]float64, schm.CLen())
 	entries = append(entries, bench("compiled-exec/matmul/w=3/pnm=27",
 		map[string]float64{"MACs": float64(schm.MACs), "plan-bytes": float64(schm.Bytes())}, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				schm.Exec(aPack, bPack, ext, oband)
+				schm.ExecGrid(am.Raw(), btm, nil, oband, cm)
 			}
 		}))
 

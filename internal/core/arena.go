@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 
+	"repro/internal/blockpart"
 	"repro/internal/dbt"
 	"repro/internal/matrix"
 	"repro/internal/schedule"
@@ -28,7 +29,6 @@ import (
 type Arena struct {
 	memo *schedule.PlanMemo
 	mvT  *dbt.MatVec
-	mmT  *dbt.MatMul
 	kept map[uint64]interface{}
 
 	floats   [][]float64
@@ -39,7 +39,7 @@ type Arena struct {
 
 // NewArena returns an empty arena.
 func NewArena() *Arena {
-	return &Arena{memo: schedule.NewPlanMemo(), mvT: &dbt.MatVec{}, mmT: &dbt.MatMul{}}
+	return &Arena{memo: schedule.NewPlanMemo(), mvT: &dbt.MatVec{}}
 }
 
 // Reset recycles every buffer drawn since the previous Reset. Plans,
@@ -161,9 +161,14 @@ func (ar *Arena) MatVecPass(dst matrix.Vector, a *matrix.Dense, x, b matrix.Vect
 
 // MatMulPass computes dst = A·B + E (e may be nil) as one hexagonal-array
 // pass on the selected engine and returns the pass's measured step count T.
-// dst must be A.Rows()×B.Cols() and must not alias a, b or e. Allocation
+// dst must be A.Rows()×B.Cols() and must not alias a or b; it may be e
+// itself, which makes the pass an in-place update dst += A·B. Allocation
 // behavior matches MatVecPass: zero steady-state allocations on the
-// compiled engine, bit-identical results on both.
+// compiled engine, bit-identical results on both. The compiled pass is a
+// grid-direct replay (schedule.MatMul.ExecGrid): A, E and dst are read and
+// written in place when their dimensions are multiples of w — padded
+// through arena scratch otherwise — and only B is staged, as one
+// transposed copy.
 func (ar *Arena) MatMulPass(dst, a, b, e *matrix.Dense, w int, eng Engine) (int, error) {
 	if dst.Rows() != a.Rows() || dst.Cols() != b.Cols() {
 		panic(fmt.Sprintf("core: MatMulPass dst %d×%d, want %d×%d", dst.Rows(), dst.Cols(), a.Rows(), b.Cols()))
@@ -186,23 +191,7 @@ func (ar *Arena) MatMulPass(dst, a, b, e *matrix.Dense, w int, eng Engine) (int,
 	if e != nil && (e.Rows() != a.Rows() || e.Cols() != b.Cols()) {
 		return 0, fmt.Errorf("core: E is %d×%d, want %d×%d", e.Rows(), e.Cols(), a.Rows(), b.Cols())
 	}
-	t := ar.mmT
-	t.Reset(a, b, w)
-	sch := ar.memo.MatMulFor(t)
-	aPack := ar.Floats(sch.Dim * w)
-	bPack := ar.Floats(sch.Dim * w)
-	t.PackAHat(aPack)
-	t.PackBHat(bPack)
-	ext := ar.Floats(len(sch.ExtInits))
-	if e == nil {
-		clear(ext)
-	} else {
-		for i, ei := range sch.ExtInits {
-			ext[i] = t.EPieceAt(e, ei.R, ei.S, ei.P, ei.A, ei.B)
-		}
-	}
-	oband := ar.Floats(sch.OLen())
-	sch.Exec(aPack, bPack, ext, oband)
-	extractMatMul(t, dst, func(rho, gamma int) float64 { return sch.OAt(oband, rho, gamma) })
+	sch := ar.memo.MatMulFor(w, blockpart.Ceil(a.Rows(), w), blockpart.Ceil(a.Cols(), w), blockpart.Ceil(b.Cols(), w))
+	gridPass(sch, dst, a, b, e, ar.Floats)
 	return sch.T, nil
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/analysis"
+	"repro/internal/blockpart"
 	"repro/internal/dbt"
 	"repro/internal/hex"
 	"repro/internal/matrix"
@@ -83,11 +84,7 @@ func (s *MatMulSolver) Solve(a, b *matrix.Dense, opts MatMulOptions) (*MatMulRes
 		return nil, err
 	}
 	if useCompiled {
-		// The transform is only needed while packing and extracting, so it
-		// comes from the schedule pool and goes straight back.
-		t := schedule.GetMatMul(a, b, s.w)
-		defer schedule.PutMatMul(t)
-		return s.solveCompiled(t, a, b, opts)
+		return s.solveCompiled(a, b, opts)
 	}
 	t := dbt.NewMatMul(a, b, s.w)
 	arr := hex.New(s.w)
@@ -113,46 +110,93 @@ func (s *MatMulSolver) Solve(a, b *matrix.Dense, opts MatMulOptions) (*MatMulRes
 	return &MatMulResult{C: cFinal, Stats: stats}, nil
 }
 
-// solveCompiled executes the transformed problem on the compiled-schedule
-// engine: shape-cached schedule, packed Â/B̂ bands, O(MACs) execution with
-// pooled scratch. Results and statistics are bit-identical to the
-// structural path.
-func (s *MatMulSolver) solveCompiled(t *dbt.MatMul, a, b *matrix.Dense, opts MatMulOptions) (*MatMulResult, error) {
-	sch := schedule.MatMulFor(t)
-	aPack := schedule.GetFloatsUninit(sch.Dim * s.w)
-	defer schedule.PutFloats(aPack)
-	bPack := schedule.GetFloatsUninit(sch.Dim * s.w)
-	defer schedule.PutFloats(bPack)
-	t.PackAHat(*aPack)
-	t.PackBHat(*bPack)
-	ext := schedule.GetFloats(len(sch.ExtInits))
-	defer schedule.PutFloats(ext)
-	if opts.E != nil {
-		for i, ei := range sch.ExtInits {
-			(*ext)[i] = t.EPieceAt(opts.E, ei.R, ei.S, ei.P, ei.A, ei.B)
+// solveCompiled executes the problem on the compiled-schedule engine:
+// shape-cached schedule, grid-direct replay over the operands' padded
+// grids with pooled scratch. Results and statistics are bit-identical to
+// the structural path.
+func (s *MatMulSolver) solveCompiled(a, b *matrix.Dense, opts MatMulOptions) (*MatMulResult, error) {
+	w := s.w
+	sch := schedule.MatMulFor(w, blockpart.Ceil(a.Rows(), w), blockpart.Ceil(a.Cols(), w), blockpart.Ceil(b.Cols(), w))
+	// Scratch comes from the schedule pool and goes back when the solve
+	// returns; a pass draws at most five buffers.
+	var pooled [5]*[]float64
+	np := 0
+	defer func() {
+		for _, p := range pooled[:np] {
+			schedule.PutFloats(p)
 		}
-	}
-	oband := schedule.GetFloatsUninit(sch.OLen())
-	defer schedule.PutFloats(oband)
-	sch.Exec(*aPack, *bPack, *ext, *oband)
-
+	}()
 	cFinal := matrix.NewDense(a.Rows(), b.Cols())
-	extractMatMul(t, cFinal, func(rho, gamma int) float64 {
-		return sch.OAt(*oband, rho, gamma)
+	gridPass(sch, cFinal, a, b, opts.E, func(n int) []float64 {
+		p := schedule.GetFloatsUninit(n)
+		pooled[np] = p
+		np++
+		return *p
 	})
 
 	regular, irregular := sch.CopyDelays()
 	stats := MatMulStats{
-		W: s.w, NBar: t.NBar, PBar: t.PBar, MBar: t.MBar,
+		W: w, NBar: sch.NBar, PBar: sch.PBar, MBar: sch.MBar,
 		T:                    sch.T,
-		PredictedT:           analysis.MatMulSteps(s.w, t.PBar, t.NBar, t.MBar),
-		Utilization:          float64(analysis.MatMulOps(s.w, t.PBar, t.NBar, t.MBar)) / (float64(s.w*s.w) * float64(sch.T)),
-		PredictedUtilization: analysis.MatMulUtilization(s.w, t.PBar, t.NBar, t.MBar),
+		PredictedT:           analysis.MatMulSteps(w, sch.PBar, sch.NBar, sch.MBar),
+		Utilization:          float64(analysis.MatMulOps(w, sch.PBar, sch.NBar, sch.MBar)) / (float64(w*w) * float64(sch.T)),
+		PredictedUtilization: analysis.MatMulUtilization(w, sch.PBar, sch.NBar, sch.MBar),
 		MeasuredMACs:         sch.MACs,
 		RegularDelays:        regular,
 		IrregularDelays:      irregular,
 	}
 	return &MatMulResult{C: cFinal, Stats: stats}, nil
+}
+
+// gridPass runs one compiled grid-direct pass dst = A·B + E (e may be nil,
+// or dst itself) through sch, drawing scratch from take. Operands already
+// on the block grid are read and written in place; ragged ones go through
+// zero-padded scratch copies. B is always staged, transposed.
+func gridPass(sch *schedule.MatMul, dst, a, b, e *matrix.Dense, take func(n int) []float64) {
+	w := sch.W
+	rows, cols := sch.NBar*w, sch.MBar*w
+	grid := func(m *matrix.Dense, rows, cols int) []float64 {
+		if m.Rows() == rows && m.Cols() == cols {
+			return m.Raw()
+		}
+		return padGrid(take(rows*cols), m, cols)
+	}
+	bt := take(sch.BTLen())
+	sch.StageB(bt, b)
+	var ep []float64
+	if e != nil {
+		ep = grid(e, rows, cols)
+	}
+	c := dst.Raw()
+	ragged := dst.Rows() != rows || dst.Cols() != cols
+	if ragged {
+		c = take(sch.CLen())
+	}
+	sch.ExecGrid(grid(a, rows, sch.PBar*w), bt, ep, take(sch.OLen()), c)
+	if ragged {
+		unpadGrid(dst, c, cols)
+	}
+}
+
+// padGrid writes m zero-padded into dst, a row-major grid of the given
+// column count (len(dst) a multiple of cols, at least m's extent), and
+// returns dst.
+func padGrid(dst []float64, m *matrix.Dense, cols int) []float64 {
+	for i := 0; i < m.Rows(); i++ {
+		row := dst[i*cols : (i+1)*cols]
+		copy(row, m.RawRow(i))
+		clear(row[m.Cols():])
+	}
+	clear(dst[m.Rows()*cols:])
+	return dst
+}
+
+// unpadGrid copies the leading dst.Rows()×dst.Cols() block of the
+// row-major grid src (cols columns) into dst.
+func unpadGrid(dst *matrix.Dense, src []float64, cols int) {
+	for i := 0; i < dst.Rows(); i++ {
+		copy(dst.RawRow(i), src[i*cols:])
+	}
 }
 
 // SolveMany runs up to three independent C_i = A_i·B_i problems overlapped
@@ -234,9 +278,10 @@ var cPieces = [3]dbt.Piece{dbt.PieceD, dbt.PieceUMid, dbt.PieceLMid}
 
 // extractMatMul assembles C into dst — any shape up to the padded
 // n̄w × m̄w grid; every real C element is covered by an in-band position,
-// so dst is fully overwritten and needs no pre-zeroing — from an output
-// band reader (the structural engine's ProgResult.At or the compiled
-// engine's band buffer). It allocates nothing: the source piece of a C
+// so dst is fully overwritten and needs no pre-zeroing — from the
+// structural engine's output band reader (ProgResult.At). The compiled
+// engine needs no extraction: its plan stores each final C value straight
+// to its grid offset. It allocates nothing: the source piece of a C
 // piece always shares its triangular membership (CSource maps D→D,
 // strict-upper→strict-upper, strict-lower→strict-lower), so one membership
 // test per position replaces the position enumeration.
@@ -254,7 +299,7 @@ func extractMatMul(t *dbt.MatMul, dst *matrix.Dense, at func(rho, gamma int) flo
 						continue
 					}
 					for lb := 0; lb < w; lb++ {
-						if !pieceMember(p, la, lb) {
+						if !p.Contains(la, lb) {
 							continue
 						}
 						j := iB*w + lb
@@ -268,18 +313,4 @@ func extractMatMul(t *dbt.MatMul, dst *matrix.Dense, at func(rho, gamma int) flo
 			}
 		}
 	}
-}
-
-// pieceMember reports whether local position (a, b) belongs to the triangle
-// shape of piece p of a C block.
-func pieceMember(p dbt.Piece, a, b int) bool {
-	switch p {
-	case dbt.PieceD:
-		return a == b
-	case dbt.PieceUMid:
-		return b > a
-	case dbt.PieceLMid:
-		return b < a
-	}
-	return false
 }

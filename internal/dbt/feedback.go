@@ -177,8 +177,30 @@ func (t *MatMul) CSource(r, iB int, p Piece) (row int, piece Piece) {
 // block's diagonal square: −w for the left triangle, 0 for the mid pieces,
 // +w for the right triangle.
 func (t *MatMul) PieceColOffset(p Piece) int {
-	off, _ := t.pieceRange(p)
-	return off
+	switch p {
+	case PieceULeft:
+		return -t.W
+	case PieceLMid, PieceD, PieceUMid:
+		return 0
+	case PieceLRight:
+		return t.W
+	}
+	panic(fmt.Sprintf("dbt: bad piece %v", p))
+}
+
+// Contains reports whether local position (a, b) of a w×w square lies in
+// piece p's triangle: strictly upper for the U pieces, strictly lower for
+// the L pieces, the main diagonal for D.
+func (p Piece) Contains(a, b int) bool {
+	switch p {
+	case PieceULeft, PieceUMid:
+		return b > a
+	case PieceLMid, PieceLRight:
+		return b < a
+	case PieceD:
+		return b == a
+	}
+	panic(fmt.Sprintf("dbt: bad piece %v", p))
 }
 
 // PieceAt classifies a global band position (ρ, γ) of the product band into
@@ -211,30 +233,10 @@ func (t *MatMul) PieceAt(rho, gamma int) (k int, p Piece, a, b int) {
 	}
 }
 
-// pieceRange returns, for piece p of a row block, the column offset of the
-// piece relative to the diagonal square and the local predicate selecting
-// the piece's positions. Row block k owns rows kw..kw+w−1 (w−1 rows for the
-// tail).
-func (t *MatMul) pieceRange(p Piece) (colOff int, member func(a, b int) bool) {
-	switch p {
-	case PieceULeft:
-		return -t.W, func(a, b int) bool { return b > a }
-	case PieceLMid:
-		return 0, func(a, b int) bool { return b < a }
-	case PieceD:
-		return 0, func(a, b int) bool { return b == a }
-	case PieceUMid:
-		return 0, func(a, b int) bool { return b > a }
-	case PieceLRight:
-		return t.W, func(a, b int) bool { return b < a }
-	}
-	panic("dbt: bad piece")
-}
-
 // PiecePositions enumerates the in-matrix global (row, col) positions of
 // piece p of row block k, together with their local (a, b) coordinates.
 func (t *MatMul) PiecePositions(k int, p Piece) [][4]int {
-	off, member := t.pieceRange(p)
+	off := t.PieceColOffset(p)
 	var out [][4]int
 	for a := 0; a < t.W; a++ {
 		row := k*t.W + a
@@ -243,7 +245,7 @@ func (t *MatMul) PiecePositions(k int, p Piece) [][4]int {
 		}
 		for b := 0; b < t.W; b++ {
 			col := k*t.W + off + b
-			if col < 0 || col >= t.Dim() || !member(a, b) {
+			if col < 0 || col >= t.Dim() || !p.Contains(a, b) {
 				continue
 			}
 			out = append(out, [4]int{row, col, a, b})
@@ -373,10 +375,9 @@ func (t *MatMul) ExtractC(rec *ORecord) *matrix.Dense {
 		for iB := 0; iB < t.MBar; iB++ {
 			for _, p := range []Piece{PieceD, PieceUMid, PieceLMid} {
 				row, src := t.CSource(r, iB, p)
-				_, member := t.pieceRange(p)
 				for a := 0; a < t.W; a++ {
 					for b := 0; b < t.W; b++ {
-						if member(a, b) {
+						if p.Contains(a, b) {
 							c.Set(r*t.W+a, iB*t.W+b, rec.At(row, src, a, b))
 						}
 					}

@@ -60,6 +60,22 @@ func NewMatMul(a, b *matrix.Dense, w int) *MatMul {
 	}
 }
 
+// NewMatMulShape returns a data-free transform of the block shape
+// (w, n̄, p̄, m̄): it carries no grids, so only the shape methods (Dim,
+// PieceAt, InitFor, CSource, PieceColOffset, AHatRow, BHatCol) may be
+// called on it. Plan compilers consult it instead of a transform built
+// from operand data.
+func NewMatMulShape(w, nbar, pbar, mbar int) *MatMul {
+	if w < 1 || nbar < 1 || pbar < 1 || mbar < 1 {
+		panic(fmt.Sprintf("dbt: invalid MatMul shape w=%d n̄=%d p̄=%d m̄=%d", w, nbar, pbar, mbar))
+	}
+	return &MatMul{
+		W: w, NBar: nbar, PBar: pbar, MBar: mbar,
+		N: nbar * w, P: pbar * w, M: mbar * w,
+		AT: &MatVec{W: w, NBar: nbar, MBar: pbar, N: nbar * w, M: pbar * w},
+	}
+}
+
 // RegularBlocks returns p̄·n̄·m̄, the number of full band row blocks; the
 // tail block of w−1 rows follows them.
 func (t *MatMul) RegularBlocks() int { return t.PBar * t.NBar * t.MBar }
@@ -130,6 +146,55 @@ func (t *MatMul) BHatAt(i, j int) float64 {
 		return t.BGrid.At((q+1)%t.PBar, iB, a-w, b)
 	}
 	return 0
+}
+
+// BandRuns locates one band row of Â, or one band column of B̂, in a padded
+// operand grid as at most two contiguous runs: band elements d < Split
+// form the run starting at grid position (R0, C0), elements
+// Split ≤ d < Len the run starting at (R1, C1). Â runs lie along a grid
+// row (the column index grows with d), B̂ runs down a grid column (the row
+// index grows with d). Len stops at the band matrix's last column (row),
+// and every element of the runs is a real grid element — a padding zero at
+// worst, never a structural zero.
+type BandRuns struct {
+	R0, C0, R1, C1 int
+	Split, Len     int
+}
+
+// AHatRow locates band row i of Â — the elements Â[i][i+d] — in the
+// padded A grid (AT.Grid.Padded()). A regular row a of block k is row a of
+// Ū (its upper triangle from the diagonal on) followed by row a of L̄ (its
+// strictly lower part), exactly as AHatAt reads them; a tail row is row a
+// of U_{0,0}, cut at the band matrix's edge. Shape-only.
+func (t *MatMul) AHatRow(i int) BandRuns {
+	w := t.W
+	k, a := i/w, i%w
+	if k >= t.RegularBlocks() {
+		n := w - 1 - a
+		return BandRuns{R0: a, C0: a, Split: n, Len: n}
+	}
+	pattern := k % (t.NBar * t.PBar)
+	ru, su := t.AT.UpperIndex(pattern)
+	rl, sl := t.AT.LowerIndex(pattern)
+	return BandRuns{R0: ru*w + a, C0: su*w + a, R1: rl*w + a, C1: sl * w, Split: w - a, Len: w}
+}
+
+// BHatCol locates band column j of B̂ — the elements B̂[j+d][j] — in the
+// padded B grid (BGrid.Padded()). A regular column b of block c is column
+// b of B_{q,iB} from the diagonal down, followed by the strictly upper
+// part of column b of B_{(q+1) mod p̄,iB}, exactly as BHatAt reads them; a
+// tail column is column b of L⁺_{0,0}, cut at the band matrix's edge.
+// Shape-only.
+func (t *MatMul) BHatCol(j int) BandRuns {
+	w := t.W
+	c, b := j/w, j%w
+	if c >= t.RegularBlocks() {
+		n := w - 1 - b
+		return BandRuns{R0: b, C0: b, Split: n, Len: n}
+	}
+	q := c % t.PBar
+	iB := c / (t.NBar * t.PBar)
+	return BandRuns{R0: q*w + b, C0: iB*w + b, R1: (q + 1) % t.PBar * w, C1: iB*w + b, Split: w - b, Len: w}
 }
 
 // AHatBand materializes Ā for the hexagonal array.

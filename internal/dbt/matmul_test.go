@@ -256,3 +256,59 @@ func TestMatMulQuickProperty(t *testing.T) {
 		}
 	}
 }
+
+// TestBandRunsMatchReaders: the run descriptors of AHatRow and BHatCol must
+// address, element for element, exactly what the AHatAt/BHatAt readers
+// return — ragged shapes (padding zeros) included — and a shape-only
+// transform must describe the same runs and piece topology as a data-built
+// one.
+func TestBandRunsMatchReaders(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	for _, w := range []int{1, 2, 3, 4, 5} {
+		for trial := 0; trial < 6; trial++ {
+			n, p, m := 1+rng.Intn(3*w), 1+rng.Intn(3*w), 1+rng.Intn(3*w)
+			tr := NewMatMul(matrix.RandomDense(rng, n, p, 50), matrix.RandomDense(rng, p, m, 50), w)
+			shape := NewMatMulShape(w, tr.NBar, tr.PBar, tr.MBar)
+			pa, pb := tr.AT.Grid.Padded(), tr.BGrid.Padded()
+			dim := tr.Dim()
+			if shape.Dim() != dim {
+				t.Fatalf("w=%d: shape Dim %d, data Dim %d", w, shape.Dim(), dim)
+			}
+			for i := 0; i < dim; i++ {
+				ar, br := tr.AHatRow(i), tr.BHatCol(i)
+				if ar != shape.AHatRow(i) || br != shape.BHatCol(i) {
+					t.Fatalf("w=%d row %d: shape-only runs differ", w, i)
+				}
+				if want := min(w, dim-i); ar.Len != want || br.Len != want {
+					t.Fatalf("w=%d row %d: run lengths %d/%d, want %d", w, i, ar.Len, br.Len, want)
+				}
+				for d := 0; d < ar.Len; d++ {
+					var got float64
+					if d < ar.Split {
+						got = pa.At(ar.R0, ar.C0+d)
+					} else {
+						got = pa.At(ar.R1, ar.C1+d-ar.Split)
+					}
+					if want := tr.AHatAt(i, i+d); got != want {
+						t.Fatalf("w=%d %d×%d·%d×%d Â[%d][%d]: run %g, reader %g", w, n, p, p, m, i, i+d, got, want)
+					}
+					if d < br.Split {
+						got = pb.At(br.R0+d, br.C0)
+					} else {
+						got = pb.At(br.R1+d-br.Split, br.C1)
+					}
+					if want := tr.BHatAt(i+d, i); got != want {
+						t.Fatalf("w=%d %d×%d·%d×%d B̂[%d][%d]: run %g, reader %g", w, n, p, p, m, i+d, i, got, want)
+					}
+				}
+			}
+			for k := 0; k <= tr.RegularBlocks(); k++ {
+				for _, pc := range Pieces {
+					if tr.InitFor(k, pc) != shape.InitFor(k, pc) {
+						t.Fatalf("w=%d block %d piece %v: shape-only init differs", w, k, pc)
+					}
+				}
+			}
+		}
+	}
+}

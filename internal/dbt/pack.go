@@ -9,16 +9,16 @@ import (
 
 // This file exports the transformed bands as flat packed arrays for the
 // compiled-schedule engine (internal/schedule). The cycle-accurate
-// simulators read coefficients one at a time through BandAt/AHatAt/BHatAt
-// closures; the compiled engine instead wants every coefficient laid out
-// contiguously so its inner loop is a pure stride-1 multiply–accumulate.
+// simulators read coefficients one at a time through BandAt closures; the
+// compiled engine instead wants every coefficient laid out contiguously so
+// its inner loop is a pure stride-1 multiply–accumulate. (The matmul bands
+// are not packed at all: AHatRow/BHatCol locate them in the padded grids,
+// which the compiled replay reads in place.)
 //
 // Layouts:
 //
-//   - Upper bands (Ā of matvec, Â of matmul): dst[i*w+d] = band[i][i+d],
-//     d ∈ [0, w). Entries past the band's column count are zero.
-//   - Lower bands (B̂ of matmul), packed by column so the matmul inner loop
-//     over κ is stride-1 in both operands: dst[j*w+d] = band[j+d][j].
+//   - Upper bands (Ā of matvec): dst[i*w+d] = band[i][i+d], d ∈ [0, w).
+//     Entries past the band's column count are zero.
 //   - Triangular lower bands (L of the solver array), packed by row over
 //     descending column index: dst[i*w+d] = band[i][i−d].
 
@@ -62,28 +62,6 @@ func packBandBlocks(dst []float64, g *blockpart.Grid, w, blocks int, upper, lowe
 	}
 }
 
-// PackAHat writes Â into dst (len Dim·w) in upper-band packed layout.
-func (t *MatMul) PackAHat(dst []float64) {
-	packUpper(dst, t.Dim(), t.Dim(), t.W, t.AHatAt)
-}
-
-// PackBHat writes B̂ into dst (len Dim·w) in lower-band by-column packed
-// layout: dst[j*w+d] = B̂[j+d][j].
-func (t *MatMul) PackBHat(dst []float64) {
-	n := t.Dim()
-	checkPack(dst, n, t.W)
-	for j := 0; j < n; j++ {
-		row := dst[j*t.W : (j+1)*t.W]
-		for d := range row {
-			if i := j + d; i < n {
-				row[d] = t.BHatAt(i, j)
-			} else {
-				row[d] = 0
-			}
-		}
-	}
-}
-
 // PackTriBand writes the lower triangular band l (diagonals −(w−1)..0, the
 // solver-array operand shape) into dst (len n·w) in triangular packed
 // layout: dst[i*w+d] = l[i][i−d], zero where i−d < 0 or the diagonal is
@@ -112,21 +90,6 @@ func PackTriBand(l *matrix.Band, w int, dst []float64) {
 		for d := range row {
 			if j := i - d; j >= 0 {
 				row[d] = l.At(i, j)
-			} else {
-				row[d] = 0
-			}
-		}
-	}
-}
-
-// packUpper fills dst[i*w+d] = at(i, i+d) for j = i+d < cols, zero beyond.
-func packUpper(dst []float64, rows, cols, w int, at func(i, j int) float64) {
-	checkPack(dst, rows, w)
-	for i := 0; i < rows; i++ {
-		row := dst[i*w : (i+1)*w]
-		for d := range row {
-			if j := i + d; j < cols {
-				row[d] = at(i, j)
 			} else {
 				row[d] = 0
 			}

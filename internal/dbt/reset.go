@@ -10,9 +10,9 @@ import (
 // This file holds the allocation-free counterparts of the transform
 // constructors and stream helpers, for the compiled engine's transform
 // pools and scratch arenas (internal/schedule, internal/core): Reset
-// rebuilds a transform in place reusing its grid storage, TransformXInto
-// writes x̄ into a caller buffer, and RecoverYFlat extracts y from the flat
-// ȳ buffer the compiled replay produces. Each is bit-identical to its
+// rebuilds a matvec transform in place reusing its grid storage,
+// TransformXInto writes x̄ into a caller buffer, and RecoverYFlat extracts
+// y from the flat ȳ buffer the compiled replay produces. Each is bit-identical to its
 // allocating twin.
 
 // Reset rebuilds t in place as the DBT-by-rows transformation of a with
@@ -27,27 +27,6 @@ func (t *MatVec) Reset(a *matrix.Dense, w int) {
 	t.W = w
 	t.NBar, t.MBar = t.Grid.BlockRows, t.Grid.BlockCols
 	t.N, t.M = a.Rows(), a.Cols()
-}
-
-// Reset rebuilds t in place as the matrix–matrix transformation of A (n×p),
-// B (p×m) with array size w, reusing the underlying grids' padded storage
-// when capacity allows. A zero-valued MatMul is a valid target.
-func (t *MatMul) Reset(a, b *matrix.Dense, w int) {
-	if a.Cols() != b.Rows() {
-		panic(fmt.Sprintf("dbt: MatMul dim mismatch %d×%d · %d×%d", a.Rows(), a.Cols(), b.Rows(), b.Cols()))
-	}
-	if t.AT == nil {
-		t.AT = &MatVec{}
-	}
-	t.AT.Reset(a, w)
-	if t.BGrid == nil {
-		t.BGrid = blockpart.Partition(b, w)
-	} else {
-		t.BGrid.Repartition(b, w)
-	}
-	t.W = w
-	t.NBar, t.PBar, t.MBar = t.AT.NBar, t.AT.MBar, t.BGrid.BlockCols
-	t.N, t.P, t.M = a.Rows(), a.Cols(), b.Cols()
 }
 
 // TransformXInto writes x̄ into dst (len ≥ BandCols()) and returns the

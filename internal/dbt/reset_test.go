@@ -41,38 +41,6 @@ func TestResetMatchesNew(t *testing.T) {
 	}
 }
 
-// TestResetMatMulMatchesNew: same for the matrix–matrix transform.
-func TestResetMatMulMatchesNew(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	reused := &MatMul{}
-	for trial := 0; trial < 15; trial++ {
-		w := 1 + rng.Intn(3)
-		n, p, m := 1+rng.Intn(2*w), 1+rng.Intn(2*w), 1+rng.Intn(2*w)
-		a := matrix.RandomDense(rng, n, p, 4)
-		b := matrix.RandomDense(rng, p, m, 4)
-		reused.Reset(a, b, w)
-		fresh := NewMatMul(a, b, w)
-		if reused.NBar != fresh.NBar || reused.PBar != fresh.PBar || reused.MBar != fresh.MBar ||
-			reused.Dim() != fresh.Dim() {
-			t.Fatalf("Reset header mismatch: %+v vs %+v", reused, fresh)
-		}
-		for i := 0; i < fresh.Dim(); i++ {
-			for d := 0; d < w; d++ {
-				if j := i + d; j < fresh.Dim() {
-					if reused.AHatAt(i, j) != fresh.AHatAt(i, j) {
-						t.Fatalf("Reset Â mismatch at (%d,%d)", i, j)
-					}
-				}
-				if j := i - d; j >= 0 {
-					if reused.BHatAt(i, j) != fresh.BHatAt(i, j) {
-						t.Fatalf("Reset B̂ mismatch at (%d,%d)", i, j)
-					}
-				}
-			}
-		}
-	}
-}
-
 // TestRecoverYFlat: recovering y from the flat ȳ buffer must match the
 // per-block RecoverY on every shape, ragged tails included.
 func TestRecoverYFlat(t *testing.T) {

@@ -108,11 +108,14 @@ func MatVecFor(t dbt.Transform, overlap bool) (*MatVec, error) {
 	return matvecCache.get(key, func() (*MatVec, error) { return compileMatVec(t, overlap) })
 }
 
-// MatMulFor returns the compiled schedule for the shape of t, reusing a
-// cached schedule when possible.
-func MatMulFor(t *dbt.MatMul) *MatMul {
-	key := matmulKey{w: t.W, nbar: t.NBar, pbar: t.PBar, mbar: t.MBar}
-	s, _ := matmulCache.get(key, func() (*MatMul, error) { return compileMatMul(t), nil })
+// MatMulFor returns the compiled schedule for the block shape
+// (w, n̄, p̄, m̄) — A n̄w × p̄w, B p̄w × m̄w after padding — reusing a cached
+// schedule when possible.
+func MatMulFor(w, nbar, pbar, mbar int) *MatMul {
+	key := matmulKey{w: w, nbar: nbar, pbar: pbar, mbar: mbar}
+	s, _ := matmulCache.get(key, func() (*MatMul, error) {
+		return compileMatMul(dbt.NewMatMulShape(w, nbar, pbar, mbar)), nil
+	})
 	return s
 }
 

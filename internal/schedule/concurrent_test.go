@@ -137,10 +137,7 @@ func TestPlanMemoSharesPlans(t *testing.T) {
 	if pm.TriSolveFor(7, 3) != pm.TriSolveFor(7, 3) {
 		t.Error("trisolve memo failed to hit on a repeated shape")
 	}
-	am := matrix.RandomDense(rng, 4, 4, 3)
-	bm := matrix.RandomDense(rng, 4, 4, 3)
-	tm := dbt.NewMatMul(am, bm, 2)
-	if pm.MatMulFor(tm) != pm.MatMulFor(tm) {
+	if pm.MatMulFor(2, 2, 2, 2) != pm.MatMulFor(2, 2, 2, 2) {
 		t.Error("matmul memo failed to hit on a repeated shape")
 	}
 }
@@ -170,16 +167,6 @@ func TestTransformPoolRoundTrip(t *testing.T) {
 					}
 				}
 				PutMatVec(tr)
-
-				p := 1 + rng.Intn(2*w)
-				bm := matrix.RandomDense(rng, m, p, 4)
-				am := matrix.RandomDense(rng, n, m, 4)
-				tm := GetMatMul(am, bm, w)
-				freshM := dbt.NewMatMul(am, bm, w)
-				if tm.Dim() != freshM.Dim() || tm.NBar != freshM.NBar || tm.PBar != freshM.PBar || tm.MBar != freshM.MBar {
-					t.Errorf("pooled matmul transform header mismatch")
-				}
-				PutMatMul(tm)
 			}
 		}(int64(100 + g))
 	}

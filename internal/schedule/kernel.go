@@ -6,9 +6,9 @@ import "os"
 // into (DESIGN §12). The plan compilers emit each row's gather as contiguous
 // *runs* over the operand buffers — at most two per sparse band row (the
 // Ū→L̄ wrap is the only break), exactly one per dense matvec row, a clamped
-// span per trisolve row — so the hot loop is straight slice arithmetic
-// instead of a per-MAC index gather. Two idioms keep the bounds checker out
-// of the inner loops:
+// span per trisolve row, at most two per matmul position — so the hot loop
+// is straight slice arithmetic instead of a per-MAC index gather. Two
+// idioms keep the bounds checker out of the inner loops:
 //
 //   - re-slice every operand to its exact extent up front (`x = x[:len(a)]`,
 //     `xs = xs[:15]`): after that, constant indices and `range`-bounded
@@ -21,12 +21,15 @@ import "os"
 //
 // Accumulation order is load-bearing: per result element the terms must be
 // added in exactly the array's cycle order (increasing diagonal for the
-// linear array, descending diagonal for the triangular solver) or the
-// float64 rounding trail diverges from the structural oracle. The kernels
-// therefore never reassociate within a row — every `v += term` is a separate
-// statement — but they freely interleave *independent* rows (the quad
+// linear array, increasing κ for the hexagonal array, descending diagonal
+// for the triangular solver) or the float64 rounding trail diverges from
+// the structural oracle. The kernels therefore never reassociate within a
+// row — every `v += term` is a separate statement — but they freely
+// interleave *independent* rows (the quad
 // layouts below) because rows only depend on outputs at feedback distance
-// ≥ w, which block boundaries respect.
+// ≥ w, which block boundaries respect. The matmul plan interleaves four
+// chains of one dependency level (dotRun4), which by construction read no
+// result of each other.
 //
 // To add a width specialization: write the unrolled kernels (band and grid
 // flavors), add a kern constant, extend kernelFor, and extend the pinning
@@ -680,4 +683,23 @@ func gridBlock8(out, ini, u, lo, xu, xl []float64, s int) {
 		out[6] = v6
 		out[7] = v7
 	}
+}
+
+// dotRun4 is dotRun over four runs of length n at once — the a runs at
+// a0..a3 paired with the bt runs at b0..b3 — one accumulator each: the
+// statements of a chain stay in order, the four chains interleave.
+func dotRun4(v0, v1, v2, v3 float64, a, bt []float64, n, a0, a1, a2, a3, b0, b1, b2, b3 int) (float64, float64, float64, float64) {
+	x0, y0 := a[a0:][:n], bt[b0:][:n]
+	x1, y1 := a[a1:][:n], bt[b1:][:n]
+	x2, y2 := a[a2:][:n], bt[b2:][:n]
+	x3, y3 := a[a3:][:n], bt[b3:][:n]
+	y0, x1, y1 = y0[:len(x0)], x1[:len(x0)], y1[:len(x0)]
+	x2, y2, x3, y3 = x2[:len(x0)], y2[:len(x0)], x3[:len(x0)], y3[:len(x0)]
+	for k, x := range x0 {
+		v0 += x * y0[k]
+		v1 += x1[k] * y1[k]
+		v2 += x2[k] * y2[k]
+		v3 += x3[k] * y3[k]
+	}
+	return v0, v1, v2, v3
 }

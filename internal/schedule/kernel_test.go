@@ -1,6 +1,7 @@
 package schedule
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -234,6 +235,54 @@ func TestMatVecPlanKernelsPinned(t *testing.T) {
 				if s.Bytes() <= 0 {
 					t.Errorf("w=%d %T: plan Bytes() = %d, want > 0", w, tr, s.Bytes())
 				}
+			}
+		}
+	}
+}
+
+// TestMatMulPlanKernelsPinned: the four-chain stripe replay is
+// bit-identical to the one-chain loop over the same plan, in place (c = e)
+// and not; stripes hold whole quads, and a tall single-column shape puts
+// most of its ops in them.
+func TestMatMulPlanKernelsPinned(t *testing.T) {
+	rng := rand.New(rand.NewSource(96))
+	for _, w := range []int{2, 4, 5, 8} {
+		for _, bars := range [][3]int{{1, 1, 1}, {6, 1, 1}, {3, 2, 2}, {2, 3, 3}} {
+			s := compileMatMul(dbt.NewMatMulShape(w, bars[0], bars[1], bars[2]))
+			a, bt, e := randFloats(rng, s.ALen()), randFloats(rng, s.BTLen()), randFloats(rng, s.CLen())
+			run := func(quad bool, inPlace bool) []float64 {
+				saved := s.quad
+				s.quad = quad
+				defer func() { s.quad = saved }()
+				c := make([]float64, s.CLen())
+				ein := e
+				if inPlace {
+					copy(c, e)
+					ein = c
+				}
+				s.ExecGrid(a, bt, ein, make([]float64, s.OLen()), c)
+				return c
+			}
+			want := run(false, false)
+			for _, inPlace := range []bool{false, true} {
+				for _, quad := range []bool{false, true} {
+					got := run(quad, inPlace)
+					for i := range want {
+						if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+							t.Fatalf("w=%d bars=%v quad=%v inPlace=%v: C[%d] = %v, one-chain %v", w, bars, quad, inPlace, i, got[i], want[i])
+						}
+					}
+				}
+			}
+			striped := 0
+			for _, st := range s.stripes {
+				if st.count%4 != 0 {
+					t.Fatalf("w=%d bars=%v: stripe of %d ops, want whole quads", w, bars, st.count)
+				}
+				striped += int(st.count)
+			}
+			if bars == [3]int{6, 1, 1} && striped < 2*len(s.loose) {
+				t.Errorf("w=%d bars=%v: %d striped ops, %d loose — want most ops striped", w, bars, striped, len(s.loose))
 			}
 		}
 	}

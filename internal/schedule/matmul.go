@@ -1,18 +1,14 @@
 package schedule
 
 import (
+	"cmp"
 	"fmt"
+	"math"
 	"slices"
-	"sort"
+	"unsafe"
 
 	"repro/internal/dbt"
-)
-
-// Init kinds of a product-band position's accumulator.
-const (
-	matmulZero     = 0 // starts at 0 (structurally absent init)
-	matmulExt      = 1 // initIdx indexes the external init values (E pieces)
-	matmulFeedback = 2 // initIdx is the flat output index of the source position
+	"repro/internal/matrix"
 )
 
 // DelayBin is one bucket of a feedback-delay histogram: Count edges with
@@ -68,30 +64,63 @@ func copyBins(bins []DelayBin) []DelayBin {
 	return append([]DelayBin(nil), bins...)
 }
 
-// ExtInit locates the E-block element injected at one position: element
-// (A, B) of triangular piece P of E block (R, S), resolved per Solve call
-// with dbt.MatMul.EPieceAt. The descriptors are shape-only; the values are
-// data.
-type ExtInit struct {
-	R, S int
-	P    dbt.Piece
-	A, B int
+// Init kinds of a product-band position's accumulator, and the flag
+// marking an op whose result is a final C element.
+const (
+	matmulZero     = 0 // starts at 0 (structurally absent init)
+	matmulExt      = 1 // init is a padded-E offset (an E-piece element)
+	matmulFeedback = 2 // init is the feedback slot of the source position
+	matmulInitMask = 3
+	matmulFinal    = 4 // out is a padded-C offset, not a feedback slot
+)
+
+// matmulOp is one compiled result position: an initialization plus at most
+// two runs of stride-1 multiply–accumulates read in place from the padded
+// operand grids, then one store. Its init kind, store target and run
+// lengths are those of its group.
+type matmulOp struct {
+	out    int32 // feedback slot ρ·(2w−1)+(γ−ρ)+w−1, or padded-C offset (matmulFinal)
+	init   int32 // padded-E offset or feedback slot, per the init kind
+	a0, b0 int32 // first run: padded-A and transposed-padded-B offsets
+	a1, b1 int32 // second run (its group's n[1] > 0 only)
 }
 
-// matmulOp is one compiled result position: an initialization plus a run of
-// n stride-1 multiply–accumulates over the packed bands.
-type matmulOp struct {
-	out      int32 // flat output index ρ·(2w−1) + (γ−ρ) + w−1
-	aOff     int32 // packed Â offset of the first term
-	bOff     int32 // packed B̂ offset of the first term
-	n        int32 // term count
-	initKind uint8
-	initIdx  int32
+// plus returns the offset-wise sum o + d.
+func (o matmulOp) plus(d matmulOp) matmulOp {
+	return matmulOp{o.out + d.out, o.init + d.init, o.a0 + d.a0, o.b0 + d.b0, o.a1 + d.a1, o.b1 + d.b1}
+}
+
+// minus returns the offset-wise difference o − d.
+func (o matmulOp) minus(d matmulOp) matmulOp {
+	return matmulOp{o.out - d.out, o.init - d.init, o.a0 - d.a0, o.b0 - d.b0, o.a1 - d.a1, o.b1 - d.b1}
+}
+
+// matmulStripe is count ops in arithmetic progression — op, op+step,
+// op+2·step, … — the same position pattern repeated down the row blocks.
+// Replay derives each op's offsets in registers instead of loading a
+// descriptor per op.
+type matmulStripe struct {
+	op, step matmulOp
+	count    int32
+}
+
+// matmulGroup is a set of ops that share a dependency level — no op of a
+// group reads another's result — an init kind, a store target and both run
+// lengths (n[1] may be 0), so ExecGrid replays a group with loop-invariant
+// trip counts, several independent chains at a time. Its ops are the
+// stripes [lo, hi), each a whole number of quads, and the loose ops
+// [looseLo, looseHi) that no stripe of four or more covers.
+type matmulGroup struct {
+	lo, hi           int32
+	looseLo, looseHi int32
+	n                [2]uint16
+	flags            uint8 // init kind | matmulFinal
 }
 
 // MatMul is a compiled schedule for the w×w hexagonal array with spiral
 // feedback: the complete accumulation plan of one DBT matrix–matrix problem
-// of a given shape.
+// of a given shape, addressed straight into the padded operand grids
+// (ExecGrid) — no band is ever packed and no result ever extracted.
 type MatMul struct {
 	// W, NBar, PBar, MBar identify the shape; Dim = p̄n̄m̄w + w − 1 the band
 	// matrix dimension; Band = 2w−1 the product band width.
@@ -107,14 +136,39 @@ type MatMul struct {
 	// hands out copies so the cached plan stays immutable.
 	regDelays, irrDelays []DelayBin
 
-	// ExtInits lists the E-piece descriptors in initIdx order.
-	ExtInits []ExtInit
-
-	ops []matmulOp
+	stripes []matmulStripe
+	loose   []matmulOp
+	groups  []matmulGroup
+	// quad interleaves four chains per step of the replay loop; off under
+	// REPRO_GENERIC_KERNELS, which keeps the one-chain loop exercised.
+	quad bool
 }
 
 // compileMatMul builds the schedule for the shape of t. Only shape methods
-// of t are consulted (PieceAt, InitFor, PieceColOffset) — never data.
+// of t are consulted (PieceAt, InitFor, CSource, PieceColOffset, AHatRow,
+// BHatCol) — never data, so a dbt.NewMatMulShape transform suffices.
+//
+// Operand addressing: Â row ρ is at most two runs of the padded A grid
+// (n̄w × p̄w, AHatRow) and B̂ column γ at most two runs down a column of the
+// padded B grid (BHatCol), which ExecGrid reads from a transposed copy
+// (m̄w × p̄w, StageB) so κ stays stride-1. A position's κ range breaks where
+// either run breaks — for Â row block k at κ = (k+1)w, for B̂ column block
+// c at κ = (c+1)w, and the two coincide whenever both fall inside the
+// range — so each op is at most two (Â run, B̂ run) pairs. E inits are
+// padded-E offsets (n̄w × m̄w) and each final C value — the CSource position
+// of its C element — is stored straight to its padded-C offset; only the
+// feedback sources go through the Dim·(2w−1) band scratch. Positions whose
+// result nobody reads (the unused tail pieces) are dropped.
+//
+// Replay order: any topological order of the feedback edges yields the same
+// bits, since every chain is accumulated alone. Ops are sorted by
+// dependency level (0 for E and zero inits, one more than the source's for
+// feedback), then by init kind, store target and run lengths, into groups
+// of identical shape whose chains are mutually independent; within a group
+// by position in the row block, then row block, so the descriptors
+// compress into stripes. Stripes keep their whole quads; the ops left over
+// stay as loose per-op descriptors, which the replay also takes four at a
+// time, across stripes.
 func compileMatMul(t *dbt.MatMul) *MatMul {
 	w := t.W
 	dim := t.Dim()
@@ -122,30 +176,90 @@ func compileMatMul(t *dbt.MatMul) *MatMul {
 	s := &MatMul{
 		W: w, NBar: t.NBar, PBar: t.PBar, MBar: t.MBar,
 		Dim: dim, Band: band,
-		T: 3*(dim-1) + w + 1,
+		T:    3*(dim-1) + w + 1,
+		quad: !genericKernelsOnly,
 	}
+	if w > math.MaxUint16 || int64(max(s.OLen(), s.ALen(), s.BTLen(), s.CLen())) > math.MaxInt32 {
+		panic(fmt.Sprintf("schedule: matmul shape w=%d n̄=%d p̄=%d m̄=%d exceeds the plan's index range", w, t.NBar, t.PBar, t.MBar))
+	}
+	sA, sC := t.PBar*w, t.MBar*w // row strides: padded A and transposed B; padded E and C
+
+	// final[slot] is the padded-C offset of the C element whose last
+	// accumulation happens at band slot `slot`, or −1.
+	final := make([]int32, s.OLen())
+	for i := range final {
+		final[i] = -1
+	}
+	for r := 0; r < t.NBar; r++ {
+		for iB := 0; iB < t.MBar; iB++ {
+			for _, p := range []dbt.Piece{dbt.PieceD, dbt.PieceUMid, dbt.PieceLMid} {
+				row, src := t.CSource(r, iB, p)
+				off := t.PieceColOffset(src)
+				for la := 0; la < w; la++ {
+					for lb := 0; lb < w; lb++ {
+						if !p.Contains(la, lb) {
+							continue
+						}
+						rho, gamma := row*w+la, row*w+off+lb
+						slot := rho*band + gamma - rho + w - 1
+						if rho >= dim || gamma < 0 || gamma >= dim || final[slot] >= 0 {
+							panic(fmt.Sprintf("schedule: C(%d,%d) source (%d,%d) outside the band or shared", r*w+la, iB*w+lb, rho, gamma))
+						}
+						final[slot] = int32((r*w+la)*sC + iB*w + lb)
+					}
+				}
+			}
+		}
+	}
+
 	regular := make(map[int]int)
 	irregular := make(map[int]int)
+	aRuns := make([]dbt.BandRuns, dim)
+	bRuns := make([]dbt.BandRuns, dim)
+	for i := range aRuns {
+		aRuns[i], bRuns[i] = t.AHatRow(i), t.BHatCol(i)
+	}
+	aOff := func(rho, d int) int32 {
+		r := &aRuns[rho]
+		if d < r.Split {
+			return int32(r.R0*sA + r.C0 + d)
+		}
+		return int32(r.R1*sA + r.C1 + d - r.Split)
+	}
+	bOff := func(gamma, d int) int32 {
+		r := &bRuns[gamma]
+		if d < r.Split {
+			return int32(r.C0*sA + r.R0 + d)
+		}
+		return int32(r.C1*sA + r.R1 + d - r.Split)
+	}
 
 	// A c-item for result position (ρ, γ) enters the array at cycle
 	// ρ+γ+max(ρ,γ) and accumulates Â[ρ][κ]·B̂[κ][γ] for κ increasing from
 	// max(ρ,γ) to min(min(ρ,γ)+w−1, Dim−1) — one term per cycle — before
 	// leaving at cycle ρ+γ+min(ρ,γ)+w−1 and becoming available one cycle
 	// later. Dependencies (spiral feedback) always point at positions whose
-	// availability precedes the consumer's entry, so sorting by entry cycle
-	// is a topological order.
+	// availability precedes the consumer's entry (checked below). They also
+	// point at an earlier row, or at an earlier column of the same row, so
+	// the row-major walk meets every source before its consumer and assigns
+	// dependency levels on the way (checked too).
 	type posOp struct {
-		inject int
-		op     matmulOp
+		group, order uint64 // sort keys, set once the op is complete
+		slot         int32
+		level        int32
+		n            [2]uint16
+		flags        uint8
+		op           matmulOp
 	}
 	ops := make([]posOp, 0, dim*band)
+	read := make([]bool, s.OLen()) // slots some op initializes from
+	level := make([]int32, s.OLen())
+	for i := range level {
+		level[i] = -1
+	}
 	flat := func(rho, gamma int) int32 { return int32(rho*band + gamma - rho + w - 1) }
 	emitOf := func(rho, gamma int) int {
-		lo := rho
-		if gamma < lo {
-			lo = gamma
-		}
-		return rho + gamma + lo + w
+		return rho + gamma + min(rho, gamma) + w
 	}
 	for rho := 0; rho < dim; rho++ {
 		for f := -(w - 1); f <= w-1; f++ {
@@ -153,33 +267,34 @@ func compileMatMul(t *dbt.MatMul) *MatMul {
 			if gamma < 0 || gamma >= dim {
 				continue
 			}
-			k0 := rho
-			if gamma > k0 {
-				k0 = gamma
+			k0 := max(rho, gamma)
+			k1 := min(min(rho, gamma)+w-1, dim-1)
+			po := posOp{slot: flat(rho, gamma)}
+			op := &po.op
+			runs := 0
+			var as, bs [2]int32
+			for kap := k0; kap <= k1; kap++ {
+				ao, bo := aOff(rho, kap-rho), bOff(gamma, kap-gamma)
+				if r := runs - 1; r >= 0 && ao == as[r]+int32(po.n[r]) && bo == bs[r]+int32(po.n[r]) {
+					po.n[r]++
+					continue
+				}
+				if runs == 2 {
+					panic(fmt.Sprintf("schedule: matmul position (%d,%d) spans more than two operand runs", rho, gamma))
+				}
+				as[runs], bs[runs], po.n[runs] = ao, bo, 1
+				runs++
 			}
-			k1 := rho
-			if gamma < k1 {
-				k1 = gamma
-			}
-			k1 += w - 1
-			if k1 >= dim {
-				k1 = dim - 1
-			}
-			op := matmulOp{
-				out:  flat(rho, gamma),
-				aOff: int32(rho*w + k0 - rho),
-				bOff: int32(gamma*w + k0 - gamma),
-				n:    int32(k1 - k0 + 1),
-			}
+			op.a0, op.b0, op.a1, op.b1 = as[0], bs[0], as[1], bs[1]
 			inject := rho + gamma + k0
 			blk, piece, la, lb := t.PieceAt(rho, gamma)
 			switch init := t.InitFor(blk, piece); init.Kind {
 			case dbt.InitE:
-				op.initKind = matmulExt
-				op.initIdx = int32(len(s.ExtInits))
-				s.ExtInits = append(s.ExtInits, ExtInit{
-					R: init.R, S: init.S, P: dbt.EPieceForInit(piece), A: la, B: lb,
-				})
+				if !dbt.EPieceForInit(piece).Contains(la, lb) {
+					panic(fmt.Sprintf("schedule: E init at (%d,%d) outside its piece", rho, gamma))
+				}
+				po.flags = matmulExt
+				op.init = int32((init.R*w+la)*sC + init.S*w + lb)
 			case dbt.InitFeedback:
 				srcRho := init.Row*w + la
 				srcGamma := init.Row*w + t.PieceColOffset(init.Piece) + lb
@@ -191,80 +306,249 @@ func compileMatMul(t *dbt.MatMul) *MatMul {
 					panic(fmt.Sprintf("schedule: acausal matmul feedback (%d,%d)→(%d,%d): emit %d after inject %d",
 						srcRho, srcGamma, rho, gamma, emit, inject))
 				}
-				op.initKind = matmulFeedback
-				op.initIdx = flat(srcRho, srcGamma)
+				src := flat(srcRho, srcGamma)
+				if final[src] >= 0 || level[src] < 0 {
+					panic(fmt.Sprintf("schedule: feedback source (%d,%d) is a final C element or follows its consumer (%d,%d)",
+						srcRho, srcGamma, rho, gamma))
+				}
+				read[src] = true
+				po.level = level[src] + 1
+				po.flags = matmulFeedback
+				op.init = src
 				if init.Irregular {
 					irregular[inject-emit]++
 				} else {
 					regular[inject-emit]++
 				}
 			}
-			s.MACs += int(op.n)
-			ops = append(ops, posOp{inject, op})
+			if c := final[po.slot]; c >= 0 {
+				po.flags |= matmulFinal
+				op.out = c
+			} else {
+				op.out = po.slot
+			}
+			s.MACs += k1 - k0 + 1
+			level[po.slot] = po.level
+			// Groups by (level, init kind and store target, run lengths);
+			// within a group by position in the row block (a, f), then row
+			// block. Widths fit 16 bits (w² < OLen ≤ MaxInt32), ρ 31 bits.
+			if po.level >= 1<<24 {
+				panic(fmt.Sprintf("schedule: matmul feedback chain deeper than %d", 1<<24))
+			}
+			po.group = uint64(po.level)<<40 | uint64(po.flags)<<32 | uint64(po.n[0])<<16 | uint64(po.n[1])
+			po.order = uint64(rho%w)<<48 | uint64(f+w)<<31 | uint64(rho)
+			ops = append(ops, po)
 		}
 	}
-	sort.SliceStable(ops, func(i, j int) bool { return ops[i].inject < ops[j].inject })
-	s.ops = make([]matmulOp, len(ops))
-	for i, p := range ops {
-		s.ops[i] = p.op
+	// Drop the dead positions, sort the rest into groups and each group
+	// into stripe order, then compress each group's runs of evenly spaced
+	// ops into stripes.
+	live := slices.DeleteFunc(ops, func(p posOp) bool { return p.flags&matmulFinal == 0 && !read[p.slot] })
+	slices.SortFunc(live, func(x, y posOp) int {
+		return cmp.Or(cmp.Compare(x.group, y.group), cmp.Compare(x.order, y.order))
+	})
+	var last matmulOp // the previous op, the tail of the open stripe
+	for i := range live {
+		p := &live[i]
+		if i == 0 || p.group != live[i-1].group {
+			s.groups = append(s.groups, matmulGroup{lo: int32(len(s.stripes)), n: p.n, flags: p.flags})
+		} else if st := &s.stripes[len(s.stripes)-1]; st.count == 1 || p.op == last.plus(st.step) {
+			if st.count == 1 {
+				st.step = p.op.minus(last)
+			}
+			st.count++
+			last = p.op
+			continue
+		}
+		s.stripes = append(s.stripes, matmulStripe{op: p.op, count: 1})
+		s.groups[len(s.groups)-1].hi = int32(len(s.stripes))
+		last = p.op
+	}
+	// Keep whole quads in the stripes; the ops left over, and the short
+	// stripes, become loose ops replayed four at a time across stripes.
+	stripes := s.stripes
+	s.stripes = nil
+	for gi := range s.groups {
+		g := &s.groups[gi]
+		lo, hi := g.lo, g.hi
+		g.lo, g.looseLo = int32(len(s.stripes)), int32(len(s.loose))
+		for _, st := range stripes[lo:hi] {
+			quads := st.count / 4 * 4
+			if quads > 0 {
+				s.stripes = append(s.stripes, matmulStripe{op: st.op, step: st.step, count: quads})
+			}
+			op := st.op
+			for j := int32(0); j < st.count; j++ {
+				if j >= quads {
+					s.loose = append(s.loose, op)
+				}
+				op = op.plus(st.step)
+			}
+		}
+		g.hi, g.looseHi = int32(len(s.stripes)), int32(len(s.loose))
+	}
+	s.stripes = slices.Clip(s.stripes)
+	s.loose = slices.Clip(s.loose)
+	s.groups = slices.Clip(s.groups)
+	// In replay order, each E element is read exactly once, no later than
+	// the op storing the C element at the same offset — what lets
+	// ExecGrid's c alias e.
+	eRead := make([]bool, s.CLen())
+	check := func(flags uint8, op matmulOp) {
+		if flags&matmulInitMask == matmulExt {
+			if eRead[op.init] {
+				panic(fmt.Sprintf("schedule: E offset %d injected twice", op.init))
+			}
+			eRead[op.init] = true
+		}
+		if flags&matmulFinal != 0 && !eRead[op.out] {
+			panic(fmt.Sprintf("schedule: C offset %d stored before its E element is read", op.out))
+		}
+	}
+	for _, g := range s.groups {
+		for _, st := range s.stripes[g.lo:g.hi] {
+			for j, op := int32(0), st.op; j < st.count; j, op = j+1, op.plus(st.step) {
+				check(g.flags, op)
+			}
+		}
+		for _, op := range s.loose[g.looseLo:g.looseHi] {
+			check(g.flags, op)
+		}
 	}
 	s.regDelays = BinsFromHistogram(regular)
 	s.irrDelays = BinsFromHistogram(irregular)
 	return s
 }
 
-// OLen returns the length of the flat output band buffer: Dim·(2w−1).
+// OLen returns the length of the feedback scratch buffer: Dim·(2w−1), one
+// slot per product-band position.
 func (s *MatMul) OLen() int { return s.Dim * s.Band }
 
-// OAt reads the output band value O[ρ][γ] from a buffer filled by Exec.
-// Out-of-band positions read 0 (mirroring hex.ProgResult.At), and so do
-// positions outside the band matrix: their flat slots exist in the buffer
-// but no op ever writes them, which matters because Exec output buffers
-// may come from the pool uninitialized.
-func (s *MatMul) OAt(o []float64, rho, gamma int) float64 {
-	f := gamma - rho
-	if f <= -s.W || f >= s.W || rho < 0 || rho >= s.Dim || gamma < 0 || gamma >= s.Dim {
-		return 0
+// ALen returns the length of the padded A grid (n̄w × p̄w).
+func (s *MatMul) ALen() int { return s.NBar * s.W * s.PBar * s.W }
+
+// BTLen returns the length of the transposed padded B grid (m̄w × p̄w).
+func (s *MatMul) BTLen() int { return s.MBar * s.W * s.PBar * s.W }
+
+// CLen returns the length of the padded E and C grids (n̄w × m̄w).
+func (s *MatMul) CLen() int { return s.NBar * s.W * s.MBar * s.W }
+
+// StageB writes the transposed padded B grid ExecGrid reads into bt
+// (len ≥ BTLen()): bt[j·p̄w + i] = B[i][j], zero in the padding. b must be
+// at most p̄w × m̄w.
+func (s *MatMul) StageB(bt []float64, b *matrix.Dense) {
+	sB := s.PBar * s.W
+	if b.Rows() > sB || b.Cols() > s.MBar*s.W || len(bt) < s.BTLen() {
+		panic(fmt.Sprintf("schedule: StageB of %d×%d into %d for p̄w=%d m̄w=%d", b.Rows(), b.Cols(), len(bt), sB, s.MBar*s.W))
 	}
-	return o[rho*s.Band+f+s.W-1]
+	bt = bt[:s.BTLen()]
+	if b.Rows() != sB || b.Cols() != s.MBar*s.W {
+		clear(bt)
+	}
+	for i := 0; i < b.Rows(); i++ {
+		for j, v := range b.RawRow(i) {
+			bt[j*sB+i] = v
+		}
+	}
 }
 
-// Exec runs the compiled schedule over one problem's data. aPack/bPack are
-// the packed bands (dbt.PackAHat/PackBHat layouts, len Dim·w), ext the
-// resolved E-piece values aligned with ExtInits (nil allowed when empty),
-// and o the output band buffer (len ≥ OLen). Exec performs no allocation;
-// each position is one contiguous run of both packed bands accumulated in
-// increasing-κ (cycle) order from the same initialization the array would
-// inject, so results are bit-identical to the structural simulator.
-func (s *MatMul) Exec(aPack, bPack, ext, o []float64) {
-	if len(aPack) < s.Dim*s.W || len(bPack) < s.Dim*s.W || len(o) < s.OLen() || len(ext) < len(s.ExtInits) {
-		panic(fmt.Sprintf("schedule: Exec buffer sizes a=%d b=%d ext=%d o=%d for dim=%d w=%d ext=%d",
-			len(aPack), len(bPack), len(ext), len(o), s.Dim, s.W, len(s.ExtInits)))
+// ExecGrid runs the compiled schedule over one problem's padded operands:
+// a the padded A grid (row-major n̄w × p̄w, len ≥ ALen), bt the transposed
+// padded B grid (StageB, len ≥ BTLen), e the padded E (row-major n̄w × m̄w,
+// len ≥ CLen; nil means E = 0), o the feedback scratch (len ≥ OLen,
+// arbitrary contents) and c the padded C (row-major n̄w × m̄w, len ≥ CLen),
+// every element of which is overwritten. c may alias e: each E element is
+// read once, by the chain that ends in the same C element. ExecGrid
+// performs no allocation; each position accumulates its runs in increasing
+// κ (cycle) order from the same initialization the array would inject, so
+// results are bit-identical to the structural simulator.
+func (s *MatMul) ExecGrid(a, bt, e, o, c []float64) {
+	if len(a) < s.ALen() || len(bt) < s.BTLen() || (e != nil && len(e) < s.CLen()) || len(o) < s.OLen() || len(c) < s.CLen() {
+		panic(fmt.Sprintf("schedule: ExecGrid buffer sizes a=%d bt=%d e=%d o=%d c=%d for dim=%d w=%d n̄=%d p̄=%d m̄=%d",
+			len(a), len(bt), len(e), len(o), len(c), s.Dim, s.W, s.NBar, s.PBar, s.MBar))
 	}
-	for i := range s.ops {
-		op := &s.ops[i]
-		var v float64
-		switch op.initKind {
+	for _, g := range s.groups {
+		var src []float64 // nil: the chains start at 0
+		switch g.flags & matmulInitMask {
 		case matmulExt:
-			v = ext[op.initIdx]
+			src = e
 		case matmulFeedback:
-			v = o[op.initIdx]
+			src = o
 		}
-		as := aPack[op.aOff : op.aOff+op.n]
-		bs := bPack[op.bOff : op.bOff+op.n]
-		// Re-slice so the range body is provably in bounds for both runs.
-		bs = bs[:len(as)]
-		for k, a := range as {
-			v += a * bs[k]
+		dst := o
+		if g.flags&matmulFinal != 0 {
+			dst = c
 		}
-		o[op.out] = v
+		n0, n1 := int(g.n[0]), int(g.n[1])
+		for i := g.lo; i < g.hi; i++ {
+			// One stripe of whole quads: its ops' offsets advance in
+			// registers.
+			st := &s.stripes[i]
+			out, init := int(st.op.out), int(st.op.init)
+			a0, b0, a1, b1 := int(st.op.a0), int(st.op.b0), int(st.op.a1), int(st.op.b1)
+			dOut, dInit := int(st.step.out), int(st.step.init)
+			da0, db0, da1, db1 := int(st.step.a0), int(st.step.b0), int(st.step.a1), int(st.step.b1)
+			for count := int(st.count); count > 0; count -= 4 {
+				if !s.quad {
+					for j := 0; j < 4; j++ {
+						replayOne(out+j*dOut, init+j*dInit, a0+j*da0, b0+j*db0, a1+j*da1, b1+j*db1, n0, n1, a, bt, src, dst)
+					}
+				} else {
+					var v0, v1, v2, v3 float64
+					if src != nil {
+						v0, v1, v2, v3 = src[init], src[init+dInit], src[init+2*dInit], src[init+3*dInit]
+					}
+					v0, v1, v2, v3 = dotRun4(v0, v1, v2, v3, a, bt, n0, a0, a0+da0, a0+2*da0, a0+3*da0, b0, b0+db0, b0+2*db0, b0+3*db0)
+					if n1 != 0 {
+						v0, v1, v2, v3 = dotRun4(v0, v1, v2, v3, a, bt, n1, a1, a1+da1, a1+2*da1, a1+3*da1, b1, b1+db1, b1+2*db1, b1+3*db1)
+					}
+					dst[out], dst[out+dOut], dst[out+2*dOut], dst[out+3*dOut] = v0, v1, v2, v3
+				}
+				out, init = out+4*dOut, init+4*dInit
+				a0, b0, a1, b1 = a0+4*da0, b0+4*db0, a1+4*da1, b1+4*db1
+			}
+		}
+		ops := s.loose[g.looseLo:g.looseHi]
+		for ; s.quad && len(ops) >= 4; ops = ops[4:] {
+			p := ops[:4:4]
+			var v0, v1, v2, v3 float64
+			if src != nil {
+				v0, v1, v2, v3 = src[p[0].init], src[p[1].init], src[p[2].init], src[p[3].init]
+			}
+			v0, v1, v2, v3 = dotRun4(v0, v1, v2, v3, a, bt, n0,
+				int(p[0].a0), int(p[1].a0), int(p[2].a0), int(p[3].a0), int(p[0].b0), int(p[1].b0), int(p[2].b0), int(p[3].b0))
+			if n1 != 0 {
+				v0, v1, v2, v3 = dotRun4(v0, v1, v2, v3, a, bt, n1,
+					int(p[0].a1), int(p[1].a1), int(p[2].a1), int(p[3].a1), int(p[0].b1), int(p[1].b1), int(p[2].b1), int(p[3].b1))
+			}
+			dst[p[0].out], dst[p[1].out], dst[p[2].out], dst[p[3].out] = v0, v1, v2, v3
+		}
+		for _, op := range ops {
+			replayOne(int(op.out), int(op.init), int(op.a0), int(op.b0), int(op.a1), int(op.b1), n0, n1, a, bt, src, dst)
+		}
 	}
+}
+
+// replayOne replays a single op: dst[out] = init value (src[init], or 0
+// when src is nil) plus its runs, accumulated in increasing κ.
+func replayOne(out, init, a0, b0, a1, b1, n0, n1 int, a, bt, src, dst []float64) {
+	var v float64
+	if src != nil {
+		v = src[init]
+	}
+	v = dotRun(v, a[a0:][:n0], bt[b0:])
+	if n1 != 0 {
+		v = dotRun(v, a[a1:][:n1], bt[b1:])
+	}
+	dst[out] = v
 }
 
 // Bytes returns the resident size of the compiled descriptors — the memory
 // the plan cache pays per shape.
 func (s *MatMul) Bytes() int {
-	return len(s.ops)*20 + len(s.ExtInits)*40 + (len(s.regDelays)+len(s.irrDelays))*16
+	return len(s.stripes)*int(unsafe.Sizeof(matmulStripe{})) + len(s.loose)*int(unsafe.Sizeof(matmulOp{})) +
+		len(s.groups)*int(unsafe.Sizeof(matmulGroup{})) +
+		(len(s.regDelays)+len(s.irrDelays))*16
 }
 
 // Utilization returns MACs/(w²·T) over the measured operation count.

@@ -45,12 +45,12 @@ func (pm *PlanMemo) MatVecFor(t *dbt.MatVec, overlap bool) (*MatVec, error) {
 }
 
 // MatMulFor is MatMulFor through the memo.
-func (pm *PlanMemo) MatMulFor(t *dbt.MatMul) *MatMul {
-	key := matmulKey{w: t.W, nbar: t.NBar, pbar: t.PBar, mbar: t.MBar}
+func (pm *PlanMemo) MatMulFor(w, nbar, pbar, mbar int) *MatMul {
+	key := matmulKey{w: w, nbar: nbar, pbar: pbar, mbar: mbar}
 	if s, ok := pm.mm[key]; ok {
 		return s
 	}
-	s := MatMulFor(t)
+	s := MatMulFor(w, nbar, pbar, mbar)
 	pm.mm[key] = s
 	return s
 }

@@ -45,11 +45,12 @@ func TestCacheReusesShapes(t *testing.T) {
 		t.Fatal("by-columns schedules must be distinct")
 	}
 
-	b1 := matrix.RandomDense(rng, 9, 6, 3)
-	m1 := MatMulFor(dbt.NewMatMul(a1, b1, 3))
-	m2 := MatMulFor(dbt.NewMatMul(a2, b1, 3))
-	if m1 != m2 {
+	m1 := MatMulFor(3, 2, 3, 2)
+	if MatMulFor(3, 2, 3, 2) != m1 {
 		t.Fatal("same matmul shape should share one compiled schedule")
+	}
+	if MatMulFor(3, 2, 2, 3) == m1 {
+		t.Fatal("different matmul shapes must not share a schedule")
 	}
 }
 
@@ -112,8 +113,9 @@ func TestMatVecExecAgainstBlockRecurrence(t *testing.T) {
 	}
 }
 
-// TestMatMulExecAgainstReferenceRun checks the compiled matmul execution
-// against dbt's block-level reference (including E and feedback chaining).
+// TestMatMulExecAgainstReferenceRun checks the compiled matmul grid
+// replay against dbt's block-level reference (including E and feedback
+// chaining), ragged shapes included.
 func TestMatMulExecAgainstReferenceRun(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	for _, w := range []int{1, 2, 3} {
@@ -124,32 +126,23 @@ func TestMatMulExecAgainstReferenceRun(t *testing.T) {
 			a := matrix.RandomDense(rng, n, p, 4)
 			b := matrix.RandomDense(rng, p, m, 4)
 			var e *matrix.Dense
+			var ep []float64
+			tr := dbt.NewMatMul(a, b, w)
+			sch := MatMulFor(w, tr.NBar, tr.PBar, tr.MBar)
 			if trial%2 == 0 {
 				e = matrix.RandomDense(rng, n, m, 4)
+				ep = e.Pad(tr.NBar*w, tr.MBar*w).Raw()
 			}
-			tr := dbt.NewMatMul(a, b, w)
-			sch := MatMulFor(tr)
-			aPack := make([]float64, sch.Dim*w)
-			bPack := make([]float64, sch.Dim*w)
-			tr.PackAHat(aPack)
-			tr.PackBHat(bPack)
-			ext := make([]float64, len(sch.ExtInits))
-			for i, ei := range sch.ExtInits {
-				ext[i] = tr.EPieceAt(e, ei.R, ei.S, ei.P, ei.A, ei.B)
-			}
-			o := make([]float64, sch.OLen())
-			sch.Exec(aPack, bPack, ext, o)
-			rec, _ := tr.ReferenceRun(e)
-			for rho := 0; rho < sch.Dim; rho++ {
-				for f := -(w - 1); f <= w-1; f++ {
-					gamma := rho + f
-					if gamma < 0 || gamma >= sch.Dim {
-						continue
-					}
-					k, piece, la, lb := tr.PieceAt(rho, gamma)
-					if got, want := sch.OAt(o, rho, gamma), rec.At(k, piece, la, lb); got != want {
-						t.Fatalf("w=%d %d×%d·%d×%d (E=%v): O[%d][%d] = %g, reference %g",
-							w, n, p, p, m, e != nil, rho, gamma, got, want)
+			bt := make([]float64, sch.BTLen())
+			sch.StageB(bt, b)
+			c := make([]float64, sch.CLen())
+			sch.ExecGrid(tr.AT.Grid.Padded().Raw(), bt, ep, make([]float64, sch.OLen()), c)
+			_, want := tr.ReferenceRun(e)
+			for i := 0; i < n; i++ {
+				for j := 0; j < m; j++ {
+					if got := c[i*tr.MBar*w+j]; got != want.At(i, j) {
+						t.Fatalf("w=%d %d×%d·%d×%d (E=%v): C[%d][%d] = %g, reference %g",
+							w, n, p, p, m, e != nil, i, j, got, want.At(i, j))
 					}
 				}
 			}
@@ -157,8 +150,10 @@ func TestMatMulExecAgainstReferenceRun(t *testing.T) {
 	}
 }
 
-// TestPackedBandsMatchReaders: the packed exporters must agree element for
-// element with the closure readers they replace.
+// TestPackedBandsMatchReaders: the packed matvec exporters must agree
+// element for element with the closure readers they replace. (The matmul
+// bands are never packed; dbt's TestBandRunsMatchReaders pins the run
+// descriptors the grid replay reads them through.)
 func TestPackedBandsMatchReaders(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	for _, w := range []int{1, 2, 4} {
@@ -174,24 +169,6 @@ func TestPackedBandsMatchReaders(t *testing.T) {
 					}
 					if band[i*w+d] != want {
 						t.Fatalf("w=%d row %d diag %d: packed %g, reader %g", w, i, d, band[i*w+d], want)
-					}
-				}
-			}
-		}
-		b := matrix.RandomDense(rng, 2*w+1, 3*w+1, 5)
-		mm := dbt.NewMatMul(a, b, w)
-		aPack := make([]float64, mm.Dim()*w)
-		bPack := make([]float64, mm.Dim()*w)
-		mm.PackAHat(aPack)
-		mm.PackBHat(bPack)
-		for i := 0; i < mm.Dim(); i++ {
-			for d := 0; d < w; d++ {
-				if j := i + d; j < mm.Dim() {
-					if aPack[i*w+d] != mm.AHatAt(i, j) {
-						t.Fatalf("Â w=%d (%d,%d): packed %g, reader %g", w, i, j, aPack[i*w+d], mm.AHatAt(i, j))
-					}
-					if bPack[i*w+d] != mm.BHatAt(j, i) {
-						t.Fatalf("B̂ w=%d (%d,%d): packed %g, reader %g", w, j, i, bPack[i*w+d], mm.BHatAt(j, i))
 					}
 				}
 			}

@@ -7,20 +7,19 @@ import (
 	"repro/internal/matrix"
 )
 
-// Transform pools. Building a DBT transform allocates its padded block grid
-// (O(n·m) storage), and the compiled engine builds one per solve — by far
-// the largest remaining allocation of the fast path once plans and scratch
-// buffers are cached. These pools recycle transform structures across
-// solves: Get rebuilds a pooled transform in place (dbt.Reset reuses the
-// grid storage), Put returns it. A pooled transform is exclusively owned
-// between Get and Put, so concurrent solves never share one; the pools are
-// the process-wide complement of the per-arena transforms that
-// internal/core's pass arenas retain privately.
+// Transform pool. Building a DBT matvec transform allocates its padded
+// block grid (O(n·m) storage), and the compiled matvec engine builds one per
+// solve — by far the largest remaining allocation of the fast path once
+// plans and scratch buffers are cached. The pool recycles transform
+// structures across solves: Get rebuilds a pooled transform in place
+// (dbt.Reset reuses the grid storage), Put returns it. A pooled transform is
+// exclusively owned between Get and Put, so concurrent solves never share
+// one; the pool is the process-wide complement of the per-arena transforms
+// that internal/core's pass arenas retain privately. (The compiled matmul
+// needs no transform: its plan is keyed and compiled by shape alone, and
+// ExecGrid reads the operands' own padded grids.)
 
-var (
-	matvecTransformPool = sync.Pool{New: func() interface{} { return &dbt.MatVec{} }}
-	matmulTransformPool = sync.Pool{New: func() interface{} { return &dbt.MatMul{} }}
-)
+var matvecTransformPool = sync.Pool{New: func() interface{} { return &dbt.MatVec{} }}
 
 // GetMatVec returns a pooled DBT-by-rows transform rebuilt for a and w.
 // Pair with PutMatVec once the solve no longer touches the transform.
@@ -33,15 +32,3 @@ func GetMatVec(a *matrix.Dense, w int) *dbt.MatVec {
 // PutMatVec returns a transform obtained from GetMatVec to the pool. The
 // caller must not use t afterwards.
 func PutMatVec(t *dbt.MatVec) { matvecTransformPool.Put(t) }
-
-// GetMatMul returns a pooled matrix–matrix transform rebuilt for a, b and
-// w. Pair with PutMatMul once the solve no longer touches the transform.
-func GetMatMul(a, b *matrix.Dense, w int) *dbt.MatMul {
-	t := matmulTransformPool.Get().(*dbt.MatMul)
-	t.Reset(a, b, w)
-	return t
-}
-
-// PutMatMul returns a transform obtained from GetMatMul to the pool. The
-// caller must not use t afterwards.
-func PutMatMul(t *dbt.MatMul) { matmulTransformPool.Put(t) }

@@ -106,6 +106,7 @@ func (ws *Workspace) BlockLU(a *matrix.Dense, opts Options) (l, u *matrix.Dense,
 	ws.u = matrix.ReuseZero(ws.u, n, n)
 	ws.lu = LUStats{}
 	work, lf, uf := ws.work, ws.l, ws.u
+	ur := uf.Raw()
 	stats = &ws.lu
 	pivoted := opts.Pivot == PivotPartial
 	if pivoted {
@@ -151,16 +152,18 @@ func (ws *Workspace) BlockLU(a *matrix.Dense, opts Options) (l, u *matrix.Dense,
 			}
 			// Host: L₂₁ = A₂₁·U₁₁⁻¹ (back substitution per row).
 			for i := k1; i < n; i++ {
+				wi, li := work.RawRow(i), lf.RawRow(i)
 				for j := k0; j < k1; j++ {
-					s := work.At(i, j)
+					s := wi[j]
 					for t := k0; t < j; t++ {
-						s -= lf.At(i, t) * uf.At(t, j)
-						stats.HostOps += 2
+						s -= li[t] * ur[t*n+j]
 					}
-					if uf.At(j, j) == 0 {
+					stats.HostOps += 2 * (j - k0)
+					d := ur[j*n+j]
+					if d == 0 {
 						return nil, nil, nil, &SingularError{Op: "solve.BlockLU", Index: j}
 					}
-					lf.Set(i, j, s/uf.At(j, j))
+					li[j] = s / d
 					stats.HostOps++
 				}
 			}
@@ -168,24 +171,29 @@ func (ws *Workspace) BlockLU(a *matrix.Dense, opts Options) (l, u *matrix.Dense,
 		if k1 == n {
 			break
 		}
-		// Host: U₁₂ = L₁₁⁻¹·A₁₂ (forward substitution per column).
-		for j := k1; j < n; j++ {
-			for i := k0; i < k1; i++ {
-				s := work.At(i, j)
-				for t := k0; t < i; t++ {
-					s -= lf.At(i, t) * uf.At(t, j)
-					stats.HostOps += 2
+		// Host: U₁₂ = L₁₁⁻¹·A₁₂ (forward substitution), one U row at a
+		// time: each element still subtracts its terms in increasing t, so
+		// the loop order over the independent columns changes no bit.
+		for i := k0; i < k1; i++ {
+			li, ui := lf.RawRow(i), ur[i*n+k1:(i+1)*n]
+			copy(ui, work.RawRow(i)[k1:])
+			for t := k0; t < i; t++ {
+				lit, ut := li[t], ur[t*n+k1:(t+1)*n]
+				ut = ut[:len(ui)]
+				for j := range ui {
+					ui[j] -= lit * ut[j]
 				}
-				uf.Set(i, j, s)
 			}
+			stats.HostOps += 2 * (i - k0) * (n - k1)
 		}
 		// Array: trailing update A₂₂ ← (−L₂₁)·U₁₂ + A₂₂, one pass per
 		// w-wide column tile — the independent panel updates of this
 		// elimination step. The pass set never depends on the worker count.
 		ws.negL = matrix.Reuse(ws.negL, n-k1, k1-k0)
 		for i := k1; i < n; i++ {
-			for j := k0; j < k1; j++ {
-				ws.negL.Set(i-k1, j-k0, -lf.At(i, j))
+			nl := ws.negL.RawRow(i - k1)
+			for j, v := range lf.RawRow(i)[k0:k1] {
+				nl[j] = -v
 			}
 		}
 		count := (n - k1 + w - 1) / w
@@ -287,19 +295,19 @@ func (ws *Workspace) submitTile(k0, k1, j0, j1, slot int, eng core.Engine) {
 
 // trailingTile is one fan-out task of a BlockLU elimination step:
 // work[k1:n, j0:j1] ← (−L₂₁)·U₁₂[:, j0:j1] + work[k1:n, j0:j1] as a single
-// hexagonal-array pass on the task's arena.
+// hexagonal-array pass on the task's arena, updating the copied-out panel
+// in place.
 func (ws *Workspace) trailingTile(ar *core.Arena, k0, k1, j0, j1, slot int, eng core.Engine) {
 	n := ws.work.Rows()
 	bPanel := matrix.SliceInto(ar.Dense(k1-k0, j1-j0), ws.u, k0, k1, j0, j1)
-	ePanel := matrix.SliceInto(ar.Dense(n-k1, j1-j0), ws.work, k1, n, j0, j1)
-	dst := ar.Dense(n-k1, j1-j0)
-	steps, err := ar.MatMulPass(dst, ws.negL, bPanel, ePanel, ws.w, eng)
+	panel := matrix.SliceInto(ar.Dense(n-k1, j1-j0), ws.work, k1, n, j0, j1)
+	steps, err := ar.MatMulPass(panel, ws.negL, bPanel, panel, ws.w, eng)
 	if err != nil {
 		ws.passErrs[slot] = err
 		return
 	}
 	ws.passSteps[slot] = steps
-	ws.work.SetRect(k1, j0, dst)
+	ws.work.SetRect(k1, j0, panel)
 }
 
 // Solve solves A·x = d directly exactly as the package-level Solve (which
