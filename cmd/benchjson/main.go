@@ -498,7 +498,7 @@ func main() {
 			// Warm every shard on the shape (stealing can land early jobs
 			// anywhere) before the measured steady state.
 			for i := 0; i < 64; i++ {
-				tk, err := s.SubmitMatVecInto(dst, av, xv, nil, 8, core.EngineCompiled)
+				tk, err := s.SubmitMatVecIntoQoS(dst, av, xv, nil, 8, core.EngineCompiled, stream.QoS{})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -508,7 +508,7 @@ func main() {
 			}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				tk, err := s.SubmitMatVecInto(dst, av, xv, nil, 8, core.EngineCompiled)
+				tk, err := s.SubmitMatVecIntoQoS(dst, av, xv, nil, 8, core.EngineCompiled, stream.QoS{})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -534,9 +534,9 @@ func main() {
 				for k := 0; k < depth; k++ {
 					var err error
 					if k%2 == 0 {
-						tickets[k], err = s.SubmitMatVecInto(dsts[k], av, xv, nil, 8, core.EngineCompiled)
+						tickets[k], err = s.SubmitMatVecIntoQoS(dsts[k], av, xv, nil, 8, core.EngineCompiled, stream.QoS{})
 					} else {
-						tickets[k], err = s.SubmitMatVecInto(dsts[k], avB, xvB, nil, 8, core.EngineCompiled)
+						tickets[k], err = s.SubmitMatVecIntoQoS(dsts[k], avB, xvB, nil, 8, core.EngineCompiled, stream.QoS{})
 					}
 					if err != nil {
 						b.Fatal(err)
@@ -619,7 +619,7 @@ func main() {
 		entries = append(entries, bench(fmt.Sprintf("solve-stream/w=%d/n=%d/%s", tw, nd, name), metrics, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < 64; i++ {
-				tk, err := s.SubmitSolveInto(gdst, ag, dg, tw, core.EngineCompiled)
+				tk, err := s.SubmitSolveIntoQoS(gdst, ag, dg, tw, core.EngineCompiled, stream.QoS{})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -629,7 +629,7 @@ func main() {
 			}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				tk, err := s.SubmitSolveInto(gdst, ag, dg, tw, core.EngineCompiled)
+				tk, err := s.SubmitSolveIntoQoS(gdst, ag, dg, tw, core.EngineCompiled, stream.QoS{})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -651,7 +651,7 @@ func main() {
 			for i := 0; i < b.N; i++ {
 				for k := 0; k < depth; k++ {
 					var err error
-					if gtickets[k], err = s.SubmitSolveInto(gdsts[k], ag, dg, tw, core.EngineCompiled); err != nil {
+					if gtickets[k], err = s.SubmitSolveIntoQoS(gdsts[k], ag, dg, tw, core.EngineCompiled, stream.QoS{}); err != nil {
 						b.Fatal(err)
 					}
 				}

@@ -3,8 +3,10 @@
 // exported identifier of the engine- and runtime-facing packages
 // (internal/core, internal/schedule, internal/stream, internal/sparse,
 // the direct solvers, and the internal/solved HTTP facade) lacks a doc
-// comment, or when a relative markdown link in the top-level docs points
-// at a file that does not exist.
+// comment, when a relative markdown link in the top-level docs points at
+// a file that does not exist, or when a backticked stream API name in
+// README.md, DESIGN.md or EXPERIMENTS.md names no exported identifier of
+// internal/stream.
 //
 // Usage:
 //
@@ -22,6 +24,7 @@ import (
 	"path/filepath"
 	"regexp"
 	"strings"
+	"unicode"
 )
 
 // strictPackages are the packages whose every exported identifier must
@@ -44,6 +47,11 @@ var markdownFiles = []string{"README.md", "DESIGN.md", "EXPERIMENTS.md", "ROADMA
 
 var problems int
 
+// exports holds the exported top-level identifiers and method names of
+// each strict package, keyed by package name; checkStreamNames reads the
+// stream's.
+var exports = map[string]map[string]bool{}
+
 func complain(format string, args ...interface{}) {
 	problems++
 	fmt.Fprintf(os.Stderr, "doccheck: "+format+"\n", args...)
@@ -64,12 +72,13 @@ func main() {
 		checkPackage(dir)
 	}
 	checkMarkdown(*root)
+	checkStreamNames(*root)
 
 	if problems > 0 {
 		fmt.Fprintf(os.Stderr, "doccheck: %d problems\n", problems)
 		os.Exit(1)
 	}
-	fmt.Println("doccheck: all package docs, exported docs and markdown links clean")
+	fmt.Println("doccheck: all package docs, exported docs, markdown links and stream API names clean")
 }
 
 // checkPackage parses one package directory and enforces the doc rules.
@@ -93,19 +102,22 @@ func checkPackage(dir string) {
 			complain("package %s (%s) has no package doc comment", name, dir)
 		}
 		if strictPackages[name] {
+			exports[name] = map[string]bool{}
 			for path, f := range pkg.Files {
-				checkExportedDocs(fset, path, f)
+				checkExportedDocs(fset, path, f, exports[name])
 			}
 		}
 	}
 }
 
 // checkExportedDocs requires a doc comment on every exported top-level
-// declaration (a group doc on a const/var/type block covers its members).
-func checkExportedDocs(fset *token.FileSet, path string, f *ast.File) {
+// declaration (a group doc on a const/var/type block covers its members)
+// and records each exported name in names.
+func checkExportedDocs(fset *token.FileSet, path string, f *ast.File, names map[string]bool) {
 	for _, decl := range f.Decls {
 		switch d := decl.(type) {
 		case *ast.FuncDecl:
+			names[d.Name.Name] = d.Name.IsExported()
 			if d.Name.IsExported() && d.Doc == nil {
 				pos := fset.Position(d.Pos())
 				complain("%s:%d: exported %s %s has no doc comment", path, pos.Line, kindOf(d), d.Name.Name)
@@ -114,12 +126,14 @@ func checkExportedDocs(fset *token.FileSet, path string, f *ast.File) {
 			for _, spec := range d.Specs {
 				switch s := spec.(type) {
 				case *ast.TypeSpec:
+					names[s.Name.Name] = s.Name.IsExported()
 					if s.Name.IsExported() && d.Doc == nil && s.Doc == nil && s.Comment == nil {
 						pos := fset.Position(s.Pos())
 						complain("%s:%d: exported type %s has no doc comment", path, pos.Line, s.Name.Name)
 					}
 				case *ast.ValueSpec:
 					for _, name := range s.Names {
+						names[name.Name] = name.IsExported()
 						if name.IsExported() && d.Doc == nil && s.Doc == nil && s.Comment == nil {
 							pos := fset.Position(s.Pos())
 							complain("%s:%d: exported %s %s has no doc comment", path, pos.Line, d.Tok, name.Name)
@@ -174,4 +188,89 @@ func checkMarkdown(root string) {
 			}
 		}
 	}
+}
+
+// apiDocs are the documents whose backticked stream API names must exist.
+var apiDocs = []string{"README.md", "DESIGN.md", "EXPERIMENTS.md"}
+
+var (
+	// fence matches a fenced code block; span an inline code span, which
+	// may wrap across lines.
+	fence = regexp.MustCompile("(?s)```.*?```")
+	span  = regexp.MustCompile("`[^`]+`")
+	// submitName matches a Submit… name with its optional qualifier;
+	// streamName matches a stream-qualified name. Both keep bracket
+	// shorthand (SubmitSolveInto[QoS]) and * wildcards (Submit*Into).
+	submitName = regexp.MustCompile(`(\w+\.)?(Submit[A-Z*\[][\w*\[\]]*)`)
+	streamName = regexp.MustCompile(`\bstream\.([A-Z][\w*\[\]]*)`)
+	bracket    = regexp.MustCompile(`\[(\w*)\]`)
+)
+
+// checkStreamNames fails every backticked Submit… or stream.X name in the
+// API documents that names no exported identifier of internal/stream, so
+// a renamed or deleted entry point cannot linger in the docs. A Submit…
+// name qualified by another type (Fleet.SubmitTo) is not the stream's and
+// is skipped.
+func checkStreamNames(root string) {
+	exported := exports["stream"]
+	for _, name := range apiDocs {
+		blob, err := os.ReadFile(filepath.Join(root, name))
+		if err != nil {
+			complain("%s: %v", name, err)
+			continue
+		}
+		text := string(blob)
+		code := fence.FindAllString(text, -1)
+		code = append(code, span.FindAllString(fence.ReplaceAllString(text, ""), -1)...)
+		for _, c := range code {
+			names := map[string]string{} // name → as written
+			for _, m := range submitName.FindAllStringSubmatch(c, -1) {
+				if q := m[1]; q == "" || q == "Scheduler." || !unicode.IsUpper(rune(q[0])) {
+					names[m[2]] = m[0]
+				}
+			}
+			for _, m := range streamName.FindAllStringSubmatch(c, -1) {
+				names[m[1]] = m[0]
+			}
+			for n, written := range names {
+				for _, x := range expandBrackets(n) {
+					if !matchesExport(x, exported) {
+						complain("%s: `%s` names no exported identifier of internal/stream", name, written)
+						break
+					}
+				}
+			}
+		}
+	}
+}
+
+// expandBrackets expands optional-suffix shorthand: SubmitSolveInto[QoS]
+// is SubmitSolveInto and SubmitSolveIntoQoS; each bracket doubles the set.
+// An unbalanced bracket is returned as is and so fails the lookup.
+func expandBrackets(name string) []string {
+	loc := bracket.FindStringSubmatchIndex(name)
+	if loc == nil {
+		return []string{name}
+	}
+	head, opt, tail := name[:loc[0]], name[loc[2]:loc[3]], name[loc[1]:]
+	var out []string
+	for _, t := range expandBrackets(tail) {
+		out = append(out, head+t, head+opt+t)
+	}
+	return out
+}
+
+// matchesExport reports whether name, where * stands for any identifier
+// characters, matches at least one exported name.
+func matchesExport(name string, exported map[string]bool) bool {
+	if !strings.Contains(name, "*") {
+		return exported[name]
+	}
+	re := regexp.MustCompile("^" + strings.ReplaceAll(regexp.QuoteMeta(name), `\*`, `\w*`) + "$")
+	for x, ok := range exported {
+		if ok && re.MatchString(x) {
+			return true
+		}
+	}
+	return false
 }

@@ -554,8 +554,7 @@ func solverCase(rng *rand.Rand, maxw int) {
 
 // streamCase drives a mixed-shape slice of problems through a stream
 // scheduler at a random shard count and checks every redeemed ticket —
-// results and stats — bit-for-bit against serial solves, plus the batch
-// adapter against the core batch API.
+// results and stats — bit-for-bit against serial solves.
 func streamCase(rng *rand.Rand, maxw int) {
 	w := 1 + rng.Intn(maxw)
 	shards := 1 + rng.Intn(4)
@@ -582,7 +581,7 @@ func streamCase(rng *rand.Rand, maxw int) {
 				B:    matrix.RandomVector(rng, sh[0], 5),
 				Opts: core.MatVecOptions{Engine: eng},
 			}
-			tk, err := s.SubmitMatVec(w, p)
+			tk, err := s.SubmitMatVecQoS(w, p, stream.QoS{})
 			if err != nil {
 				fail("stream submit matvec: %v", err)
 				return
@@ -595,7 +594,7 @@ func streamCase(rng *rand.Rand, maxw int) {
 				B:    matrix.RandomDense(rng, pd, m, 4),
 				Opts: core.MatMulOptions{Engine: eng},
 			}
-			tk, err := s.SubmitMatMul(w, p)
+			tk, err := s.SubmitMatMulQoS(w, p, stream.QoS{})
 			if err != nil {
 				fail("stream submit matmul: %v", err)
 				return
@@ -621,7 +620,7 @@ func streamCase(rng *rand.Rand, maxw int) {
 	}
 	spTr := sparse.NewMatVec(spa, spw)
 	spx := matrix.RandomVector(rng, spmb*spw, 5)
-	spTk, err := s.SubmitSparseMatVec(spTr, spx, nil, core.EngineCompiled)
+	spTk, err := s.SubmitSparseMatVecQoS(spTr, spx, nil, core.EngineCompiled, stream.QoS{})
 	if err != nil {
 		fail("stream submit sparse: %v", err)
 		return
@@ -679,23 +678,6 @@ func streamCase(rng *rand.Rand, maxw int) {
 			fail("stream matmul %d differs from serial (w=%d shards=%d)", i, w, shards)
 		}
 	}
-	// Batch adapter differential: the scheduler's batch helper must equal
-	// the core batch API (itself checked against serial in batchCase).
-	if len(mvp) > 0 {
-		sb, err := s.MatVecBatch(w, mvp)
-		if err != nil {
-			fail("stream batch: %v", err)
-			return
-		}
-		cb, err := core.NewMatVecSolver(w).SolveBatch(mvp)
-		if err != nil {
-			fail("core batch: %v", err)
-			return
-		}
-		if !reflect.DeepEqual(sb, cb) {
-			fail("stream batch differs from core batch (w=%d shards=%d)", w, shards)
-		}
-	}
 }
 
 // solveStreamCase is the solve-as-a-service differential: random
@@ -751,12 +733,12 @@ func solveStreamCase(rng *rand.Rand, maxw int) {
 		if rng.Intn(4) == 0 {
 			q.Priority = stream.Low
 		}
-		if full[i], err = s.SubmitSolveQoS(a, d, w, eng, q); err != nil {
+		if full[i], err = s.SubmitSolveOpts(a, d, w, solve.Options{Engine: eng}, q); err != nil {
 			fail("solve-stream submit: %v", err)
 			return
 		}
 		dsts[i] = make(matrix.Vector, n)
-		if into[i], err = s.SubmitSolveInto(dsts[i], a, d, w, eng); err != nil {
+		if into[i], err = s.SubmitSolveIntoQoS(dsts[i], a, d, w, eng, stream.QoS{}); err != nil {
 			fail("solve-stream submit Into: %v", err)
 			return
 		}
@@ -785,7 +767,7 @@ func solveStreamCase(rng *rand.Rand, maxw int) {
 	sing.Set(0, 1, 1)
 	sing.Set(1, 0, 1)
 	sing.Set(1, 1, 1)
-	stk, err := s.SubmitSolve(sing, matrix.Vector{1, 2}, w, core.EngineCompiled)
+	stk, err := s.SubmitSolveOpts(sing, matrix.Vector{1, 2}, w, solve.Options{Engine: core.EngineCompiled}, stream.QoS{})
 	if err != nil {
 		fail("solve-stream singular submit: %v", err)
 		return
@@ -800,7 +782,7 @@ func solveStreamCase(rng *rand.Rand, maxw int) {
 		fail("solve-stream post-singular reference: %v", err)
 		return
 	}
-	gtk, err := s.SubmitSolve(good, matrix.Vector{1, 2}, w, core.EngineAuto)
+	gtk, err := s.SubmitSolveOpts(good, matrix.Vector{1, 2}, w, solve.Options{Engine: core.EngineAuto}, stream.QoS{})
 	if err != nil {
 		fail("solve-stream post-singular submit: %v", err)
 		return

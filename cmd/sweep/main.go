@@ -587,7 +587,7 @@ func e15() {
 		runOnce := func() {
 			for k := 0; k < jobs; k++ {
 				p := problems[k%len(problems)]
-				tk, err := s.SubmitMatVecInto(dsts[k], p.a, p.x, nil, 8, core.EngineCompiled)
+				tk, err := s.SubmitMatVecIntoQoS(dsts[k], p.a, p.x, nil, 8, core.EngineCompiled, stream.QoS{})
 				check(err)
 				tickets[k] = tk
 			}

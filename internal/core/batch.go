@@ -102,8 +102,7 @@ func PassWorkerLadder(numCPU int) []int {
 // error the failing entries are zero and a single joined error covering
 // EVERY failing index (each annotated "batch problem i") is returned
 // alongside the successful results. The solver packages built on core
-// (trisolve, solve) reuse it for their own batch APIs; use BatchOn to run
-// a batch on a persistent fleet instead.
+// (trisolve, solve) reuse it for their own batch APIs.
 func Batch[P, R any](items []P, workers int, solve func(P) (R, error)) ([]R, error) {
 	if len(items) == 0 {
 		return nil, nil
@@ -118,5 +117,5 @@ func Batch[P, R any](items []P, workers int, solve func(P) (R, error)) ([]R, err
 	// so bounding each queue to that never blocks a submission.
 	f := NewFleet(workers, (len(items)+workers-1)/workers)
 	defer f.Close()
-	return BatchOn(f, items, solve)
+	return batchOn(f, items, solve)
 }

@@ -263,13 +263,11 @@ func (f *Fleet) run(p Pass, worker int, ar *Arena) {
 	p.RunPass(worker, ar)
 }
 
-// BatchOn fans items across an existing fleet (one pass per item, routed
-// round-robin) and waits for all of them; see Batch for the result and
-// error contract. It lets a batch share a persistent fleet — the stream
-// scheduler's, typically — instead of paying for a transient pool. A
+// batchOn fans items across f (one pass per item, routed round-robin) and
+// waits for all of them; see Batch for the result and error contract. A
 // panicking solve is recovered into that item's error slot as a
 // *PanicError; siblings and the fleet keep running.
-func BatchOn[P, R any](f *Fleet, items []P, solve func(P) (R, error)) ([]R, error) {
+func batchOn[P, R any](f *Fleet, items []P, solve func(P) (R, error)) ([]R, error) {
 	results := make([]R, len(items))
 	errs := make([]error, len(items))
 	var wg sync.WaitGroup

@@ -148,14 +148,14 @@ func TestBatchOnPanicIsolation(t *testing.T) {
 	defer f.Close()
 
 	items := []int{0, 1, 2, 3, 4, 5}
-	res, err := BatchOn(f, items, func(i int) (float64, error) {
+	res, err := batchOn(f, items, func(i int) (float64, error) {
 		if i == 3 {
 			panic("item 3 is poisoned")
 		}
 		return float64(i) * 2, nil
 	})
 	if err == nil {
-		t.Fatal("BatchOn returned nil error despite a panicking item")
+		t.Fatal("batchOn returned nil error despite a panicking item")
 	}
 	var perr *PanicError
 	if !errors.As(err, &perr) {

@@ -1,15 +1,13 @@
 package schedule
 
 import (
-	"errors"
-	"fmt"
 	"sync"
 	"sync/atomic"
 )
 
 // This file is the workload-agnostic half of the engine: the plan/replay
-// contract every compiled workload follows, the shape-keyed plan caches,
-// and the error every caller gets when a workload has no compiled plan.
+// contract every compiled workload follows and the shape-keyed plan
+// caches.
 //
 // A *plan* is the complete event schedule of one workload at one shape —
 // everything the structural simulator would discover cycle by cycle
@@ -40,18 +38,6 @@ const (
 	WorkloadTriSolve     Workload = "trisolve"
 	WorkloadSparseMatVec Workload = "sparse-matvec"
 )
-
-// ErrUnsupported is wrapped by every error returned for a workload that has
-// no compiled plan; match it with errors.Is.
-var ErrUnsupported = errors.New("no compiled plan for workload")
-
-// Unsupported returns the error for forcing the compiled engine onto a
-// workload that has no compiled plan. The reason explains *why* no plan
-// exists, so the caller is told the fallback to use rather than silently
-// getting one.
-func Unsupported(w Workload, reason string) error {
-	return fmt.Errorf("schedule: %w %q: %s (use the structural engine)", ErrUnsupported, string(w), reason)
-}
 
 // planCache is a process-wide concurrency-safe map from shape key to
 // compiled plan. Schedules depend only on problem shape, and the

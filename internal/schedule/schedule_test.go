@@ -1,10 +1,8 @@
 package schedule
 
 import (
-	"errors"
 	"fmt"
 	"math/rand"
-	"strings"
 	"sync"
 	"testing"
 
@@ -293,18 +291,6 @@ func TestTriSolveExecAgainstSubstitution(t *testing.T) {
 				}
 			}
 		}
-	}
-}
-
-// TestUnsupportedWorkloadError: Unsupported errors must match
-// ErrUnsupported via errors.Is and carry the workload name.
-func TestUnsupportedWorkloadError(t *testing.T) {
-	err := Unsupported(WorkloadSparseMatVec, "pattern-dependent schedule")
-	if !errors.Is(err, ErrUnsupported) {
-		t.Fatalf("errors.Is(ErrUnsupported) = false for %v", err)
-	}
-	if !strings.Contains(err.Error(), string(WorkloadSparseMatVec)) {
-		t.Fatalf("error %q does not name the workload", err)
 	}
 }
 

@@ -294,10 +294,10 @@ func (srv *Server) writeFailure(rw http.ResponseWriter, err error) {
 	var serr *solve.SingularError
 	var cerr *solve.IllConditionedError
 	switch {
-	// Deadline first: SubmitWithRetry's give-up error wraps BOTH sentinels
-	// (the last ErrSaturated wrapped with ErrDeadlineExceeded), and a
-	// request whose deadline ran out is a timeout, not a retryable 429 —
-	// Retry-After would invite a retry the deadline already disallows.
+	// Deadline first: an error that wraps both sentinels (a saturation
+	// wrapped with ErrDeadlineExceeded) means the request's deadline ran
+	// out, which is a timeout, not a retryable 429 — Retry-After would
+	// invite a retry the deadline already disallows.
 	case errors.Is(err, stream.ErrDeadlineExceeded):
 		writeError(rw, http.StatusGatewayTimeout, err)
 	case errors.Is(err, stream.ErrSaturated):

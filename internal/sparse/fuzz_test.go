@@ -109,9 +109,9 @@ func FuzzSparseMatVec(f *testing.F) {
 		// Overlap: pairwise-interleaved programs on the collision-checked
 		// array produce the same values and per-PE MACs in no more steps,
 		// and the compiled TOverlap matches the measured run exactly.
-		ov, err := tr.SolveOverlapped(x, b)
+		ov, err := tr.solveOverlapped(x, b)
 		if err != nil {
-			t.Fatalf("SolveOverlapped: %v", err)
+			t.Fatalf("solveOverlapped: %v", err)
 		}
 		ovc, err := tr.SolveOverlappedEngine(x, b, core.EngineCompiled)
 		if err != nil {

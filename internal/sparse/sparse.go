@@ -31,7 +31,7 @@
 // replay (SolveMany/PassManyInto) streams k right-hand sides through one
 // compiled pattern, touching each retained coefficient block once per
 // batch; every vector's result is bit-identical to its independent solve.
-// Overlap (SolveOverlapped[Engine]) interleaves consecutive band programs
+// Overlap (SolveOverlappedEngine) interleaves consecutive band programs
 // pairwise at offsets (o, o+1) so each occupies the other's idle injection
 // parity — the paper's §2 two-program trick — shrinking T toward half
 // while leaving every computed value and per-PE MAC count untouched.
@@ -184,7 +184,7 @@ func (t *MatVec) SolveOverlappedEngine(x, b matrix.Vector, eng core.Engine) (*Re
 		return nil, err
 	}
 	if !useCompiled {
-		return t.SolveOverlapped(x, b)
+		return t.solveOverlapped(x, b)
 	}
 	return t.solveCompiled(nil, x, b, true)
 }
@@ -316,22 +316,7 @@ func (t *MatVec) SolveMany(xs, bs []matrix.Vector, eng core.Engine) ([]*Result, 
 	if !useCompiled {
 		return t.solveManySerial(xs, bs)
 	}
-	return t.solveManyCompiled(nil, xs, bs)
-}
-
-// SolveManyOn is SolveMany with compiled plans resolved through ar's
-// pattern-keyed plan memo, the batched counterpart of SolveEngineOn. The
-// stream scheduler's SubmitSparseBatch tickets run it on their
-// pattern-affinity shard's arena.
-func (t *MatVec) SolveManyOn(ar *core.Arena, xs, bs []matrix.Vector, eng core.Engine) ([]*Result, error) {
-	useCompiled, err := eng.Resolve(false)
-	if err != nil {
-		return nil, err
-	}
-	if !useCompiled {
-		return t.solveManySerial(xs, bs)
-	}
-	return t.solveManyCompiled(ar.Plans(), xs, bs)
+	return t.solveManyCompiled(xs, bs)
 }
 
 // solveManySerial is the oracle batch path: k independent structural
@@ -353,11 +338,11 @@ func (t *MatVec) solveManySerial(xs, bs []matrix.Vector) ([]*Result, error) {
 
 // solveManyCompiled packs the batch into strided pooled buffers and replays
 // the plan once over all k vectors.
-func (t *MatVec) solveManyCompiled(memo *schedule.PlanMemo, xs, bs []matrix.Vector) ([]*Result, error) {
+func (t *MatVec) solveManyCompiled(xs, bs []matrix.Vector) ([]*Result, error) {
 	if err := t.checkBatch(xs, bs); err != nil {
 		return nil, err
 	}
-	plan, err := t.planFor(memo)
+	plan, err := t.planFor(nil)
 	if err != nil {
 		return nil, err
 	}
@@ -508,14 +493,14 @@ func (t *MatVec) Solve(x, b matrix.Vector) (*Result, error) {
 	return t.solveStructural(x, b, false)
 }
 
-// SolveOverlapped is the structural overlap run: consecutive active
+// solveOverlapped is the structural overlap run: consecutive active
 // row-band programs are scheduled in pairs at offsets (o, o+1) — opposite
 // injection parities, so the pair shares the array collision-free (the
 // simulator panics on any structural conflict, making this a checked
 // claim) — and each pair advances the offset by the larger of its two
 // spans. See SolveOverlappedEngine for the contract with the compiled
 // counterpart.
-func (t *MatVec) SolveOverlapped(x, b matrix.Vector) (*Result, error) {
+func (t *MatVec) solveOverlapped(x, b matrix.Vector) (*Result, error) {
 	return t.solveStructural(x, b, true)
 }
 

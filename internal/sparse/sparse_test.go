@@ -329,7 +329,6 @@ func TestSparsePassIntoDstError(t *testing.T) {
 // the arena-memo variant, including nil and per-entry-nil b batches.
 func TestSparseSolveMany(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
-	ar := core.NewArena()
 	for _, w := range []int{1, 3, 4} {
 		for _, density := range []float64{0, 0.4, 1} {
 			nb, mb := 1+rng.Intn(4), 1+rng.Intn(4)
@@ -352,10 +351,6 @@ func TestSparseSolveMany(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%v: %v", eng, err)
 				}
-				onArena, err := tr.SolveManyOn(ar, xs, bs, eng)
-				if err != nil {
-					t.Fatalf("SolveManyOn %v: %v", eng, err)
-				}
 				for v := range xs {
 					var bv matrix.Vector
 					if bs != nil {
@@ -367,9 +362,6 @@ func TestSparseSolveMany(t *testing.T) {
 					}
 					if !reflect.DeepEqual(many[v], want) {
 						t.Fatalf("%v w=%d k=%d: batched vector %d diverges:\nbatched %+v\nlooped  %+v", eng, w, k, v, many[v], want)
-					}
-					if !reflect.DeepEqual(onArena[v], want) {
-						t.Fatalf("SolveManyOn %v w=%d: vector %d diverges", eng, w, v)
 					}
 				}
 			}
@@ -441,7 +433,7 @@ func TestSparseOverlapped(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			want, err := tr.SolveOverlapped(x, b)
+			want, err := tr.solveOverlapped(x, b)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -7,8 +7,8 @@ import (
 	"time"
 )
 
-// Priority is a job's admission class. The zero value is High, so the
-// plain Submit* methods keep their original blocking semantics.
+// Priority is a job's admission class. The zero value is High, so a
+// zero QoS keeps the blocking semantics of the Block policy.
 type Priority uint8
 
 const (
@@ -35,7 +35,7 @@ func (p Priority) String() string {
 }
 
 // QoS attaches latency requirements to a submission. The zero value means
-// no deadline and High priority — exactly the plain Submit* behavior.
+// no deadline and High priority.
 type QoS struct {
 	// Deadline is the job's absolute completion deadline; the zero Time
 	// means none. Admission sheds the job up front — a *DeadlineError

@@ -107,7 +107,7 @@ func TestPredictedWaitShedding(t *testing.T) {
 	}
 
 	// A job with enough slack — or none at all — is still admitted.
-	tk, err := s.SubmitMatVec(2, p)
+	tk, err := s.SubmitMatVecQoS(2, p, QoS{})
 	if err != nil {
 		t.Fatalf("deadline-free submit after a shed: %v", err)
 	}
@@ -156,7 +156,7 @@ func TestPriorityClasses(t *testing.T) {
 	})
 	<-running
 	// Fill the single queue slot.
-	tk0, err := s.SubmitMatVec(2, p)
+	tk0, err := s.SubmitMatVecQoS(2, p, QoS{})
 	if err != nil {
 		t.Fatalf("queue-filling submit: %v", err)
 	}
@@ -170,7 +170,7 @@ func TestPriorityClasses(t *testing.T) {
 	var highDone atomic.Bool
 	highTk := make(chan MatVecTicket, 1)
 	go func() {
-		tk, err := s.SubmitMatVec(2, p)
+		tk, err := s.SubmitMatVecQoS(2, p, QoS{})
 		highDone.Store(true)
 		if err != nil {
 			t.Errorf("blocked High submit failed: %v", err)
@@ -243,159 +243,4 @@ func TestQoSFromContext(t *testing.T) {
 	if q.Priority != High {
 		t.Errorf("QoSFromContext priority = %v, want High", q.Priority)
 	}
-}
-
-// TestSubmitWithRetry covers the retry helper: saturation is retried with
-// backoff until success, attempt caps and deadlines bound the loop, and
-// non-retryable errors return immediately.
-func TestSubmitWithRetry(t *testing.T) {
-	t.Run("succeeds after transient saturation", func(t *testing.T) {
-		calls := 0
-		err := SubmitWithRetry(Retry{Base: time.Microsecond, Cap: 10 * time.Microsecond}, time.Time{}, func() error {
-			if calls++; calls < 4 {
-				return ErrSaturated
-			}
-			return nil
-		})
-		if err != nil || calls != 4 {
-			t.Fatalf("err=%v calls=%d, want nil after 4 attempts", err, calls)
-		}
-	})
-	t.Run("attempt cap returns the last saturation", func(t *testing.T) {
-		calls := 0
-		err := SubmitWithRetry(Retry{Base: time.Microsecond, Attempts: 3}, time.Time{}, func() error {
-			calls++
-			return ErrSaturated
-		})
-		if !errors.Is(err, ErrSaturated) || calls != 3 {
-			t.Fatalf("err=%v calls=%d, want ErrSaturated after exactly 3 attempts", err, calls)
-		}
-	})
-	t.Run("deadline bounds the loop", func(t *testing.T) {
-		err := SubmitWithRetry(Retry{Base: 10 * time.Millisecond}, time.Now().Add(time.Millisecond), func() error {
-			return ErrSaturated
-		})
-		if !errors.Is(err, ErrDeadlineExceeded) {
-			t.Fatalf("err=%v, want ErrDeadlineExceeded", err)
-		}
-		if !errors.Is(err, ErrSaturated) {
-			t.Fatalf("err=%v must still match the underlying ErrSaturated", err)
-		}
-	})
-	t.Run("already-expired deadline never submits", func(t *testing.T) {
-		// Regression: the deadline used to be checked only before sleeping,
-		// so a loop entered with a dead deadline still burned an attempt.
-		calls := 0
-		err := SubmitWithRetry(Retry{}, time.Now().Add(-time.Millisecond), func() error {
-			calls++
-			return nil
-		})
-		if !errors.Is(err, ErrDeadlineExceeded) || calls != 0 {
-			t.Fatalf("err=%v calls=%d, want ErrDeadlineExceeded before any attempt", err, calls)
-		}
-		var de *DeadlineError
-		if !errors.As(err, &de) || !de.Expired {
-			t.Fatalf("err=%v, want a *DeadlineError with Expired set", err)
-		}
-	})
-	t.Run("already-expired deadline never submits with context", func(t *testing.T) {
-		calls := 0
-		err := SubmitWithRetryContext(context.Background(), Retry{}, time.Now().Add(-time.Millisecond), func() error {
-			calls++
-			return nil
-		})
-		if !errors.Is(err, ErrDeadlineExceeded) || calls != 0 {
-			t.Fatalf("err=%v calls=%d, want ErrDeadlineExceeded before any attempt", err, calls)
-		}
-		var de *DeadlineError
-		if !errors.As(err, &de) || !de.Expired {
-			t.Fatalf("err=%v, want a *DeadlineError with Expired set", err)
-		}
-	})
-	t.Run("non-retryable errors return immediately", func(t *testing.T) {
-		calls := 0
-		err := SubmitWithRetry(Retry{Base: time.Microsecond}, time.Time{}, func() error {
-			calls++
-			return ErrClosed
-		})
-		if !errors.Is(err, ErrClosed) || calls != 1 {
-			t.Fatalf("err=%v calls=%d, want ErrClosed after 1 attempt", err, calls)
-		}
-	})
-	t.Run("context cancellation interrupts the backoff sleep", func(t *testing.T) {
-		// Base of a minute: if cancellation did not interrupt the sleep
-		// (the old behavior), this test would hang for ~30–60s.
-		ctx, cancel := context.WithCancel(context.Background())
-		calls := 0
-		start := time.Now()
-		err := SubmitWithRetryContext(ctx, Retry{Base: time.Minute, Cap: time.Minute}, time.Time{}, func() error {
-			calls++
-			cancel()
-			return ErrSaturated
-		})
-		if elapsed := time.Since(start); elapsed > 10*time.Second {
-			t.Fatalf("cancelled retry still slept %v", elapsed)
-		}
-		if !errors.Is(err, context.Canceled) || !errors.Is(err, ErrSaturated) || calls != 1 {
-			t.Fatalf("err=%v calls=%d, want context.Canceled wrapping ErrSaturated after 1 attempt", err, calls)
-		}
-	})
-	t.Run("already-cancelled context never submits", func(t *testing.T) {
-		ctx, cancel := context.WithCancel(context.Background())
-		cancel()
-		calls := 0
-		err := SubmitWithRetryContext(ctx, Retry{}, time.Time{}, func() error {
-			calls++
-			return nil
-		})
-		if !errors.Is(err, context.Canceled) || calls != 0 {
-			t.Fatalf("err=%v calls=%d, want context.Canceled before any attempt", err, calls)
-		}
-	})
-	t.Run("context deadline surfaces as context.DeadlineExceeded", func(t *testing.T) {
-		ctx, cancel := context.WithTimeout(context.Background(), time.Millisecond)
-		defer cancel()
-		err := SubmitWithRetryContext(ctx, Retry{Base: 50 * time.Millisecond, Cap: 50 * time.Millisecond}, time.Time{}, func() error {
-			return ErrSaturated
-		})
-		if !errors.Is(err, context.DeadlineExceeded) || !errors.Is(err, ErrSaturated) {
-			t.Fatalf("err=%v, want context.DeadlineExceeded wrapping ErrSaturated", err)
-		}
-	})
-	t.Run("integrates with a saturated scheduler", func(t *testing.T) {
-		s := New(Config{Shards: 1, QueueBound: 1, Policy: Shed})
-		defer s.Close()
-		p, want := qosProblem(t)
-		gate := make(chan struct{})
-		running := make(chan struct{})
-		ex := s.NewExecutor()
-		ex.Submit(func(int, *core.Arena) {
-			close(running)
-			<-gate
-		})
-		<-running
-		if _, err := s.SubmitMatVec(2, p); err != nil {
-			t.Fatalf("queue-filling submit: %v", err)
-		}
-		opened := false
-		var tk MatVecTicket
-		err := SubmitWithRetry(Retry{Base: time.Millisecond, Cap: 2 * time.Millisecond}, time.Time{}, func() error {
-			var err error
-			tk, err = s.SubmitMatVec(2, p)
-			if !opened {
-				// Open the gate after the first saturation so a retry lands.
-				opened = true
-				close(gate)
-			}
-			return err
-		})
-		if err != nil {
-			t.Fatalf("SubmitWithRetry: %v", err)
-		}
-		ex.Barrier()
-		if res, err := tk.Wait(); err != nil || !res.Y.Equal(want, 0) {
-			t.Fatalf("retried job: %v %v", res, err)
-		}
-		s.Flush()
-	})
 }

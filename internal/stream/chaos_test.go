@@ -31,9 +31,9 @@ func TestPanicHammer(t *testing.T) {
 			for i, c := range cases {
 				var err error
 				if c.mv != nil {
-					mvT[i], err = s.SubmitMatVec(c.w, *c.mv)
+					mvT[i], err = s.SubmitMatVecQoS(c.w, *c.mv, QoS{})
 				} else {
-					mmT[i], err = s.SubmitMatMul(c.w, *c.mm)
+					mmT[i], err = s.SubmitMatMulQoS(c.w, *c.mm, QoS{})
 				}
 				if err != nil {
 					t.Fatalf("submit %d: %v", i, err)
@@ -92,7 +92,7 @@ func TestForcedShedInjection(t *testing.T) {
 
 	shedCount := 0
 	for i := 0; i < n; i++ {
-		tk, err := s.SubmitMatVec(2, p)
+		tk, err := s.SubmitMatVecQoS(2, p, QoS{})
 		if err != nil {
 			if !errors.Is(err, ErrSaturated) {
 				t.Fatalf("submit %d: %v, want ErrSaturated", i, err)
@@ -127,7 +127,7 @@ func TestInjectorDeterminism(t *testing.T) {
 		tks := make([]MatVecTicket, 0, 40)
 		idx := make([]int, 0, 40)
 		for i := 0; i < 40; i++ {
-			tk, err := s.SubmitMatVec(2, p)
+			tk, err := s.SubmitMatVecQoS(2, p, QoS{})
 			if err != nil {
 				failed = append(failed, i) // admission shed
 				continue
@@ -158,7 +158,7 @@ func TestStalledShardDelay(t *testing.T) {
 	p, want := qosProblem(t)
 	s := New(Config{Shards: 1, Injector: &Injector{StallShard: 0, StallDelay: 5 * time.Millisecond}})
 	defer s.Close()
-	tk, err := s.SubmitMatVec(2, p)
+	tk, err := s.SubmitMatVecQoS(2, p, QoS{})
 	if err != nil {
 		t.Fatal(err)
 	}

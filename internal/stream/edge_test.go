@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/matrix"
+	"repro/internal/solve"
 	"repro/internal/sparse"
 )
 
@@ -21,7 +22,7 @@ func TestShardClamping(t *testing.T) {
 			t.Errorf("Shards(%d) clamps to %d, want GOMAXPROCS=%d", shards, got, want)
 		}
 		a := matrix.FromRows([][]float64{{1, 2}, {3, 4}})
-		tk, err := s.SubmitMatVec(2, core.MatVecProblem{A: a, X: matrix.Vector{1, 1}})
+		tk, err := s.SubmitMatVecQoS(2, core.MatVecProblem{A: a, X: matrix.Vector{1, 1}}, QoS{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -43,29 +44,31 @@ func TestSubmitAfterClose(t *testing.T) {
 	s.Close()
 	s.Close() // idempotent
 	a := matrix.FromRows([][]float64{{1, 2}, {3, 4}})
-	if _, err := s.SubmitMatVec(2, core.MatVecProblem{A: a, X: matrix.Vector{1, 1}}); !errors.Is(err, ErrClosed) {
-		t.Errorf("SubmitMatVec after Close: %v, want ErrClosed", err)
+	if _, err := s.SubmitMatVecQoS(2, core.MatVecProblem{A: a, X: matrix.Vector{1, 1}}, QoS{}); !errors.Is(err, ErrClosed) {
+		t.Errorf("SubmitMatVecQoS after Close: %v, want ErrClosed", err)
 	}
-	if _, err := s.SubmitMatMul(2, core.MatMulProblem{A: a, B: a}); !errors.Is(err, ErrClosed) {
-		t.Errorf("SubmitMatMul after Close: %v, want ErrClosed", err)
+	if _, err := s.SubmitMatMulQoS(2, core.MatMulProblem{A: a, B: a}, QoS{}); !errors.Is(err, ErrClosed) {
+		t.Errorf("SubmitMatMulQoS after Close: %v, want ErrClosed", err)
 	}
 	dst := make(matrix.Vector, 2)
-	if _, err := s.SubmitMatVecInto(dst, a, matrix.Vector{1, 1}, nil, 2, core.EngineAuto); !errors.Is(err, ErrClosed) {
-		t.Errorf("SubmitMatVecInto after Close: %v, want ErrClosed", err)
-	}
-	mdst := matrix.NewDense(2, 2)
-	if _, err := s.SubmitMatMulInto(mdst, a, a, nil, 2, core.EngineAuto); !errors.Is(err, ErrClosed) {
-		t.Errorf("SubmitMatMulInto after Close: %v, want ErrClosed", err)
+	if _, err := s.SubmitMatVecIntoQoS(dst, a, matrix.Vector{1, 1}, nil, 2, core.EngineAuto, QoS{}); !errors.Is(err, ErrClosed) {
+		t.Errorf("SubmitMatVecIntoQoS after Close: %v, want ErrClosed", err)
 	}
 	tr := sparse.NewMatVec(a, 2)
-	if _, err := s.SubmitSparseMatVec(tr, matrix.Vector{1, 1}, nil, core.EngineAuto); !errors.Is(err, ErrClosed) {
-		t.Errorf("SubmitSparseMatVec after Close: %v, want ErrClosed", err)
+	if _, err := s.SubmitSparseMatVecQoS(tr, matrix.Vector{1, 1}, nil, core.EngineAuto, QoS{}); !errors.Is(err, ErrClosed) {
+		t.Errorf("SubmitSparseMatVecQoS after Close: %v, want ErrClosed", err)
 	}
 	if _, err := s.SubmitSparseMatVecInto(dst, tr, matrix.Vector{1, 1}, nil, core.EngineAuto); !errors.Is(err, ErrClosed) {
 		t.Errorf("SubmitSparseMatVecInto after Close: %v, want ErrClosed", err)
 	}
-	if _, err := s.MatVecBatch(2, []core.MatVecProblem{{A: a, X: matrix.Vector{1, 1}}}); !errors.Is(err, ErrClosed) {
-		t.Errorf("MatVecBatch after Close: %v, want ErrClosed", err)
+	if _, err := s.SubmitSparseBatchIntoQoS([]matrix.Vector{dst}, tr, []matrix.Vector{{1, 1}}, nil, core.EngineAuto, QoS{}); !errors.Is(err, ErrClosed) {
+		t.Errorf("SubmitSparseBatchIntoQoS after Close: %v, want ErrClosed", err)
+	}
+	if _, err := s.SubmitSolveOpts(a, matrix.Vector{1, 1}, 2, solve.Options{}, QoS{}); !errors.Is(err, ErrClosed) {
+		t.Errorf("SubmitSolveOpts after Close: %v, want ErrClosed", err)
+	}
+	if _, err := s.SubmitSolveIntoOpts(dst, a, matrix.Vector{1, 1}, 2, solve.Options{}, QoS{}); !errors.Is(err, ErrClosed) {
+		t.Errorf("SubmitSolveIntoOpts after Close: %v, want ErrClosed", err)
 	}
 }
 
@@ -87,19 +90,19 @@ func TestSaturation(t *testing.T) {
 	a := matrix.FromRows([][]float64{{1, 2}, {3, 4}})
 	p := core.MatVecProblem{A: a, X: matrix.Vector{1, 1}}
 	// One job fits the queue; the next must shed.
-	tk1, err := s.SubmitMatVec(2, p)
+	tk1, err := s.SubmitMatVecQoS(2, p, QoS{})
 	if err != nil {
 		t.Fatalf("first submit should queue: %v", err)
 	}
-	if _, err := s.SubmitMatVec(2, p); !errors.Is(err, ErrSaturated) {
+	if _, err := s.SubmitMatVecQoS(2, p, QoS{}); !errors.Is(err, ErrSaturated) {
 		t.Fatalf("second submit: %v, want ErrSaturated", err)
 	}
 	dst := make(matrix.Vector, 2)
-	if _, err := s.SubmitMatVecInto(dst, a, matrix.Vector{1, 1}, nil, 2, core.EngineAuto); !errors.Is(err, ErrSaturated) {
+	if _, err := s.SubmitMatVecIntoQoS(dst, a, matrix.Vector{1, 1}, nil, 2, core.EngineAuto, QoS{}); !errors.Is(err, ErrSaturated) {
 		t.Fatalf("Into submit while saturated: %v, want ErrSaturated", err)
 	}
 	tr := sparse.NewMatVec(a, 2)
-	if _, err := s.SubmitSparseMatVec(tr, matrix.Vector{1, 1}, nil, core.EngineAuto); !errors.Is(err, ErrSaturated) {
+	if _, err := s.SubmitSparseMatVecQoS(tr, matrix.Vector{1, 1}, nil, core.EngineAuto, QoS{}); !errors.Is(err, ErrSaturated) {
 		t.Fatalf("sparse submit while saturated: %v, want ErrSaturated", err)
 	}
 	if _, err := s.SubmitSparseMatVecInto(dst, tr, matrix.Vector{1, 1}, nil, core.EngineAuto); !errors.Is(err, ErrSaturated) {
@@ -111,7 +114,7 @@ func TestSaturation(t *testing.T) {
 		t.Fatalf("queued job after drain: %v %v", res, err)
 	}
 	// Admission works again once the queue has space.
-	tk2, err := s.SubmitMatVec(2, p)
+	tk2, err := s.SubmitMatVecQoS(2, p, QoS{})
 	if err != nil {
 		t.Fatalf("submit after drain: %v", err)
 	}
@@ -149,7 +152,7 @@ func TestAffinityHammer(t *testing.T) {
 			defer wg.Done()
 			dst := make(matrix.Vector, a.Rows())
 			for i := 0; i < perG; i++ {
-				tk, err := s.SubmitMatVecInto(dst, a, x, nil, w, core.EngineCompiled)
+				tk, err := s.SubmitMatVecIntoQoS(dst, a, x, nil, w, core.EngineCompiled, QoS{})
 				if err != nil {
 					errs[g] = err
 					return
@@ -182,14 +185,33 @@ func TestInvalidDst(t *testing.T) {
 	s := New(Config{Shards: 1})
 	defer s.Close()
 	a := matrix.FromRows([][]float64{{1, 2}, {3, 4}})
-	if _, err := s.SubmitMatVecInto(make(matrix.Vector, 3), a, matrix.Vector{1, 1}, nil, 2, core.EngineAuto); err == nil {
+	if _, err := s.SubmitMatVecIntoQoS(make(matrix.Vector, 3), a, matrix.Vector{1, 1}, nil, 2, core.EngineAuto, QoS{}); err == nil {
 		t.Error("matvec dst length mismatch should fail at submit")
-	}
-	if _, err := s.SubmitMatMulInto(matrix.NewDense(3, 3), a, a, nil, 2, core.EngineAuto); err == nil {
-		t.Error("matmul dst shape mismatch should fail at submit")
 	}
 	if _, err := s.SubmitSparseMatVecInto(make(matrix.Vector, 3), sparse.NewMatVec(a, 2), matrix.Vector{1, 1}, nil, core.EngineAuto); err == nil {
 		t.Error("sparse dst length mismatch should fail at submit")
+	}
+}
+
+// TestInvalidArraySize: a matvec or matmul submission with w < 1 fails at
+// submit — it never takes a queue slot or reaches a shard as a panic.
+func TestInvalidArraySize(t *testing.T) {
+	s := New(Config{Shards: 1})
+	defer s.Close()
+	a := matrix.FromRows([][]float64{{1, 2}, {3, 4}})
+	x := matrix.Vector{1, 1}
+	if _, err := s.SubmitMatVecQoS(0, core.MatVecProblem{A: a, X: x}, QoS{}); err == nil {
+		t.Error("SubmitMatVecQoS with w=0 should fail at submit")
+	}
+	if _, err := s.SubmitMatVecIntoQoS(make(matrix.Vector, 2), a, x, nil, 0, core.EngineAuto, QoS{}); err == nil {
+		t.Error("SubmitMatVecIntoQoS with w=0 should fail at submit")
+	}
+	if _, err := s.SubmitMatMulQoS(-1, core.MatMulProblem{A: a, B: a}, QoS{}); err == nil {
+		t.Error("SubmitMatMulQoS with w=-1 should fail at submit")
+	}
+	s.Flush()
+	if st := s.Stats(); st.Submitted != 0 || st.Panics != 0 {
+		t.Errorf("invalid submissions reached the fleet: %+v", st)
 	}
 }
 
@@ -263,9 +285,9 @@ func TestSparseAffinityHammer(t *testing.T) {
 								return
 							}
 						} else {
-							tk, err := s.SubmitSparseMatVec(tr, x, nil, core.EngineCompiled)
+							tk, err := s.SubmitSparseMatVecQoS(tr, x, nil, core.EngineCompiled, QoS{})
 							for errors.Is(err, ErrSaturated) {
-								tk, err = s.SubmitSparseMatVec(tr, x, nil, core.EngineCompiled)
+								tk, err = s.SubmitSparseMatVecQoS(tr, x, nil, core.EngineCompiled, QoS{})
 							}
 							if err != nil {
 								errs[g] = err
@@ -356,7 +378,7 @@ func TestStreamZeroAllocSteadyState(t *testing.T) {
 	}
 	dst := make(matrix.Vector, 16)
 	roundTrip := func() {
-		tk, err := s.SubmitMatVecInto(dst, a, x, nil, w, core.EngineCompiled)
+		tk, err := s.SubmitMatVecIntoQoS(dst, a, x, nil, w, core.EngineCompiled, QoS{})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -17,12 +17,10 @@ const (
 	matvecFull jobKind = iota
 	matmulFull
 	matvecPass
-	matmulPass
 	sparseFull
 	sparsePass
 	solveFull
 	solvePass
-	sparseBatch
 	sparseBatchPass
 )
 
@@ -44,10 +42,9 @@ type job struct {
 	prio     Priority
 
 	// Pass-style inputs (Into jobs; results land in caller-owned dst).
-	dst              matrix.Vector
-	a                *matrix.Dense
-	x, b             matrix.Vector
-	mdst, ma, mb, me *matrix.Dense
+	dst  matrix.Vector
+	a    *matrix.Dense
+	x, b matrix.Vector
 
 	// Sparse inputs (both variants; Into jobs reuse dst/x/b above).
 	sp *sparse.MatVec
@@ -65,7 +62,6 @@ type job struct {
 	mvres   *core.MatVecResult
 	mmres   *core.MatMulResult
 	spres   *sparse.Result
-	spmany  []*sparse.Result
 	svx     matrix.Vector
 	svstats solve.SolveStats
 	err     error
@@ -109,22 +105,18 @@ func (j *job) RunPass(worker int, ar *core.Arena) {
 		j.mmres, j.err = core.NewMatMulSolver(j.w).Solve(j.mmp.A, j.mmp.B, j.mmp.Opts)
 	case matvecPass:
 		j.steps, j.err = ar.MatVecPass(j.dst, j.a, j.x, j.b, j.w, j.eng)
-	case matmulPass:
-		j.steps, j.err = ar.MatMulPass(j.mdst, j.ma, j.mb, j.me, j.w, j.eng)
 	case sparseFull:
 		j.spres, j.err = j.sp.SolveEngineOn(ar, j.x, j.b, j.eng)
 	case sparsePass:
 		j.steps, j.err = j.sp.PassInto(ar, j.dst, j.x, j.b, j.eng)
-	case sparseBatch:
-		j.spmany, j.err = j.sp.SolveManyOn(ar, j.xs, j.bs, j.eng)
 	case sparseBatchPass:
 		j.steps, j.err = j.sp.PassManyInto(ar, j.dsts, j.xs, j.bs, j.eng)
-	case solveFull:
-		ws := arenaSolveWorkspace(ar, j.w)
-		x, stats, err := ws.Solve(j.a, j.b, solve.Options{Engine: j.eng, Pivot: j.pivot, Refine: j.refine})
-		if err != nil {
+	case solveFull, solvePass:
+		x, stats, err := arenaSolveWorkspace(ar, j.w).Solve(j.a, j.b, solve.Options{Engine: j.eng, Pivot: j.pivot, Refine: j.refine})
+		switch {
+		case err != nil:
 			j.err = err
-		} else {
+		case j.kind == solveFull:
 			// x and stats are workspace-owned; the full-result ticket hands
 			// the caller fresh copies, like the other full-result kinds —
 			// the pivot permutation included (it aliases the workspace the
@@ -132,19 +124,13 @@ func (j *job) RunPass(worker int, ar *core.Arena) {
 			j.svx = append(matrix.Vector(nil), x...)
 			j.svstats = *stats
 			j.svstats.LU.Perm = append([]int(nil), stats.LU.Perm...)
-		}
-	case solvePass:
-		ws := arenaSolveWorkspace(ar, j.w)
-		x, stats, err := ws.Solve(j.a, j.b, solve.Options{Engine: j.eng, Pivot: j.pivot, Refine: j.refine})
-		if err != nil {
-			j.err = err
-		} else {
+		default:
 			copy(j.dst, x)
 			j.svstats = *stats
 			// The zero-alloc pass path cannot hand out a copy of the
 			// workspace-owned permutation and must not alias it (the pooled
 			// workspace outlives the ticket); RowSwaps still reports the
-			// pivoting work — use SubmitSolve for the full permutation.
+			// pivoting work — use SubmitSolveOpts for the full permutation.
 			j.svstats.LU.Perm = nil
 		}
 	}
@@ -164,7 +150,7 @@ func (j *job) JobPanicked(err *core.PanicError) {
 	j.done <- struct{}{}
 }
 
-// MatVecTicket is the one-shot future of a SubmitMatVec job.
+// MatVecTicket is the one-shot future of a SubmitMatVecQoS job.
 type MatVecTicket struct{ j *job }
 
 // Wait blocks until the job finishes and returns its result — exactly what
@@ -179,7 +165,7 @@ func (t MatVecTicket) Wait() (*core.MatVecResult, error) {
 	return res, err
 }
 
-// MatMulTicket is the one-shot future of a SubmitMatMul job.
+// MatMulTicket is the one-shot future of a SubmitMatMulQoS job.
 type MatMulTicket struct{ j *job }
 
 // Wait blocks until the job finishes and returns its result; see
@@ -192,7 +178,7 @@ func (t MatMulTicket) Wait() (*core.MatMulResult, error) {
 	return res, err
 }
 
-// SparseTicket is the one-shot future of a SubmitSparseMatVec job.
+// SparseTicket is the one-shot future of a SubmitSparseMatVecQoS job.
 type SparseTicket struct{ j *job }
 
 // Wait blocks until the job finishes and returns its result — exactly what
@@ -202,22 +188,6 @@ func (t SparseTicket) Wait() (*sparse.Result, error) {
 	j := t.j
 	<-j.done
 	res, err := j.spres, j.err
-	j.s.release(j)
-	return res, err
-}
-
-// SparseBatchTicket is the one-shot future of a SubmitSparseBatch job: one
-// ticket covers the whole batch.
-type SparseBatchTicket struct{ j *job }
-
-// Wait blocks until the batch finishes and returns its per-vector results —
-// each exactly what the serial sparse.MatVec.SolveEngine would return for
-// that vector, statistics included. See MatVecTicket.Wait for the
-// redemption rules.
-func (t SparseBatchTicket) Wait() ([]*sparse.Result, error) {
-	j := t.j
-	<-j.done
-	res, err := j.spmany, j.err
 	j.s.release(j)
 	return res, err
 }
@@ -238,16 +208,23 @@ func (t PassTicket) Wait() (int, error) {
 	return steps, err
 }
 
-// SubmitMatVec enqueues one y = A·x + b problem for a w-PE linear array
-// and returns its ticket. The problem's inputs must stay untouched until
-// the ticket is redeemed.
-func (s *Scheduler) SubmitMatVec(w int, p core.MatVecProblem) (MatVecTicket, error) {
-	return s.SubmitMatVecQoS(w, p, QoS{})
+// checkArraySize rejects a non-positive array size at Submit, before the
+// job takes a queue slot.
+func checkArraySize(w int) error {
+	if w < 1 {
+		return fmt.Errorf("stream: invalid array size %d", w)
+	}
+	return nil
 }
 
-// SubmitMatVecQoS is SubmitMatVec with a deadline and priority class
-// attached; see QoS for the admission semantics.
+// SubmitMatVecQoS enqueues one y = A·x + b problem for a w-PE linear array
+// under q's deadline and priority class (see QoS; the zero QoS means no
+// deadline, High priority) and returns its ticket. The problem's inputs
+// must stay untouched until the ticket is redeemed.
 func (s *Scheduler) SubmitMatVecQoS(w int, p core.MatVecProblem, q QoS) (MatVecTicket, error) {
+	if err := checkArraySize(w); err != nil {
+		return MatVecTicket{}, err
+	}
 	j := s.get(q)
 	j.kind, j.w, j.mvp = matvecFull, w, p
 	if err := s.enqueue(j, shardOf(s.fleet.Shards(), matvecFull, w, p.A.Rows(), p.A.Cols(), int(p.Opts.Engine))); err != nil {
@@ -256,16 +233,13 @@ func (s *Scheduler) SubmitMatVecQoS(w int, p core.MatVecProblem, q QoS) (MatVecT
 	return MatVecTicket{j}, nil
 }
 
-// SubmitMatMul enqueues one C = A·B [+ E] problem for a w×w hexagonal
-// array and returns its ticket. The problem's inputs must stay untouched
-// until the ticket is redeemed.
-func (s *Scheduler) SubmitMatMul(w int, p core.MatMulProblem) (MatMulTicket, error) {
-	return s.SubmitMatMulQoS(w, p, QoS{})
-}
-
-// SubmitMatMulQoS is SubmitMatMul with a deadline and priority class
-// attached; see QoS for the admission semantics.
+// SubmitMatMulQoS enqueues one C = A·B [+ E] problem for a w×w hexagonal
+// array under q (see QoS) and returns its ticket. The problem's inputs
+// must stay untouched until the ticket is redeemed.
 func (s *Scheduler) SubmitMatMulQoS(w int, p core.MatMulProblem, q QoS) (MatMulTicket, error) {
+	if err := checkArraySize(w); err != nil {
+		return MatMulTicket{}, err
+	}
 	j := s.get(q)
 	j.kind, j.w, j.mmp = matmulFull, w, p
 	if err := s.enqueue(j, shardOf(s.fleet.Shards(), matmulFull, w, p.A.Rows(), p.B.Cols(), p.A.Cols())); err != nil {
@@ -274,18 +248,12 @@ func (s *Scheduler) SubmitMatMulQoS(w int, p core.MatMulProblem, q QoS) (MatMulT
 	return MatMulTicket{j}, nil
 }
 
-// SubmitSparseMatVec enqueues one sparse y = A·x + b problem (paper §4,
-// b may be nil) on the selected engine and returns its ticket. Jobs are
-// routed by pattern affinity — same retained-block pattern, same shard —
-// so a repeating sparsity pattern (a stencil, say) replays the shard's
-// memoized plan. The transformation and inputs must stay untouched until
-// the ticket is redeemed.
-func (s *Scheduler) SubmitSparseMatVec(t *sparse.MatVec, x, b matrix.Vector, eng core.Engine) (SparseTicket, error) {
-	return s.SubmitSparseMatVecQoS(t, x, b, eng, QoS{})
-}
-
-// SubmitSparseMatVecQoS is SubmitSparseMatVec with a deadline and priority
-// class attached; see QoS for the admission semantics.
+// SubmitSparseMatVecQoS enqueues one sparse y = A·x + b problem (paper §4,
+// b may be nil) on the selected engine under q (see QoS) and returns its
+// ticket. Jobs are routed by pattern affinity — same retained-block
+// pattern, same shard — so a repeating sparsity pattern (a stencil, say)
+// replays the shard's memoized plan. The transformation and inputs must
+// stay untouched until the ticket is redeemed.
 func (s *Scheduler) SubmitSparseMatVecQoS(t *sparse.MatVec, x, b matrix.Vector, eng core.Engine, q QoS) (SparseTicket, error) {
 	j := s.get(q)
 	j.kind, j.eng, j.sp = sparseFull, eng, t
@@ -297,18 +265,17 @@ func (s *Scheduler) SubmitSparseMatVecQoS(t *sparse.MatVec, x, b matrix.Vector, 
 	return SparseTicket{j}, nil
 }
 
-// SubmitSparseMatVecInto enqueues one sparse y = A·x + b pass (b may be
-// nil) writing into dst (len = A.Rows(), which must not alias x or b) on
-// the selected engine — the zero-allocation sparse stream path: once the
-// pattern-affinity shard is warm on the pattern, submit and execution
-// allocate nothing. The transformation, inputs and dst must stay untouched
-// until the ticket is redeemed.
+// SubmitSparseMatVecInto is SubmitSparseMatVecIntoQoS with the zero QoS.
 func (s *Scheduler) SubmitSparseMatVecInto(dst matrix.Vector, t *sparse.MatVec, x, b matrix.Vector, eng core.Engine) (PassTicket, error) {
 	return s.SubmitSparseMatVecIntoQoS(dst, t, x, b, eng, QoS{})
 }
 
-// SubmitSparseMatVecIntoQoS is SubmitSparseMatVecInto with a deadline and
-// priority class attached; see QoS for the admission semantics.
+// SubmitSparseMatVecIntoQoS enqueues one sparse y = A·x + b pass (b may be
+// nil) writing into dst (len = A.Rows(), which must not alias x or b) on
+// the selected engine under q (see QoS) — the zero-allocation sparse
+// stream path: once the pattern-affinity shard is warm on the pattern,
+// submit and execution allocate nothing. The transformation, inputs and
+// dst must stay untouched until the ticket is redeemed.
 func (s *Scheduler) SubmitSparseMatVecIntoQoS(dst matrix.Vector, t *sparse.MatVec, x, b matrix.Vector, eng core.Engine, q QoS) (PassTicket, error) {
 	if len(dst) != t.N {
 		return PassTicket{}, fmt.Errorf("stream: dst len %d, want %d", len(dst), t.N)
@@ -323,55 +290,26 @@ func (s *Scheduler) SubmitSparseMatVecIntoQoS(dst matrix.Vector, t *sparse.MatVe
 	return PassTicket{j}, nil
 }
 
-// SubmitSparseBatch enqueues k sparse solves y_v = A·x_v + b_v sharing one
-// transformation as a single batched job — one ticket, one queue slot, one
-// admission decision for the whole batch — and returns its ticket. The
-// shard replays the pattern-keyed plan once over all k vectors
-// (sparse.MatVec.SolveManyOn), amortizing padding and plan resolution
-// across the batch; each returned Result is bit-identical to an
-// independent SubmitSparseMatVec of that vector. bs may be nil (every b is
-// zero) or hold nil entries; otherwise len(bs) must equal len(xs).
-// Routing follows the same pattern affinity as the single-vector sparse
-// jobs. The transformation and every vector must stay untouched until the
-// ticket is redeemed.
-func (s *Scheduler) SubmitSparseBatch(t *sparse.MatVec, xs, bs []matrix.Vector, eng core.Engine) (SparseBatchTicket, error) {
-	return s.SubmitSparseBatchQoS(t, xs, bs, eng, QoS{})
-}
-
-// SubmitSparseBatchQoS is SubmitSparseBatch with a deadline and priority
-// class attached; see QoS for the admission semantics. The deadline covers
-// the whole batch — a batch that expires queued resolves its one ticket
-// with the typed expiry error and computes nothing.
-func (s *Scheduler) SubmitSparseBatchQoS(t *sparse.MatVec, xs, bs []matrix.Vector, eng core.Engine, q QoS) (SparseBatchTicket, error) {
-	if len(xs) == 0 {
-		return SparseBatchTicket{}, fmt.Errorf("stream: empty sparse batch")
-	}
-	if bs != nil && len(bs) != len(xs) {
-		return SparseBatchTicket{}, fmt.Errorf("stream: batch has %d x vectors but %d b vectors", len(xs), len(bs))
-	}
-	j := s.get(q)
-	j.kind, j.eng, j.sp = sparseBatch, eng, t
-	j.xs, j.bs = xs, bs
-	k := t.Key()
-	if err := s.enqueue(j, shardOf(s.fleet.Shards(), sparseBatch, int(k.Digest), k.W, k.NBar, k.MBar)); err != nil {
-		return SparseBatchTicket{}, err
-	}
-	return SparseBatchTicket{j}, nil
-}
-
-// SubmitSparseBatchInto is the Into form of SubmitSparseBatch: the shard
-// writes dsts[v] = A·xs[v] + bs[v] for every vector in one batched pass
-// (sparse.MatVec.PassManyInto) and the ticket returns the per-pass step
-// count — the zero-allocation batch path once the pattern-affinity shard
-// is warm. Every dst must have length A.Rows() and must not alias any x or
-// b; the transformation, inputs and dsts must stay untouched until the
-// ticket is redeemed.
+// SubmitSparseBatchInto is SubmitSparseBatchIntoQoS with the zero QoS.
 func (s *Scheduler) SubmitSparseBatchInto(dsts []matrix.Vector, t *sparse.MatVec, xs, bs []matrix.Vector, eng core.Engine) (PassTicket, error) {
 	return s.SubmitSparseBatchIntoQoS(dsts, t, xs, bs, eng, QoS{})
 }
 
-// SubmitSparseBatchIntoQoS is SubmitSparseBatchInto with a deadline and
-// priority class attached; see QoS for the admission semantics.
+// SubmitSparseBatchIntoQoS enqueues k sparse passes dsts[v] = A·xs[v] +
+// bs[v] sharing one transformation as a single batched job — one ticket,
+// one queue slot, one admission decision for the whole batch. The shard
+// replays the pattern-keyed plan once over all k vectors
+// (sparse.MatVec.PassManyInto), amortizing padding and plan resolution
+// across the batch; each dst is bit-identical to an independent
+// SubmitSparseMatVecIntoQoS of that vector, and the ticket returns the
+// per-pass step count — the zero-allocation batch path once the
+// pattern-affinity shard is warm. bs may be nil (every b is zero) or hold
+// nil entries; otherwise len(bs) must equal len(xs). Every dst must have
+// length A.Rows() and must not alias any x or b. Routing follows the same
+// pattern affinity as the single-vector sparse jobs. q's deadline covers
+// the whole batch — a batch that expires queued resolves its one ticket
+// with the typed expiry error and computes nothing. The transformation,
+// inputs and dsts must stay untouched until the ticket is redeemed.
 func (s *Scheduler) SubmitSparseBatchIntoQoS(dsts []matrix.Vector, t *sparse.MatVec, xs, bs []matrix.Vector, eng core.Engine, q QoS) (PassTicket, error) {
 	if len(xs) == 0 {
 		return PassTicket{}, fmt.Errorf("stream: empty sparse batch")
@@ -397,20 +335,16 @@ func (s *Scheduler) SubmitSparseBatchIntoQoS(dsts []matrix.Vector, t *sparse.Mat
 	return PassTicket{j}, nil
 }
 
-// SubmitMatVecInto enqueues one y = A·x + b pass (b may be nil) writing
+// SubmitMatVecIntoQoS enqueues one y = A·x + b pass (b may be nil) writing
 // into dst (len = A.Rows(), which must not alias x or b) on the selected
-// engine — the zero-allocation stream path: once the affinity shard is
-// warm on the shape, submit and execution allocate nothing. Inputs and dst
-// must stay untouched until the ticket is redeemed.
-func (s *Scheduler) SubmitMatVecInto(dst matrix.Vector, a *matrix.Dense, x, b matrix.Vector, w int, eng core.Engine) (PassTicket, error) {
-	return s.SubmitMatVecIntoQoS(dst, a, x, b, w, eng, QoS{})
-}
-
-// SubmitMatVecIntoQoS is SubmitMatVecInto with a deadline and priority
-// class attached; see QoS for the admission semantics. The warm-shard
-// zero-allocation guarantee holds for QoS submissions too: deadlines ride
-// in the pooled job, so admission adds no allocations to the steady state.
+// engine under q (see QoS) — the zero-allocation stream path: once the
+// affinity shard is warm on the shape, submit and execution allocate
+// nothing, deadlines included (they ride in the pooled job). Inputs and
+// dst must stay untouched until the ticket is redeemed.
 func (s *Scheduler) SubmitMatVecIntoQoS(dst matrix.Vector, a *matrix.Dense, x, b matrix.Vector, w int, eng core.Engine, q QoS) (PassTicket, error) {
+	if err := checkArraySize(w); err != nil {
+		return PassTicket{}, err
+	}
 	if len(dst) != a.Rows() {
 		return PassTicket{}, fmt.Errorf("stream: dst len %d, want %d", len(dst), a.Rows())
 	}
@@ -418,29 +352,6 @@ func (s *Scheduler) SubmitMatVecIntoQoS(dst matrix.Vector, a *matrix.Dense, x, b
 	j.kind, j.w, j.eng = matvecPass, w, eng
 	j.dst, j.a, j.x, j.b = dst, a, x, b
 	if err := s.enqueue(j, shardOf(s.fleet.Shards(), matvecPass, w, a.Rows(), a.Cols(), int(eng))); err != nil {
-		return PassTicket{}, err
-	}
-	return PassTicket{j}, nil
-}
-
-// SubmitMatMulInto enqueues one C = A·B + E pass (e may be nil) writing
-// into dst (A.Rows()×B.Cols(), which must not alias a, b or e) on the
-// selected engine; allocation behavior matches SubmitMatVecInto. Inputs
-// and dst must stay untouched until the ticket is redeemed.
-func (s *Scheduler) SubmitMatMulInto(dst, a, b, e *matrix.Dense, w int, eng core.Engine) (PassTicket, error) {
-	return s.SubmitMatMulIntoQoS(dst, a, b, e, w, eng, QoS{})
-}
-
-// SubmitMatMulIntoQoS is SubmitMatMulInto with a deadline and priority
-// class attached; see QoS for the admission semantics.
-func (s *Scheduler) SubmitMatMulIntoQoS(dst, a, b, e *matrix.Dense, w int, eng core.Engine, q QoS) (PassTicket, error) {
-	if dst.Rows() != a.Rows() || dst.Cols() != b.Cols() {
-		return PassTicket{}, fmt.Errorf("stream: dst %d×%d, want %d×%d", dst.Rows(), dst.Cols(), a.Rows(), b.Cols())
-	}
-	j := s.get(q)
-	j.kind, j.w, j.eng = matmulPass, w, eng
-	j.mdst, j.ma, j.mb, j.me = dst, a, b, e
-	if err := s.enqueue(j, shardOf(s.fleet.Shards(), matmulPass, w, a.Rows(), b.Cols(), a.Cols())); err != nil {
 		return PassTicket{}, err
 	}
 	return PassTicket{j}, nil

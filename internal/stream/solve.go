@@ -16,7 +16,7 @@ import (
 // stream of solves reuses the shard's compiled plans and, on the Into
 // variant, allocates nothing once warm. Solve jobs participate in EWMA
 // admission, priority classes, expiry-while-queued and panic isolation
-// exactly like the other six submit paths.
+// exactly like the matvec, matmul and sparse jobs.
 
 // solveKeepBase partitions core.Arena's Keep key space for the stream's
 // solve workspaces: workspace for array size w lives under key
@@ -39,11 +39,12 @@ func arenaSolveWorkspace(ar *core.Arena, w int) *solve.Workspace {
 	return ws
 }
 
-// validateSolve checks a solve submission's shapes synchronously, so a
-// malformed request fails at Submit instead of poisoning a ticket.
-func validateSolve(a *matrix.Dense, d matrix.Vector, w int) error {
-	if w < 1 {
-		return fmt.Errorf("stream: invalid array size %d", w)
+// validateSolveOpts checks a solve submission's shapes and the option
+// combinations the stream cannot honor synchronously, so a malformed
+// request fails at Submit instead of poisoning a ticket.
+func validateSolveOpts(a *matrix.Dense, d matrix.Vector, w int, opts solve.Options) error {
+	if err := checkArraySize(w); err != nil {
+		return err
 	}
 	n := a.Rows()
 	if a.Cols() != n {
@@ -51,16 +52,6 @@ func validateSolve(a *matrix.Dense, d matrix.Vector, w int) error {
 	}
 	if len(d) != n {
 		return fmt.Errorf("stream: len(d)=%d, want %d", len(d), n)
-	}
-	return nil
-}
-
-// validateSolveOpts extends validateSolve with the option combinations the
-// stream cannot honor, so they fail at Submit instead of poisoning a
-// ticket.
-func validateSolveOpts(a *matrix.Dense, d matrix.Vector, w int, opts solve.Options) error {
-	if err := validateSolve(a, d, w); err != nil {
-		return err
 	}
 	if opts.Executor != nil {
 		return fmt.Errorf("stream: solve options must not carry an executor (a stream job cannot block on one backed by its own scheduler)")
@@ -74,7 +65,7 @@ func validateSolveOpts(a *matrix.Dense, d matrix.Vector, w int, opts solve.Optio
 	return nil
 }
 
-// SolveTicket is the one-shot future of a SubmitSolve job.
+// SolveTicket is the one-shot future of a SubmitSolveOpts job.
 type SolveTicket struct{ j *job }
 
 // Wait blocks until the solve finishes and returns the solution and stats —
@@ -92,7 +83,7 @@ func (t SolveTicket) Wait() (matrix.Vector, *solve.SolveStats, error) {
 	return x, &stats, nil
 }
 
-// SolvePassTicket is the one-shot future of a SubmitSolveInto job: the
+// SolvePassTicket is the one-shot future of a SubmitSolveIntoOpts job: the
 // solution lands in the buffer the caller handed to Submit, Wait returns
 // the stats by value — nothing on this path allocates once the shard is
 // warm on the shape.
@@ -109,32 +100,22 @@ func (t SolvePassTicket) Wait() (solve.SolveStats, error) {
 	return stats, err
 }
 
-// SubmitSolve enqueues one full direct solve A·x = d (BlockLU plus both
-// triangular phases, paper §4's complete pipeline) for array size w on the
-// selected engine and returns its ticket. Solves route by shape affinity —
-// same (n, w, engine), same shard — so a repeating stream of solves replays
-// the shard workspace's compiled plans. A must be square with nonsingular
-// leading minors; a zero pivot resolves the ticket with an errors.As-
-// matchable *solve.SingularError carrying the pivot index, and the shard
-// keeps serving. Inputs must stay untouched until the ticket is redeemed.
-func (s *Scheduler) SubmitSolve(a *matrix.Dense, d matrix.Vector, w int, eng core.Engine) (SolveTicket, error) {
-	return s.SubmitSolveQoS(a, d, w, eng, QoS{})
-}
-
-// SubmitSolveQoS is SubmitSolve with a deadline and priority class
-// attached; see QoS for the admission semantics.
-func (s *Scheduler) SubmitSolveQoS(a *matrix.Dense, d matrix.Vector, w int, eng core.Engine, q QoS) (SolveTicket, error) {
-	return s.SubmitSolveOpts(a, d, w, solve.Options{Engine: eng}, q)
-}
-
-// SubmitSolveOpts is SubmitSolve with the full solver options — engine,
-// pivot policy, iterative refinement — plus a QoS class: the stream face
-// of solve.Options. Pivoted and refined solves route, pool and admit
-// exactly like plain ones (the options ride in the pooled job); a
-// refinement that fails to converge resolves the ticket with the typed
-// *solve.IllConditionedError carrying its ConditionReport, never an
-// unconverged solution. opts.Executor must be nil — a stream job cannot
-// block on an executor backed by its own scheduler.
+// SubmitSolveOpts enqueues one full direct solve A·x = d (BlockLU plus
+// both triangular phases, paper §4's complete pipeline) for array size w
+// under the full solver options — engine, pivot policy, iterative
+// refinement: the stream face of solve.Options — and q's deadline and
+// priority class (see QoS), and returns its ticket. Solves route by shape
+// affinity — same (n, w, engine), same shard — so a repeating stream of
+// solves replays the shard workspace's compiled plans; pivoted and refined
+// solves route, pool and admit exactly like plain ones (the options ride
+// in the pooled job). Without pivoting A must have nonsingular leading
+// minors; a zero pivot resolves the ticket with an errors.As-matchable
+// *solve.SingularError carrying the pivot index, and the shard keeps
+// serving. A refinement that fails to converge resolves the ticket with
+// the typed *solve.IllConditionedError carrying its ConditionReport, never
+// an unconverged solution. opts.Executor must be nil — a stream job cannot
+// block on an executor backed by its own scheduler. Inputs must stay
+// untouched until the ticket is redeemed.
 func (s *Scheduler) SubmitSolveOpts(a *matrix.Dense, d matrix.Vector, w int, opts solve.Options, q QoS) (SolveTicket, error) {
 	if err := validateSolveOpts(a, d, w, opts); err != nil {
 		return SolveTicket{}, err
@@ -149,33 +130,23 @@ func (s *Scheduler) SubmitSolveOpts(a *matrix.Dense, d matrix.Vector, w int, opt
 	return SolveTicket{j}, nil
 }
 
-// SubmitSolveInto enqueues one full direct solve A·x = d writing the
-// solution into dst (len = n, which must not alias d) — the
-// zero-allocation solve stream path: once the affinity shard is warm on
-// the shape, submit, execution and redemption allocate nothing. Inputs and
-// dst must stay untouched until the ticket is redeemed; on error dst is
-// untouched.
-func (s *Scheduler) SubmitSolveInto(dst matrix.Vector, a *matrix.Dense, d matrix.Vector, w int, eng core.Engine) (SolvePassTicket, error) {
-	return s.SubmitSolveIntoQoS(dst, a, d, w, eng, QoS{})
-}
-
-// SubmitSolveIntoQoS is SubmitSolveInto with a deadline and priority class
-// attached; see QoS for the admission semantics. The warm-shard
-// zero-allocation guarantee holds under QoS too: deadlines ride in the
-// pooled job.
+// SubmitSolveIntoQoS is SubmitSolveIntoOpts with solve.Options{Engine: eng}.
 func (s *Scheduler) SubmitSolveIntoQoS(dst matrix.Vector, a *matrix.Dense, d matrix.Vector, w int, eng core.Engine, q QoS) (SolvePassTicket, error) {
 	return s.SubmitSolveIntoOpts(dst, a, d, w, solve.Options{Engine: eng}, q)
 }
 
-// SubmitSolveIntoOpts is SubmitSolveInto with the full solver options —
-// engine, pivot policy, iterative refinement — plus a QoS class. The
-// warm-shard zero-allocation guarantee holds with pivoting and refinement
-// enabled (both ride in the pooled job and the shard workspace's reused
-// buffers). One consequence: the returned stats report the pivoting work
-// as LU.RowSwaps but carry a nil LU.Perm — the permutation slice is owned
-// by the pooled shard workspace and handing it out would alias the next
-// solve; use SubmitSolveOpts when the permutation itself is needed.
-// opts.Executor must be nil, as on SubmitSolveOpts.
+// SubmitSolveIntoOpts is SubmitSolveOpts writing the solution into dst
+// (len = n, which must not alias d) — the zero-allocation solve stream
+// path: once the affinity shard is warm on the shape, submit, execution
+// and redemption allocate nothing, with deadlines, pivoting and refinement
+// enabled too (they ride in the pooled job and the shard workspace's
+// reused buffers). Inputs and dst must stay untouched until the ticket is
+// redeemed; on error dst is untouched. One consequence of the pooling:
+// the returned stats report the pivoting work as LU.RowSwaps but carry a
+// nil LU.Perm — the permutation slice is owned by the pooled shard
+// workspace and handing it out would alias the next solve; use
+// SubmitSolveOpts when the permutation itself is needed. opts.Executor
+// must be nil, as on SubmitSolveOpts.
 func (s *Scheduler) SubmitSolveIntoOpts(dst matrix.Vector, a *matrix.Dense, d matrix.Vector, w int, opts solve.Options, q QoS) (SolvePassTicket, error) {
 	if err := validateSolveOpts(a, d, w, opts); err != nil {
 		return SolvePassTicket{}, err

@@ -256,7 +256,7 @@ func TestSolveStreamExpiry(t *testing.T) {
 	s := New(Config{Shards: 1, Injector: &Injector{StallShard: 0, StallDelay: 20 * time.Millisecond}})
 	defer s.Close()
 	// Occupy the shard so the doomed ticket expires while queued.
-	blocker, err := s.SubmitSolve(a, d, 2, core.EngineCompiled)
+	blocker, err := s.SubmitSolveOpts(a, d, 2, solve.Options{Engine: core.EngineCompiled}, QoS{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -305,7 +305,7 @@ func TestSolveStreamSingular(t *testing.T) {
 			s := New(Config{Shards: shards})
 			defer s.Close()
 
-			tk, err := s.SubmitSolve(singular, d, 2, core.EngineCompiled)
+			tk, err := s.SubmitSolveOpts(singular, d, 2, solve.Options{Engine: core.EngineCompiled}, QoS{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -325,7 +325,7 @@ func TestSolveStreamSingular(t *testing.T) {
 			}
 
 			dst := matrix.Vector{math.NaN(), math.NaN()}
-			itk, err := s.SubmitSolveInto(dst, singular, d, 2, core.EngineCompiled)
+			itk, err := s.SubmitSolveIntoQoS(dst, singular, d, 2, core.EngineCompiled, QoS{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -343,7 +343,7 @@ func TestSolveStreamSingular(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			gtk, err := s.SubmitSolve(good, d, 2, core.EngineCompiled)
+			gtk, err := s.SubmitSolveOpts(good, d, 2, solve.Options{Engine: core.EngineCompiled}, QoS{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -435,16 +435,16 @@ func TestSolveStreamValidation(t *testing.T) {
 	sq := matrix.FromRows([][]float64{{1, 0}, {0, 1}})
 	rect := matrix.FromRows([][]float64{{1, 0, 0}, {0, 1, 0}})
 	d := matrix.Vector{1, 2}
-	if _, err := s.SubmitSolve(rect, d, 2, core.EngineCompiled); err == nil {
+	if _, err := s.SubmitSolveOpts(rect, d, 2, solve.Options{Engine: core.EngineCompiled}, QoS{}); err == nil {
 		t.Error("rectangular A was accepted")
 	}
-	if _, err := s.SubmitSolve(sq, matrix.Vector{1}, 2, core.EngineCompiled); err == nil {
+	if _, err := s.SubmitSolveOpts(sq, matrix.Vector{1}, 2, solve.Options{Engine: core.EngineCompiled}, QoS{}); err == nil {
 		t.Error("short d was accepted")
 	}
-	if _, err := s.SubmitSolve(sq, d, 0, core.EngineCompiled); err == nil {
+	if _, err := s.SubmitSolveOpts(sq, d, 0, solve.Options{Engine: core.EngineCompiled}, QoS{}); err == nil {
 		t.Error("w=0 was accepted")
 	}
-	if _, err := s.SubmitSolveInto(matrix.Vector{1}, sq, d, 2, core.EngineCompiled); err == nil {
+	if _, err := s.SubmitSolveIntoQoS(matrix.Vector{1}, sq, d, 2, core.EngineCompiled, QoS{}); err == nil {
 		t.Error("short dst was accepted")
 	}
 	ex := core.NewExecutor(1)
@@ -464,9 +464,9 @@ func TestSolveStreamValidation(t *testing.T) {
 }
 
 // TestSolveStreamZeroAllocSteadyState: the warm solve-as-a-service steady
-// state allocates nothing — a compiled SubmitSolveInto round trip on a
+// state allocates nothing — a compiled SubmitSolveIntoQoS round trip on a
 // warm shard reports 0 allocs/op, with and without a live deadline,
-// matching the matvec/matmul/sparse Into guarantees.
+// matching the matvec and sparse Into guarantees.
 func TestSolveStreamZeroAllocSteadyState(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation changes allocation behavior")

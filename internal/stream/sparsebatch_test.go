@@ -2,7 +2,6 @@ package stream
 
 import (
 	"errors"
-	"reflect"
 	"runtime"
 	"testing"
 	"time"
@@ -32,11 +31,10 @@ func batchVectors(tr *sparse.MatVec, k int) (xs, bs []matrix.Vector) {
 	return xs, bs
 }
 
-// TestSparseBatchMatchesSerial pins the batched tickets' determinism
-// contract across engines × shard counts × admission policies: every
-// Result of a SubmitSparseBatch ticket, and every dst of a
-// SubmitSparseBatchInto ticket, is DeepEqual to the corresponding
-// single-vector serial call — one ticket per batch either way.
+// TestSparseBatchMatchesSerial pins the batched ticket's determinism
+// contract across engines × shard counts × admission policies: every dst
+// of a SubmitSparseBatchIntoQoS ticket, and its step count, equals the
+// corresponding single-vector serial call — one ticket per batch.
 func TestSparseBatchMatchesSerial(t *testing.T) {
 	w := 3
 	tr := sparse.NewMatVec(sparseStencil(5, w), w)
@@ -54,28 +52,17 @@ func TestSparseBatchMatchesSerial(t *testing.T) {
 		for _, shards := range []int{1, 2, runtime.GOMAXPROCS(0)} {
 			for _, pol := range []Policy{Block, Shed} {
 				s := New(Config{Shards: shards, Policy: pol})
-				tk, err := s.SubmitSparseBatch(tr, xs, bs, eng)
-				if err != nil {
-					t.Fatalf("eng=%v shards=%d policy=%v: %v", eng, shards, pol, err)
-				}
-				got, err := tk.Wait()
-				if err != nil {
-					t.Fatalf("eng=%v shards=%d policy=%v: %v", eng, shards, pol, err)
-				}
-				if !reflect.DeepEqual(got, serial) {
-					t.Fatalf("eng=%v shards=%d policy=%v: batched ticket diverges from serial solves", eng, shards, pol)
-				}
 				dsts := make([]matrix.Vector, k)
 				for v := range dsts {
 					dsts[v] = make(matrix.Vector, tr.N)
 				}
-				ptk, err := s.SubmitSparseBatchInto(dsts, tr, xs, bs, eng)
+				ptk, err := s.SubmitSparseBatchIntoQoS(dsts, tr, xs, bs, eng, QoS{})
 				if err != nil {
-					t.Fatal(err)
+					t.Fatalf("eng=%v shards=%d policy=%v: %v", eng, shards, pol, err)
 				}
 				steps, err := ptk.Wait()
 				if err != nil {
-					t.Fatal(err)
+					t.Fatalf("eng=%v shards=%d policy=%v: %v", eng, shards, pol, err)
 				}
 				for v := range dsts {
 					if steps != serial[v].T || !dsts[v].Equal(serial[v].Y, 0) {
@@ -99,23 +86,23 @@ func TestSparseBatchValidation(t *testing.T) {
 	w := 2
 	tr := sparse.NewMatVec(sparseStencil(3, w), w)
 	xs, bs := batchVectors(tr, 2)
-	if _, err := s.SubmitSparseBatch(tr, nil, nil, core.EngineAuto); err == nil {
+	dsts := []matrix.Vector{make(matrix.Vector, tr.N), make(matrix.Vector, tr.N)}
+	if _, err := s.SubmitSparseBatchIntoQoS(nil, tr, nil, nil, core.EngineAuto, QoS{}); err == nil {
 		t.Error("empty batch should fail at submit")
 	}
-	if _, err := s.SubmitSparseBatch(tr, xs, bs[:1], core.EngineAuto); err == nil {
+	if _, err := s.SubmitSparseBatchIntoQoS(dsts, tr, xs, bs[:1], core.EngineAuto, QoS{}); err == nil {
 		t.Error("mismatched x/b batch lengths should fail at submit")
 	}
-	dsts := []matrix.Vector{make(matrix.Vector, tr.N), make(matrix.Vector, tr.N)}
-	if _, err := s.SubmitSparseBatchInto(dsts[:1], tr, xs, bs, core.EngineAuto); err == nil {
+	if _, err := s.SubmitSparseBatchIntoQoS(dsts[:1], tr, xs, bs, core.EngineAuto, QoS{}); err == nil {
 		t.Error("mismatched dst batch length should fail at submit")
 	}
-	if _, err := s.SubmitSparseBatchInto([]matrix.Vector{dsts[0], dsts[1][:1]}, tr, xs, bs, core.EngineAuto); err == nil {
+	if _, err := s.SubmitSparseBatchIntoQoS([]matrix.Vector{dsts[0], dsts[1][:1]}, tr, xs, bs, core.EngineAuto, QoS{}); err == nil {
 		t.Error("short dst should fail at submit")
 	}
 	// A short x inside the batch passes submit (per-vector operands are the
 	// job's to validate) and must come back as an error on the ticket.
 	badXs := []matrix.Vector{xs[0], xs[1][:1]}
-	tk, err := s.SubmitSparseBatch(tr, badXs, bs, core.EngineCompiled)
+	tk, err := s.SubmitSparseBatchIntoQoS(dsts, tr, badXs, bs, core.EngineCompiled, QoS{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,15 +124,12 @@ func TestSparseBatchQoS(t *testing.T) {
 	w := 2
 	tr := sparse.NewMatVec(sparseStencil(3, w), w)
 	xs, bs := batchVectors(tr, 3)
-	if _, err := s.SubmitSparseBatchQoS(tr, xs, bs, core.EngineAuto, QoS{Deadline: time.Now().Add(-time.Millisecond)}); !errors.Is(err, ErrDeadlineExceeded) {
-		t.Fatalf("expired batch admission returned %v, want ErrDeadlineExceeded", err)
-	}
 	dsts := make([]matrix.Vector, 3)
 	for v := range dsts {
 		dsts[v] = make(matrix.Vector, tr.N)
 	}
 	if _, err := s.SubmitSparseBatchIntoQoS(dsts, tr, xs, bs, core.EngineAuto, QoS{Deadline: time.Now().Add(-time.Millisecond)}); !errors.Is(err, ErrDeadlineExceeded) {
-		t.Fatalf("expired Into batch admission returned %v, want ErrDeadlineExceeded", err)
+		t.Fatalf("expired batch admission returned %v, want ErrDeadlineExceeded", err)
 	}
 	for v := range dsts {
 		for _, y := range dsts[v] {
@@ -155,12 +139,21 @@ func TestSparseBatchQoS(t *testing.T) {
 		}
 	}
 	// A live deadline admits and completes normally.
-	tk, err := s.SubmitSparseBatchQoS(tr, xs, bs, core.EngineAuto, QoS{Deadline: time.Now().Add(time.Minute)})
+	tk, err := s.SubmitSparseBatchIntoQoS(dsts, tr, xs, bs, core.EngineAuto, QoS{Deadline: time.Now().Add(time.Minute)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res, err := tk.Wait(); err != nil || len(res) != 3 {
-		t.Fatalf("live batch: res=%d err=%v", len(res), err)
+	if _, err := tk.Wait(); err != nil {
+		t.Fatalf("live batch: %v", err)
+	}
+	for v := range dsts {
+		want, err := tr.SolveEngine(xs[v], bs[v], core.EngineAuto)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !dsts[v].Equal(want.Y, 0) {
+			t.Fatalf("live batch vector %d wrong", v)
+		}
 	}
 }
 

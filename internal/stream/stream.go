@@ -11,12 +11,12 @@
 // by shape affinity: problems of the same shape hash to the same shard,
 // whose private schedule.PlanMemo (inside its core.Arena) already holds the
 // compiled plan, so the steady state of a repeating-shape stream replays
-// plans without touching the global caches — and, on the Into job variants,
+// plans without touching the global caches — and, on the Into job forms,
 // without allocating at all. Sparse jobs extend the same idea to data: they
 // route by pattern affinity (shape plus the retained-block pattern digest,
 // sparse.PatternKey), so a repeating sparsity pattern replays its shard's
 // memoized pattern-keyed plan. Solve jobs extend it to the paper's
-// headline workload: a SubmitSolve ticket runs the full direct solve
+// headline workload: a SubmitSolveOpts ticket runs the full direct solve
 // (BlockLU plus both triangular phases) on a warm solve.Workspace the
 // shard's arena pools per array size, so solve-as-a-service streams at the
 // same warm steady state as the pass jobs. Idle shards steal from sibling
@@ -26,8 +26,14 @@
 // Admission is controlled per scheduler: every shard queue is bounded, and
 // a full queue either blocks the submitter (Block, the default) or fails
 // fast with ErrSaturated so a load-shedding caller can drop or retry
-// (Shed). Results come back through typed one-shot tickets; Flush drains
-// everything in flight and Close retires the fleet.
+// (Shed). Each job kind has one submit method per result form — a full
+// result (SubmitMatVecQoS, SubmitMatMulQoS, SubmitSparseMatVecQoS,
+// SubmitSolveOpts) or an Into form that writes a caller-owned buffer
+// (SubmitMatVecIntoQoS, SubmitSparseMatVecIntoQoS,
+// SubmitSparseBatchIntoQoS, SubmitSolveIntoOpts) — and every one takes a
+// QoS whose zero value means no deadline, High priority. Results come back
+// through typed one-shot tickets; Flush drains everything in flight and
+// Close retires the fleet.
 //
 // Determinism: a job's result and statistics never depend on the shard that
 // runs it, on stealing, or on the shard count — every job is solved by the
@@ -216,33 +222,6 @@ func (s *Scheduler) NewExecutor() *core.Executor {
 	return core.NewExecutorFleet(s.fleet)
 }
 
-// MatVecBatch solves a one-shot slice of problems on the scheduler's fleet
-// with blocking admission — the batch-API compatibility path
-// (core.MatVecSolver.SolveBatch routes through the same substrate, just on
-// a transient fleet). Results align with problems; on error the failing
-// entries are nil and a joined error covering every failing index is
-// returned alongside the successful results.
-func (s *Scheduler) MatVecBatch(w int, problems []core.MatVecProblem) ([]*core.MatVecResult, error) {
-	if s.closed.Load() {
-		return nil, ErrClosed
-	}
-	solver := core.NewMatVecSolver(w)
-	return core.BatchOn(s.fleet, problems, func(p core.MatVecProblem) (*core.MatVecResult, error) {
-		return solver.Solve(p.A, p.X, p.B, p.Opts)
-	})
-}
-
-// MatMulBatch is MatVecBatch for matrix–matrix problems.
-func (s *Scheduler) MatMulBatch(w int, problems []core.MatMulProblem) ([]*core.MatMulResult, error) {
-	if s.closed.Load() {
-		return nil, ErrClosed
-	}
-	solver := core.NewMatMulSolver(w)
-	return core.BatchOn(s.fleet, problems, func(p core.MatMulProblem) (*core.MatMulResult, error) {
-		return solver.Solve(p.A, p.B, p.Opts)
-	})
-}
-
 // get draws a recycled job, stamps its sequence number and attaches its
 // QoS.
 func (s *Scheduler) get(q QoS) *job {
@@ -257,11 +236,10 @@ func (s *Scheduler) get(q QoS) *job {
 // than recycled with a stale completion signal.
 func (s *Scheduler) release(j *job) {
 	j.dst, j.a, j.x, j.b = nil, nil, nil, nil
-	j.mdst, j.ma, j.mb, j.me = nil, nil, nil, nil
 	j.sp = nil
 	j.xs, j.bs, j.dsts = nil, nil, nil
 	j.mvp, j.mmp = core.MatVecProblem{}, core.MatMulProblem{}
-	j.mvres, j.mmres, j.spres, j.spmany = nil, nil, nil, nil
+	j.mvres, j.mmres, j.spres = nil, nil, nil
 	j.svx, j.svstats = nil, solve.SolveStats{}
 	j.pivot, j.refine = solve.PivotNone, solve.RefineOptions{}
 	j.steps, j.err = 0, nil

@@ -89,9 +89,9 @@ func TestStreamMatchesSerial(t *testing.T) {
 			for i, c := range cases {
 				var err error
 				if c.mv != nil {
-					mvTickets[i], err = s.SubmitMatVec(c.w, *c.mv)
+					mvTickets[i], err = s.SubmitMatVecQoS(c.w, *c.mv, QoS{})
 				} else {
-					mmTickets[i], err = s.SubmitMatMul(c.w, *c.mm)
+					mmTickets[i], err = s.SubmitMatMulQoS(c.w, *c.mm, QoS{})
 				}
 				if err != nil {
 					t.Fatalf("shards=%d policy=%v case %d: %v", shards, policy, i, err)
@@ -127,39 +127,30 @@ func TestStreamMatchesSerial(t *testing.T) {
 	}
 }
 
-// TestStreamIntoMatchesSerial: the zero-alloc Into variants write exactly
-// what the arena pass APIs (and hence the serial engines) produce, at
-// every shard count.
+// TestStreamIntoMatchesSerial: the zero-alloc matvec Into path writes
+// exactly what the arena pass API (and hence the serial engine) produces,
+// at every shard count.
 func TestStreamIntoMatchesSerial(t *testing.T) {
 	rng := rand.New(rand.NewSource(87))
 	w := 3
 	type intoCase struct {
-		a      *matrix.Dense
-		x, b   matrix.Vector
-		ma, mb *matrix.Dense
+		a    *matrix.Dense
+		x, b matrix.Vector
 	}
 	var cases []intoCase
 	for i := 0; i < 24; i++ {
 		n, m := 1+rng.Intn(3*w), 1+rng.Intn(3*w)
-		d := 1 + rng.Intn(2*w)
 		cases = append(cases, intoCase{
-			a:  matrix.RandomDense(rng, n, m, 5),
-			x:  matrix.RandomVector(rng, m, 5),
-			b:  matrix.RandomVector(rng, n, 5),
-			ma: matrix.RandomDense(rng, d, d, 4),
-			mb: matrix.RandomDense(rng, d, d, 4),
+			a: matrix.RandomDense(rng, n, m, 5),
+			x: matrix.RandomVector(rng, m, 5),
+			b: matrix.RandomVector(rng, n, 5),
 		})
 	}
 	for _, shards := range shardLadder() {
 		s := New(Config{Shards: shards})
 		for i, c := range cases {
 			dst := make(matrix.Vector, c.a.Rows())
-			mdst := matrix.NewDense(c.ma.Rows(), c.mb.Cols())
-			tv, err := s.SubmitMatVecInto(dst, c.a, c.x, c.b, w, core.EngineCompiled)
-			if err != nil {
-				t.Fatal(err)
-			}
-			tm, err := s.SubmitMatMulInto(mdst, c.ma, c.mb, nil, w, core.EngineCompiled)
+			tv, err := s.SubmitMatVecIntoQoS(dst, c.a, c.x, c.b, w, core.EngineCompiled, QoS{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -174,67 +165,8 @@ func TestStreamIntoMatchesSerial(t *testing.T) {
 			if !reflect.DeepEqual(dst, want.Y) || steps != want.Stats.T {
 				t.Errorf("shards=%d case %d: matvec Into differs from serial", shards, i)
 			}
-			msteps, err := tm.Wait()
-			if err != nil {
-				t.Fatal(err)
-			}
-			mwant, err := core.NewMatMulSolver(w).Solve(c.ma, c.mb, core.MatMulOptions{Engine: core.EngineCompiled})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !mdst.Equal(mwant.C, 0) || msteps != mwant.Stats.T {
-				t.Errorf("shards=%d case %d: matmul Into differs from serial", shards, i)
-			}
 		}
 		s.Close()
-	}
-}
-
-// TestBatchAdapters: the scheduler's batch helpers return exactly what the
-// core SolveBatch adapters (and the serial path) return.
-func TestBatchAdapters(t *testing.T) {
-	rng := rand.New(rand.NewSource(88))
-	w := 4
-	var problems []core.MatVecProblem
-	for i := 0; i < 16; i++ {
-		n, m := 1+rng.Intn(3*w), 1+rng.Intn(3*w)
-		problems = append(problems, core.MatVecProblem{
-			A: matrix.RandomDense(rng, n, m, 5),
-			X: matrix.RandomVector(rng, m, 5),
-		})
-	}
-	s := New(Config{Shards: 3})
-	defer s.Close()
-	got, err := s.MatVecBatch(w, problems)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := core.NewMatVecSolver(w).SolveBatch(problems)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Error("MatVecBatch differs from SolveBatch")
-	}
-
-	var mm []core.MatMulProblem
-	for i := 0; i < 8; i++ {
-		n, p, m := 1+rng.Intn(6), 1+rng.Intn(6), 1+rng.Intn(6)
-		mm = append(mm, core.MatMulProblem{
-			A: matrix.RandomDense(rng, n, p, 4),
-			B: matrix.RandomDense(rng, p, m, 4),
-		})
-	}
-	mgot, err := s.MatMulBatch(3, mm)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mwant, err := core.NewMatMulSolver(3).SolveBatch(mm)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(mgot, mwant) {
-		t.Error("MatMulBatch differs from SolveBatch")
 	}
 }
 
@@ -257,7 +189,7 @@ func TestSharedExecutor(t *testing.T) {
 	}
 	var tickets []MatVecTicket
 	for i := 0; i < 8; i++ {
-		tk, err := s.SubmitMatVec(3, bg)
+		tk, err := s.SubmitMatVecQoS(3, bg, QoS{})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -50,9 +50,8 @@ const (
 // deadline expiries and recovered panics.
 type StreamStats = stream.Stats
 
-// StreamQoS attaches a completion deadline and a priority class to the
-// SubmitXxxQoS submission variants; the zero value reproduces the plain
-// Submit* behavior (no deadline, High priority).
+// StreamQoS attaches a completion deadline and a priority class to a
+// Stream submission; the zero value means no deadline, High priority.
 type StreamQoS = stream.QoS
 
 // StreamInjector induces deterministic, seed-keyed faults (forced sheds,
@@ -60,28 +59,22 @@ type StreamQoS = stream.QoS
 // one through StreamConfig.Injector.
 type StreamInjector = stream.Injector
 
-// StreamSolveTicket is the one-shot future of a Stream.SubmitSolve job:
+// StreamSolveTicket is the one-shot future of a Stream.SubmitSolveOpts job:
 // Wait returns a caller-owned solution vector and stats, exactly what the
 // serial one-shot solve.Solve would return.
 type StreamSolveTicket = stream.SolveTicket
 
-// StreamSolvePassTicket is the one-shot future of a Stream.SubmitSolveInto
-// job: the solution lands in the caller's buffer and Wait returns the
-// stats by value — the zero-allocation solve-as-a-service path.
+// StreamSolvePassTicket is the one-shot future of a
+// Stream.SubmitSolveIntoOpts job: the solution lands in the caller's
+// buffer and Wait returns the stats by value — the zero-allocation
+// solve-as-a-service path.
 type StreamSolvePassTicket = stream.SolvePassTicket
-
-// StreamSparseBatchTicket is the one-shot future of a
-// Stream.SubmitSparseBatch job: k right-hand sides through one
-// pattern-keyed plan as a single ticket — one routing and admission
-// decision for the whole batch — with Wait returning one Result per
-// vector, each exactly what the per-vector serial solve would return.
-type StreamSparseBatchTicket = stream.SparseBatchTicket
 
 // NewStream starts a stream scheduler; Close it when done. Typical use:
 //
 //	s := repro.NewStream(repro.StreamConfig{Shards: 4})
 //	defer s.Close()
-//	t, err := s.SubmitMatVec(8, core.MatVecProblem{A: a, X: x})
+//	t, err := s.SubmitMatVecQoS(8, core.MatVecProblem{A: a, X: x}, repro.StreamQoS{})
 //	...
 //	res, err := t.Wait()
 func NewStream(cfg StreamConfig) *Stream { return stream.New(cfg) }
