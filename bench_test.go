@@ -653,11 +653,10 @@ func BenchmarkCompiledExec(b *testing.B) {
 		sch := schedule.MatMulFor(w, 3, 3, 3)
 		bt := make([]float64, sch.BTLen())
 		sch.StageB(bt, bm)
-		o := make([]float64, sch.OLen())
 		c := make([]float64, sch.CLen())
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			sch.ExecGrid(am.Raw(), bt, nil, o, c)
+			sch.ExecGrid(am.Raw(), bt, nil, c)
 		}
 		b.ReportMetric(float64(sch.MACs), "MACs")
 	})

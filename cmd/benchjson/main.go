@@ -472,13 +472,12 @@ func main() {
 	schm := schedule.MatMulFor(3, 3, 3, 3)
 	btm := make([]float64, schm.BTLen())
 	schm.StageB(btm, bm)
-	oband := make([]float64, schm.OLen())
 	cm := make([]float64, schm.CLen())
 	entries = append(entries, bench("compiled-exec/matmul/w=3/pnm=27",
 		map[string]float64{"MACs": float64(schm.MACs), "plan-bytes": float64(schm.Bytes())}, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				schm.ExecGrid(am.Raw(), btm, nil, oband, cm)
+				schm.ExecGrid(am.Raw(), btm, nil, cm)
 			}
 		}))
 

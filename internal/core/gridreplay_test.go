@@ -3,6 +3,7 @@ package core
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"repro/internal/matrix"
@@ -37,16 +38,20 @@ func sameBits(a, b *matrix.Dense) (i, j int, ok bool) {
 // structural hexagonal oracle bit for bit (math.Float64bits), through both
 // compiled callers: MatMulSolver.Solve and Arena.MatMulPass — the latter on
 // one arena reused across every shape, both with a separate dst and in
-// place (dst = E). Shapes are randomized over w ∈ {1,2,3,4,5,8} with
-// ragged and block-multiple n, p, m, p̄ and m̄ up to 3, and E nil or not.
+// place (dst = E). Shapes are randomized over w ∈ 1..8 with ragged and
+// block-multiple n, p, m, n̄ and m̄ up to 3 and p̄ up to 4 — the longest
+// feedback chains — and E nil or not.
 func TestMatMulGridReplayBitIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(61))
 	ar := NewArena()
-	for _, w := range []int{1, 2, 3, 4, 5, 8} {
+	for w := 1; w <= 8; w++ {
 		for trial := 0; trial < 10; trial++ {
 			nbar, pbar, mbar := 1+rng.Intn(3), 1+rng.Intn(3), 1+rng.Intn(3)
-			if trial < 2 { // always cover p̄>1 and m̄>1
+			switch trial { // always cover p̄>1 and m̄>1, and p̄=4
+			case 0, 1:
 				pbar, mbar = 2+trial, 3-trial
+			case 2:
+				pbar = 4
 			}
 			n, p, m := nbar*w, pbar*w, mbar*w
 			if trial%3 != 0 { // ragged in every dimension
@@ -96,4 +101,60 @@ func TestMatMulGridReplayBitIdentical(t *testing.T) {
 			}
 		}
 	}
+}
+
+// FuzzMatMulGridReplay is the fuzz armor of the flattened-chain matmul
+// compiler: any shape — w ∈ 1..8, n̄, p̄, m̄ ∈ 1..4, each of n, p, m ragged
+// or a block multiple per a bit of ragged, E nil or not — must replay bit
+// for bit (math.Float64bits) to the structural hexagonal oracle, with equal
+// MatMulStats.
+func FuzzMatMulGridReplay(f *testing.F) {
+	f.Add(int64(1), 8, 1, 1, 1, uint8(0), false) // the BlockLU tile's row block
+	f.Add(int64(2), 8, 4, 1, 1, uint8(7), true)  // ragged column of row blocks
+	f.Add(int64(3), 3, 2, 4, 3, uint8(2), true)  // p̄ = 4: the longest chains
+	f.Add(int64(4), 1, 4, 4, 4, uint8(0), false) // w=1 degenerate array
+	f.Add(int64(5), 7, 3, 3, 2, uint8(5), true)  // odd width, no unrolled kernel
+	f.Fuzz(func(t *testing.T, seed int64, w, nbar, pbar, mbar int, ragged uint8, withE bool) {
+		w = 1 + fuzzAbs(w)%8
+		nbar, pbar, mbar = 1+fuzzAbs(nbar)%4, 1+fuzzAbs(pbar)%4, 1+fuzzAbs(mbar)%4
+		rng := rand.New(rand.NewSource(seed))
+		dims := [3]int{nbar * w, pbar * w, mbar * w}
+		for i := range dims {
+			if ragged>>i&1 == 1 {
+				dims[i] -= rng.Intn(w)
+			}
+		}
+		n, p, m := dims[0], dims[1], dims[2]
+		a, b := randomFloats(rng, n, p), randomFloats(rng, p, m)
+		var e *matrix.Dense
+		if withE {
+			e = randomFloats(rng, n, m)
+		}
+		s := NewMatMulSolver(w)
+		want, err := s.Solve(a, b, MatMulOptions{E: e, Engine: EngineOracle})
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := s.Solve(a, b, MatMulOptions{E: e, Engine: EngineCompiled})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if i, j, ok := sameBits(got.C, want.C); !ok {
+			t.Fatalf("w=%d %d×%d·%d×%d E=%v: C[%d][%d] = %v, oracle %v", w, n, p, p, m, withE, i, j, got.C.At(i, j), want.C.At(i, j))
+		}
+		if !reflect.DeepEqual(got.Stats, want.Stats) {
+			t.Fatalf("w=%d %d×%d·%d×%d: stats\ncompiled %+v\noracle   %+v", w, n, p, p, m, got.Stats, want.Stats)
+		}
+	})
+}
+
+// fuzzAbs keeps fuzzed shape parameters in range without biasing the modulo.
+func fuzzAbs(v int) int {
+	if v < 0 {
+		if v == -v { // math.MinInt
+			return 0
+		}
+		return -v
+	}
+	return v
 }

@@ -111,15 +111,16 @@ func (s *MatMulSolver) Solve(a, b *matrix.Dense, opts MatMulOptions) (*MatMulRes
 }
 
 // solveCompiled executes the problem on the compiled-schedule engine:
-// shape-cached schedule, grid-direct replay over the operands' padded
-// grids with pooled scratch. Results and statistics are bit-identical to
-// the structural path.
+// shape-cached schedule, grid-direct replay of one flattened feedback
+// chain per C element over the operands' padded grids, with pooled
+// scratch. Results and statistics are bit-identical to the structural
+// path.
 func (s *MatMulSolver) solveCompiled(a, b *matrix.Dense, opts MatMulOptions) (*MatMulResult, error) {
 	w := s.w
 	sch := schedule.MatMulFor(w, blockpart.Ceil(a.Rows(), w), blockpart.Ceil(a.Cols(), w), blockpart.Ceil(b.Cols(), w))
 	// Scratch comes from the schedule pool and goes back when the solve
-	// returns; a pass draws at most five buffers.
-	var pooled [5]*[]float64
+	// returns; a pass draws at most four buffers.
+	var pooled [4]*[]float64
 	np := 0
 	defer func() {
 		for _, p := range pooled[:np] {
@@ -172,7 +173,7 @@ func gridPass(sch *schedule.MatMul, dst, a, b, e *matrix.Dense, take func(n int)
 	if ragged {
 		c = take(sch.CLen())
 	}
-	sch.ExecGrid(grid(a, rows, sch.PBar*w), bt, ep, take(sch.OLen()), c)
+	sch.ExecGrid(grid(a, rows, sch.PBar*w), bt, ep, c)
 	if ragged {
 		unpadGrid(dst, c, cols)
 	}

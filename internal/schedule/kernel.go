@@ -28,8 +28,8 @@ import "os"
 // interleave *independent* rows (the quad
 // layouts below) because rows only depend on outputs at feedback distance
 // ≥ w, which block boundaries respect. The matmul plan interleaves four
-// chains of one dependency level (dotRun4), which by construction read no
-// result of each other.
+// flattened C-element chains (dotRun4), which are independent by
+// construction.
 //
 // To add a width specialization: write the unrolled kernels (band and grid
 // flavors), add a kern constant, extend kernelFor, and extend the pinning

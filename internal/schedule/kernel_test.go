@@ -260,7 +260,7 @@ func TestMatMulPlanKernelsPinned(t *testing.T) {
 					copy(c, e)
 					ein = c
 				}
-				s.ExecGrid(a, bt, ein, make([]float64, s.OLen()), c)
+				s.ExecGrid(a, bt, ein, c)
 				return c
 			}
 			want := run(false, false)

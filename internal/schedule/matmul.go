@@ -64,23 +64,13 @@ func copyBins(bins []DelayBin) []DelayBin {
 	return append([]DelayBin(nil), bins...)
 }
 
-// Init kinds of a product-band position's accumulator, and the flag
-// marking an op whose result is a final C element.
-const (
-	matmulZero     = 0 // starts at 0 (structurally absent init)
-	matmulExt      = 1 // init is a padded-E offset (an E-piece element)
-	matmulFeedback = 2 // init is the feedback slot of the source position
-	matmulInitMask = 3
-	matmulFinal    = 4 // out is a padded-C offset, not a feedback slot
-)
-
-// matmulOp is one compiled result position: an initialization plus at most
-// two runs of stride-1 multiply–accumulates read in place from the padded
-// operand grids, then one store. Its init kind, store target and run
-// lengths are those of its group.
+// matmulOp is one C element's flattened accumulation chain: its E element
+// plus at most two runs of stride-1 multiply–accumulates read in place from
+// the padded operand grids, then one store to the padded C. Its run lengths
+// are those of its group.
 type matmulOp struct {
-	out    int32 // feedback slot ρ·(2w−1)+(γ−ρ)+w−1, or padded-C offset (matmulFinal)
-	init   int32 // padded-E offset or feedback slot, per the init kind
+	out    int32 // padded-C offset
+	init   int32 // padded-E offset of the chain's root
 	a0, b0 int32 // first run: padded-A and transposed-padded-B offsets
 	a1, b1 int32 // second run (its group's n[1] > 0 only)
 }
@@ -104,28 +94,51 @@ type matmulStripe struct {
 	count    int32
 }
 
-// matmulGroup is a set of ops that share a dependency level — no op of a
-// group reads another's result — an init kind, a store target and both run
-// lengths (n[1] may be 0), so ExecGrid replays a group with loop-invariant
-// trip counts, several independent chains at a time. Its ops are the
-// stripes [lo, hi), each a whole number of quads, and the loose ops
-// [looseLo, looseHi) that no stripe of four or more covers.
+// matmulGroup is a set of ops that share both run lengths (n[1] may be 0), so ExecGrid replays a group with loop-invariant trip
+// counts, several chains at a time. Its ops are the stripes [lo, hi), each
+// a whole number of quads, and the loose ops [looseLo, looseHi) that no
+// stripe of four or more covers.
 type matmulGroup struct {
 	lo, hi           int32
 	looseLo, looseHi int32
-	n                [2]uint16
-	flags            uint8 // init kind | matmulFinal
+	n                [2]int32
+}
+
+// opRuns is an accumulation's operand runs under construction: at most two
+// (Â run, B̂ run) pairs, the last extended while the next terms continue it.
+type opRuns struct {
+	a, b [2]int32
+	n    [2]int32
+	len  int32
+}
+
+// add appends the n terms starting at padded-A offset a and transposed-B
+// offset b, merging them into the last run when they continue it. It
+// reports false when they would need a third run.
+func (r *opRuns) add(a, b, n int32) bool {
+	if k := r.len - 1; k >= 0 && a == r.a[k]+r.n[k] && b == r.b[k]+r.n[k] {
+		r.n[k] += n
+		return true
+	}
+	if r.len == 2 {
+		return false
+	}
+	r.a[r.len], r.b[r.len], r.n[r.len] = a, b, n
+	r.len++
+	return true
 }
 
 // MatMul is a compiled schedule for the w×w hexagonal array with spiral
 // feedback: the complete accumulation plan of one DBT matrix–matrix problem
-// of a given shape, addressed straight into the padded operand grids
-// (ExecGrid) — no band is ever packed and no result ever extracted.
+// of a given shape, one flattened chain per C element, addressed straight
+// into the padded operand grids (ExecGrid) — no band is ever packed, no
+// partial sum is ever fed back through memory and no result is ever
+// extracted.
 type MatMul struct {
 	// W, NBar, PBar, MBar identify the shape; Dim = p̄n̄m̄w + w − 1 the band
-	// matrix dimension; Band = 2w−1 the product band width.
+	// matrix dimension.
 	W, NBar, PBar, MBar int
-	Dim, Band           int
+	Dim                 int
 
 	// T is the step count the array would measure; MACs the total PE
 	// operation count (the oracle's Activity total).
@@ -148,45 +161,55 @@ type MatMul struct {
 // of t are consulted (PieceAt, InitFor, CSource, PieceColOffset, AHatRow,
 // BHatCol) — never data, so a dbt.NewMatMulShape transform suffices.
 //
-// Operand addressing: Â row ρ is at most two runs of the padded A grid
-// (n̄w × p̄w, AHatRow) and B̂ column γ at most two runs down a column of the
-// padded B grid (BHatCol), which ExecGrid reads from a transposed copy
-// (m̄w × p̄w, StageB) so κ stays stride-1. A position's κ range breaks where
-// either run breaks — for Â row block k at κ = (k+1)w, for B̂ column block
-// c at κ = (c+1)w, and the two coincide whenever both fall inside the
-// range — so each op is at most two (Â run, B̂ run) pairs. E inits are
-// padded-E offsets (n̄w × m̄w) and each final C value — the CSource position
-// of its C element — is stored straight to its padded-C offset; only the
-// feedback sources go through the Dim·(2w−1) band scratch. Positions whose
-// result nobody reads (the unused tail pieces) are dropped.
+// The band walk: every product-band position (ρ, γ) is compiled as the
+// array runs it — its κ range, its init (E, zero or the spiral feedback of
+// a source position), its emit and inject cycles — which yields T, MACs and
+// the delay histograms and checks causality. Operand addressing: Â row ρ is
+// at most two runs of the padded A grid (n̄w × p̄w, AHatRow) and B̂ column γ
+// at most two runs down a column of the padded B grid (BHatCol), which
+// ExecGrid reads from a transposed copy (m̄w × p̄w, StageB) so κ stays
+// stride-1. A position's κ range breaks where either run breaks — for Â
+// row block k at κ = (k+1)w, for B̂ column block c at κ = (c+1)w, and the
+// two coincide whenever both fall inside the range — so each position is
+// at most two (Â run, B̂ run) pairs (checked).
 //
-// Replay order: any topological order of the feedback edges yields the same
-// bits, since every chain is accumulated alone. Ops are sorted by
-// dependency level (0 for E and zero inits, one more than the source's for
-// feedback), then by init kind, store target and run lengths, into groups
-// of identical shape whose chains are mutually independent; within a group
-// by position in the row block, then row block, so the descriptors
-// compress into stripes. Stripes keep their whole quads; the ops left over
-// stay as loose per-op descriptors, which the replay also takes four at a
-// time, across stripes.
+// Flattening: the feedback edges form simple paths (no source is read
+// twice, checked), each ending at the CSource position of one C element.
+// Walking a final position's chain back to its root — always an E init
+// (checked): the array injects every E element once, into the chain that
+// ends in the same C element — and concatenating the runs of every position on it in chain order —
+// merging the ones that continue each other — gives that C element's whole
+// accumulation as at most two runs (checked). Replaying it with the running
+// sum in a register is exact — the array's fed-back partial sum is a
+// float64, and a float64 store and reload round nothing — and the terms
+// keep their cycle order. Positions on no chain (the unused tail pieces)
+// are dropped.
+//
+// Replay order: the chains are independent, so any order yields the same
+// bits. Ops are sorted by run lengths into groups of
+// identical shape, within a group by the final position in the row block,
+// then row block, so the descriptors compress into stripes. Stripes keep
+// their whole quads; the ops left over stay as loose per-op descriptors,
+// which the replay also takes four at a time, across stripes.
 func compileMatMul(t *dbt.MatMul) *MatMul {
 	w := t.W
 	dim := t.Dim()
 	band := 2*w - 1
 	s := &MatMul{
 		W: w, NBar: t.NBar, PBar: t.PBar, MBar: t.MBar,
-		Dim: dim, Band: band,
+		Dim:  dim,
 		T:    3*(dim-1) + w + 1,
 		quad: !genericKernelsOnly,
 	}
-	if w > math.MaxUint16 || int64(max(s.OLen(), s.ALen(), s.BTLen(), s.CLen())) > math.MaxInt32 {
+	slots := dim * band // one per product-band position
+	if int64(max(slots, s.ALen(), s.BTLen(), s.CLen())) > math.MaxInt32 {
 		panic(fmt.Sprintf("schedule: matmul shape w=%d n̄=%d p̄=%d m̄=%d exceeds the plan's index range", w, t.NBar, t.PBar, t.MBar))
 	}
 	sA, sC := t.PBar*w, t.MBar*w // row strides: padded A and transposed B; padded E and C
 
 	// final[slot] is the padded-C offset of the C element whose last
 	// accumulation happens at band slot `slot`, or −1.
-	final := make([]int32, s.OLen())
+	final := make([]int32, slots)
 	for i := range final {
 		final[i] = -1
 	}
@@ -241,22 +264,23 @@ func compileMatMul(t *dbt.MatMul) *MatMul {
 	// later. Dependencies (spiral feedback) always point at positions whose
 	// availability precedes the consumer's entry (checked below). They also
 	// point at an earlier row, or at an earlier column of the same row, so
-	// the row-major walk meets every source before its consumer and assigns
-	// dependency levels on the way (checked too).
-	type posOp struct {
-		group, order uint64 // sort keys, set once the op is complete
-		slot         int32
-		level        int32
-		n            [2]uint16
-		flags        uint8
-		op           matmulOp
+	// the row-major walk meets every source before its consumer (checked
+	// too), and every chain is complete when the walk reaches its final
+	// position.
+	type position struct {
+		src        int32 // feedback source slot, −1 at a chain root
+		init       int32 // padded-E offset of an E-init root, or −1
+		runs       opRuns
+		seen, read bool
 	}
-	ops := make([]posOp, 0, dim*band)
-	read := make([]bool, s.OLen()) // slots some op initializes from
-	level := make([]int32, s.OLen())
-	for i := range level {
-		level[i] = -1
+	type chainOp struct {
+		order uint64 // final position in the row block, then row block
+		n     [2]int32
+		op    matmulOp
 	}
+	pos := make([]position, slots)
+	ops := make([]chainOp, 0, s.CLen())
+	var chain []int32
 	flat := func(rho, gamma int) int32 { return int32(rho*band + gamma - rho + w - 1) }
 	emitOf := func(rho, gamma int) int {
 		return rho + gamma + min(rho, gamma) + w
@@ -269,23 +293,14 @@ func compileMatMul(t *dbt.MatMul) *MatMul {
 			}
 			k0 := max(rho, gamma)
 			k1 := min(min(rho, gamma)+w-1, dim-1)
-			po := posOp{slot: flat(rho, gamma)}
-			op := &po.op
-			runs := 0
-			var as, bs [2]int32
+			slot := flat(rho, gamma)
+			p := &pos[slot]
+			p.src, p.init, p.seen = -1, -1, true
 			for kap := k0; kap <= k1; kap++ {
-				ao, bo := aOff(rho, kap-rho), bOff(gamma, kap-gamma)
-				if r := runs - 1; r >= 0 && ao == as[r]+int32(po.n[r]) && bo == bs[r]+int32(po.n[r]) {
-					po.n[r]++
-					continue
-				}
-				if runs == 2 {
+				if !p.runs.add(aOff(rho, kap-rho), bOff(gamma, kap-gamma), 1) {
 					panic(fmt.Sprintf("schedule: matmul position (%d,%d) spans more than two operand runs", rho, gamma))
 				}
-				as[runs], bs[runs], po.n[runs] = ao, bo, 1
-				runs++
 			}
-			op.a0, op.b0, op.a1, op.b1 = as[0], bs[0], as[1], bs[1]
 			inject := rho + gamma + k0
 			blk, piece, la, lb := t.PieceAt(rho, gamma)
 			switch init := t.InitFor(blk, piece); init.Kind {
@@ -293,8 +308,7 @@ func compileMatMul(t *dbt.MatMul) *MatMul {
 				if !dbt.EPieceForInit(piece).Contains(la, lb) {
 					panic(fmt.Sprintf("schedule: E init at (%d,%d) outside its piece", rho, gamma))
 				}
-				po.flags = matmulExt
-				op.init = int32((init.R*w+la)*sC + init.S*w + lb)
+				p.init = int32((init.R*w+la)*sC + init.S*w + lb)
 			case dbt.InitFeedback:
 				srcRho := init.Row*w + la
 				srcGamma := init.Row*w + t.PieceColOffset(init.Piece) + lb
@@ -307,51 +321,60 @@ func compileMatMul(t *dbt.MatMul) *MatMul {
 						srcRho, srcGamma, rho, gamma, emit, inject))
 				}
 				src := flat(srcRho, srcGamma)
-				if final[src] >= 0 || level[src] < 0 {
-					panic(fmt.Sprintf("schedule: feedback source (%d,%d) is a final C element or follows its consumer (%d,%d)",
+				if final[src] >= 0 || !pos[src].seen || pos[src].read {
+					panic(fmt.Sprintf("schedule: feedback source (%d,%d) is a final C element, follows its consumer (%d,%d) or is read twice",
 						srcRho, srcGamma, rho, gamma))
 				}
-				read[src] = true
-				po.level = level[src] + 1
-				po.flags = matmulFeedback
-				op.init = src
+				pos[src].read = true
+				p.src = src
 				if init.Irregular {
 					irregular[inject-emit]++
 				} else {
 					regular[inject-emit]++
 				}
 			}
-			if c := final[po.slot]; c >= 0 {
-				po.flags |= matmulFinal
-				op.out = c
-			} else {
-				op.out = po.slot
-			}
 			s.MACs += k1 - k0 + 1
-			level[po.slot] = po.level
-			// Groups by (level, init kind and store target, run lengths);
-			// within a group by position in the row block (a, f), then row
-			// block. Widths fit 16 bits (w² < OLen ≤ MaxInt32), ρ 31 bits.
-			if po.level >= 1<<24 {
-				panic(fmt.Sprintf("schedule: matmul feedback chain deeper than %d", 1<<24))
+			c := final[slot]
+			if c < 0 {
+				continue
 			}
-			po.group = uint64(po.level)<<40 | uint64(po.flags)<<32 | uint64(po.n[0])<<16 | uint64(po.n[1])
-			po.order = uint64(rho%w)<<48 | uint64(f+w)<<31 | uint64(rho)
-			ops = append(ops, po)
+			// Flatten the chain ending here: its positions root first.
+			chain = chain[:0]
+			for sl := slot; sl >= 0; sl = pos[sl].src {
+				chain = append(chain, sl)
+			}
+			root := &pos[chain[len(chain)-1]]
+			if root.init < 0 {
+				panic(fmt.Sprintf("schedule: matmul w=%d n̄=%d p̄=%d m̄=%d: the chain of C offset %d has no E init",
+					w, t.NBar, t.PBar, t.MBar, c))
+			}
+			var runs opRuns
+			for i := len(chain) - 1; i >= 0; i-- {
+				r := &pos[chain[i]].runs
+				for j := int32(0); j < r.len; j++ {
+					if !runs.add(r.a[j], r.b[j], r.n[j]) {
+						panic(fmt.Sprintf("schedule: matmul w=%d n̄=%d p̄=%d m̄=%d: the chain of C offset %d spans more than two operand runs",
+							w, t.NBar, t.PBar, t.MBar, c))
+					}
+				}
+			}
+			ops = append(ops, chainOp{
+				order: uint64(rho%w)<<48 | uint64(f+w)<<31 | uint64(rho),
+				n:     runs.n,
+				op:    matmulOp{out: c, init: root.init, a0: runs.a[0], b0: runs.b[0], a1: runs.a[1], b1: runs.b[1]},
+			})
 		}
 	}
-	// Drop the dead positions, sort the rest into groups and each group
-	// into stripe order, then compress each group's runs of evenly spaced
-	// ops into stripes.
-	live := slices.DeleteFunc(ops, func(p posOp) bool { return p.flags&matmulFinal == 0 && !read[p.slot] })
-	slices.SortFunc(live, func(x, y posOp) int {
-		return cmp.Or(cmp.Compare(x.group, y.group), cmp.Compare(x.order, y.order))
+	// Sort the chains into groups and each group into stripe order, then
+	// compress each group's runs of evenly spaced ops into stripes.
+	slices.SortFunc(ops, func(x, y chainOp) int {
+		return cmp.Or(cmp.Compare(x.n[0], y.n[0]), cmp.Compare(x.n[1], y.n[1]), cmp.Compare(x.order, y.order))
 	})
 	var last matmulOp // the previous op, the tail of the open stripe
-	for i := range live {
-		p := &live[i]
-		if i == 0 || p.group != live[i-1].group {
-			s.groups = append(s.groups, matmulGroup{lo: int32(len(s.stripes)), n: p.n, flags: p.flags})
+	for i := range ops {
+		p := &ops[i]
+		if i == 0 || p.n != ops[i-1].n {
+			s.groups = append(s.groups, matmulGroup{lo: int32(len(s.stripes)), n: p.n})
 		} else if st := &s.stripes[len(s.stripes)-1]; st.count == 1 || p.op == last.plus(st.step) {
 			if st.count == 1 {
 				st.step = p.op.minus(last)
@@ -394,35 +417,34 @@ func compileMatMul(t *dbt.MatMul) *MatMul {
 	// the op storing the C element at the same offset — what lets
 	// ExecGrid's c alias e.
 	eRead := make([]bool, s.CLen())
-	check := func(flags uint8, op matmulOp) {
-		if flags&matmulInitMask == matmulExt {
-			if eRead[op.init] {
-				panic(fmt.Sprintf("schedule: E offset %d injected twice", op.init))
-			}
-			eRead[op.init] = true
+	s.eachOp(func(g *matmulGroup, op matmulOp) {
+		if eRead[op.init] {
+			panic(fmt.Sprintf("schedule: E offset %d injected twice", op.init))
 		}
-		if flags&matmulFinal != 0 && !eRead[op.out] {
+		eRead[op.init] = true
+		if !eRead[op.out] {
 			panic(fmt.Sprintf("schedule: C offset %d stored before its E element is read", op.out))
 		}
-	}
-	for _, g := range s.groups {
-		for _, st := range s.stripes[g.lo:g.hi] {
-			for j, op := int32(0), st.op; j < st.count; j, op = j+1, op.plus(st.step) {
-				check(g.flags, op)
-			}
-		}
-		for _, op := range s.loose[g.looseLo:g.looseHi] {
-			check(g.flags, op)
-		}
-	}
+	})
 	s.regDelays = BinsFromHistogram(regular)
 	s.irrDelays = BinsFromHistogram(irregular)
 	return s
 }
 
-// OLen returns the length of the feedback scratch buffer: Dim·(2w−1), one
-// slot per product-band position.
-func (s *MatMul) OLen() int { return s.Dim * s.Band }
+// eachOp calls f on every op of the plan with its group, in replay order.
+func (s *MatMul) eachOp(f func(g *matmulGroup, op matmulOp)) {
+	for gi := range s.groups {
+		g := &s.groups[gi]
+		for _, st := range s.stripes[g.lo:g.hi] {
+			for j, op := int32(0), st.op; j < st.count; j, op = j+1, op.plus(st.step) {
+				f(g, op)
+			}
+		}
+		for _, op := range s.loose[g.looseLo:g.looseHi] {
+			f(g, op)
+		}
+	}
+}
 
 // ALen returns the length of the padded A grid (n̄w × p̄w).
 func (s *MatMul) ALen() int { return s.NBar * s.W * s.PBar * s.W }
@@ -455,30 +477,20 @@ func (s *MatMul) StageB(bt []float64, b *matrix.Dense) {
 // ExecGrid runs the compiled schedule over one problem's padded operands:
 // a the padded A grid (row-major n̄w × p̄w, len ≥ ALen), bt the transposed
 // padded B grid (StageB, len ≥ BTLen), e the padded E (row-major n̄w × m̄w,
-// len ≥ CLen; nil means E = 0), o the feedback scratch (len ≥ OLen,
-// arbitrary contents) and c the padded C (row-major n̄w × m̄w, len ≥ CLen),
-// every element of which is overwritten. c may alias e: each E element is
-// read once, by the chain that ends in the same C element. ExecGrid
-// performs no allocation; each position accumulates its runs in increasing
-// κ (cycle) order from the same initialization the array would inject, so
-// results are bit-identical to the structural simulator.
-func (s *MatMul) ExecGrid(a, bt, e, o, c []float64) {
-	if len(a) < s.ALen() || len(bt) < s.BTLen() || (e != nil && len(e) < s.CLen()) || len(o) < s.OLen() || len(c) < s.CLen() {
-		panic(fmt.Sprintf("schedule: ExecGrid buffer sizes a=%d bt=%d e=%d o=%d c=%d for dim=%d w=%d n̄=%d p̄=%d m̄=%d",
-			len(a), len(bt), len(e), len(o), len(c), s.Dim, s.W, s.NBar, s.PBar, s.MBar))
+// len ≥ CLen; nil means E = 0) and c the padded C (row-major n̄w × m̄w,
+// len ≥ CLen), every element of which is overwritten. c may alias e: each E
+// element is read once, by the chain that ends in the same C element.
+// ExecGrid needs no scratch and performs no allocation; each C element's
+// flattened chain accumulates its terms in increasing κ (cycle) order, from
+// the same initialization the array would inject and with the running sum
+// in a register where the array feeds it back, so results are bit-identical
+// to the structural simulator.
+func (s *MatMul) ExecGrid(a, bt, e, c []float64) {
+	if len(a) < s.ALen() || len(bt) < s.BTLen() || (e != nil && len(e) < s.CLen()) || len(c) < s.CLen() {
+		panic(fmt.Sprintf("schedule: ExecGrid buffer sizes a=%d bt=%d e=%d c=%d for dim=%d w=%d n̄=%d p̄=%d m̄=%d",
+			len(a), len(bt), len(e), len(c), s.Dim, s.W, s.NBar, s.PBar, s.MBar))
 	}
 	for _, g := range s.groups {
-		var src []float64 // nil: the chains start at 0
-		switch g.flags & matmulInitMask {
-		case matmulExt:
-			src = e
-		case matmulFeedback:
-			src = o
-		}
-		dst := o
-		if g.flags&matmulFinal != 0 {
-			dst = c
-		}
 		n0, n1 := int(g.n[0]), int(g.n[1])
 		for i := g.lo; i < g.hi; i++ {
 			// One stripe of whole quads: its ops' offsets advance in
@@ -491,18 +503,18 @@ func (s *MatMul) ExecGrid(a, bt, e, o, c []float64) {
 			for count := int(st.count); count > 0; count -= 4 {
 				if !s.quad {
 					for j := 0; j < 4; j++ {
-						replayOne(out+j*dOut, init+j*dInit, a0+j*da0, b0+j*db0, a1+j*da1, b1+j*db1, n0, n1, a, bt, src, dst)
+						replayOne(out+j*dOut, init+j*dInit, a0+j*da0, b0+j*db0, a1+j*da1, b1+j*db1, n0, n1, a, bt, e, c)
 					}
 				} else {
 					var v0, v1, v2, v3 float64
-					if src != nil {
-						v0, v1, v2, v3 = src[init], src[init+dInit], src[init+2*dInit], src[init+3*dInit]
+					if e != nil {
+						v0, v1, v2, v3 = e[init], e[init+dInit], e[init+2*dInit], e[init+3*dInit]
 					}
 					v0, v1, v2, v3 = dotRun4(v0, v1, v2, v3, a, bt, n0, a0, a0+da0, a0+2*da0, a0+3*da0, b0, b0+db0, b0+2*db0, b0+3*db0)
 					if n1 != 0 {
 						v0, v1, v2, v3 = dotRun4(v0, v1, v2, v3, a, bt, n1, a1, a1+da1, a1+2*da1, a1+3*da1, b1, b1+db1, b1+2*db1, b1+3*db1)
 					}
-					dst[out], dst[out+dOut], dst[out+2*dOut], dst[out+3*dOut] = v0, v1, v2, v3
+					c[out], c[out+dOut], c[out+2*dOut], c[out+3*dOut] = v0, v1, v2, v3
 				}
 				out, init = out+4*dOut, init+4*dInit
 				a0, b0, a1, b1 = a0+4*da0, b0+4*db0, a1+4*da1, b1+4*db1
@@ -512,8 +524,8 @@ func (s *MatMul) ExecGrid(a, bt, e, o, c []float64) {
 		for ; s.quad && len(ops) >= 4; ops = ops[4:] {
 			p := ops[:4:4]
 			var v0, v1, v2, v3 float64
-			if src != nil {
-				v0, v1, v2, v3 = src[p[0].init], src[p[1].init], src[p[2].init], src[p[3].init]
+			if e != nil {
+				v0, v1, v2, v3 = e[p[0].init], e[p[1].init], e[p[2].init], e[p[3].init]
 			}
 			v0, v1, v2, v3 = dotRun4(v0, v1, v2, v3, a, bt, n0,
 				int(p[0].a0), int(p[1].a0), int(p[2].a0), int(p[3].a0), int(p[0].b0), int(p[1].b0), int(p[2].b0), int(p[3].b0))
@@ -521,26 +533,26 @@ func (s *MatMul) ExecGrid(a, bt, e, o, c []float64) {
 				v0, v1, v2, v3 = dotRun4(v0, v1, v2, v3, a, bt, n1,
 					int(p[0].a1), int(p[1].a1), int(p[2].a1), int(p[3].a1), int(p[0].b1), int(p[1].b1), int(p[2].b1), int(p[3].b1))
 			}
-			dst[p[0].out], dst[p[1].out], dst[p[2].out], dst[p[3].out] = v0, v1, v2, v3
+			c[p[0].out], c[p[1].out], c[p[2].out], c[p[3].out] = v0, v1, v2, v3
 		}
 		for _, op := range ops {
-			replayOne(int(op.out), int(op.init), int(op.a0), int(op.b0), int(op.a1), int(op.b1), n0, n1, a, bt, src, dst)
+			replayOne(int(op.out), int(op.init), int(op.a0), int(op.b0), int(op.a1), int(op.b1), n0, n1, a, bt, e, c)
 		}
 	}
 }
 
-// replayOne replays a single op: dst[out] = init value (src[init], or 0
-// when src is nil) plus its runs, accumulated in increasing κ.
-func replayOne(out, init, a0, b0, a1, b1, n0, n1 int, a, bt, src, dst []float64) {
+// replayOne replays a single op: c[out] = e[init] (0 when e is nil) plus its
+// runs, accumulated in increasing κ.
+func replayOne(out, init, a0, b0, a1, b1, n0, n1 int, a, bt, e, c []float64) {
 	var v float64
-	if src != nil {
-		v = src[init]
+	if e != nil {
+		v = e[init]
 	}
 	v = dotRun(v, a[a0:][:n0], bt[b0:])
 	if n1 != 0 {
 		v = dotRun(v, a[a1:][:n1], bt[b1:])
 	}
-	dst[out] = v
+	c[out] = v
 }
 
 // Bytes returns the resident size of the compiled descriptors — the memory

@@ -134,7 +134,7 @@ func TestMatMulExecAgainstReferenceRun(t *testing.T) {
 			bt := make([]float64, sch.BTLen())
 			sch.StageB(bt, b)
 			c := make([]float64, sch.CLen())
-			sch.ExecGrid(tr.AT.Grid.Padded().Raw(), bt, ep, make([]float64, sch.OLen()), c)
+			sch.ExecGrid(tr.AT.Grid.Padded().Raw(), bt, ep, c)
 			_, want := tr.ReferenceRun(e)
 			for i := 0; i < n; i++ {
 				for j := 0; j < m; j++ {
@@ -145,6 +145,48 @@ func TestMatMulExecAgainstReferenceRun(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestMatMulFlattenedPlan pins the flattened chains over every shape with
+// w ∈ 1..9 and n̄, p̄, m̄ ∈ 1..5: each padded-C offset is stored by exactly
+// one op, the ops' run lengths add up to the n̄p̄m̄w³ MACs of the product
+// (every chain is one whole dot product, no term lost or repeated), and T
+// is the array's 3(Dim−1)+w+1. At the BlockLU tile shape (w=8, n̄=15,
+// p̄=m̄=1) the plan is 960 ops in 8 groups, one per rotation split, in at
+// most 8224 bytes — half the feedback-replay plan's 16448.
+func TestMatMulFlattenedPlan(t *testing.T) {
+	for w := 1; w <= 9; w++ {
+		for nbar := 1; nbar <= 5; nbar++ {
+			for pbar := 1; pbar <= 5; pbar++ {
+				for mbar := 1; mbar <= 5; mbar++ {
+					s := compileMatMul(dbt.NewMatMulShape(w, nbar, pbar, mbar))
+					stored := make([]int, s.CLen())
+					macs := 0
+					s.eachOp(func(g *matmulGroup, op matmulOp) {
+						stored[op.out]++
+						macs += int(g.n[0] + g.n[1])
+					})
+					for off, k := range stored {
+						if k != 1 {
+							t.Fatalf("w=%d n̄=%d p̄=%d m̄=%d: C offset %d stored by %d ops", w, nbar, pbar, mbar, off, k)
+						}
+					}
+					if want := nbar * pbar * mbar * w * w * w; macs != want {
+						t.Fatalf("w=%d n̄=%d p̄=%d m̄=%d: chains hold %d MACs, want n̄p̄m̄w³ = %d", w, nbar, pbar, mbar, macs, want)
+					}
+					if want := 3*(s.Dim-1) + w + 1; s.T != want {
+						t.Fatalf("w=%d n̄=%d p̄=%d m̄=%d: T = %d, want %d", w, nbar, pbar, mbar, s.T, want)
+					}
+				}
+			}
+		}
+	}
+	s := compileMatMul(dbt.NewMatMulShape(8, 15, 1, 1))
+	ops := 0
+	s.eachOp(func(*matmulGroup, matmulOp) { ops++ })
+	if ops != 960 || len(s.groups) != 8 || s.Bytes() > 8224 {
+		t.Errorf("BlockLU tile plan: %d ops in %d groups, %d bytes; want 960 in 8, ≤ 8224", ops, len(s.groups), s.Bytes())
 	}
 }
 

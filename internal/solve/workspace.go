@@ -132,23 +132,25 @@ func (ws *Workspace) BlockLU(a *matrix.Dense, opts Options) (l, u *matrix.Dense,
 		} else {
 			// Host: factor the diagonal block (Doolittle, unit L).
 			for i := k0; i < k1; i++ {
+				wi, li, ui := work.RawRow(i), lf.RawRow(i), uf.RawRow(i)
 				for j := k0; j < k1; j++ {
-					s := work.At(i, j)
+					s := wi[j]
 					for t := k0; t < min(i, j); t++ {
-						s -= lf.At(i, t) * uf.At(t, j)
-						stats.HostOps += 2
+						s -= li[t] * ur[t*n+j]
 					}
+					stats.HostOps += 2 * (min(i, j) - k0)
 					if j >= i {
-						uf.Set(i, j, s)
+						ui[j] = s
 					} else {
-						if uf.At(j, j) == 0 {
+						d := ur[j*n+j]
+						if d == 0 {
 							return nil, nil, nil, &SingularError{Op: "solve.BlockLU", Index: j}
 						}
-						lf.Set(i, j, s/uf.At(j, j))
+						li[j] = s / d
 						stats.HostOps++
 					}
 				}
-				lf.Set(i, i, 1)
+				li[i] = 1
 			}
 			// Host: L₂₁ = A₂₁·U₁₁⁻¹ (back substitution per row).
 			for i := k1; i < n; i++ {
@@ -244,10 +246,11 @@ func (ws *Workspace) pivotPanel(k0, k1 int) error {
 	work, lf, uf := ws.work, ws.l, ws.u
 	n := work.Rows()
 	stats := &ws.lu
+	wr := work.Raw()
 	for j := k0; j < k1; j++ {
-		p, best := j, math.Abs(work.At(j, j))
+		p, best := j, math.Abs(wr[j*n+j])
 		for i := j + 1; i < n; i++ {
-			if v := math.Abs(work.At(i, j)); v > best {
+			if v := math.Abs(wr[i*n+j]); v > best {
 				p, best = i, v
 			}
 		}
@@ -266,19 +269,19 @@ func (ws *Workspace) pivotPanel(k0, k1 int) error {
 			ws.perm[p], ws.perm[j] = ws.perm[j], ws.perm[p]
 			stats.RowSwaps++
 		}
-		piv := work.At(j, j)
-		for t := j; t < k1; t++ {
-			uf.Set(j, t, work.At(j, t))
-		}
-		lf.Set(j, j, 1)
+		wj := work.RawRow(j)
+		piv := wj[j]
+		copy(uf.RawRow(j)[j:k1], wj[j:k1])
+		lf.RawRow(j)[j] = 1
 		for i := j + 1; i < n; i++ {
-			m := work.At(i, j) / piv
+			wi := work.RawRow(i)
+			m := wi[j] / piv
 			stats.HostOps++
-			lf.Set(i, j, m)
+			lf.RawRow(i)[j] = m
 			for t := j + 1; t < k1; t++ {
-				work.Set(i, t, work.At(i, t)-m*work.At(j, t))
-				stats.HostOps += 2
+				wi[t] = wi[t] - m*wj[t]
 			}
+			stats.HostOps += 2 * (k1 - j - 1)
 		}
 	}
 	return nil

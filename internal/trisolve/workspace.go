@@ -126,12 +126,13 @@ func (tw *Workspace) SolveLowerInto(dst matrix.Vector, l *matrix.Dense, b matrix
 		panic(fmt.Sprintf("trisolve: SolveLowerInto dst len %d, want %d", len(dst), n))
 	}
 	for i := 0; i < n; i++ {
-		if l.At(i, i) == 0 {
+		li := l.RawRow(i)
+		if li[i] == 0 {
 			return stats, &SingularError{Op: "trisolve.SolveLowerInto", Index: i}
 		}
-		for j := i + 1; j < n; j++ {
-			if l.At(i, j) != 0 {
-				return stats, fmt.Errorf("trisolve: L[%d][%d] ≠ 0: not lower triangular", i, j)
+		for j, v := range li[i+1:] {
+			if v != 0 {
+				return stats, fmt.Errorf("trisolve: L[%d][%d] ≠ 0: not lower triangular", i, i+1+j)
 			}
 		}
 	}
@@ -217,10 +218,10 @@ func (tw *Workspace) solveDiagonal(dst matrix.Vector, l *matrix.Dense, lo, hi in
 	// (dbt.PackTriBand layout) and replay the plan into dst.
 	tw.lpack = matrix.ReuseVec(tw.lpack, d*w)
 	for r := 0; r < d; r++ {
-		row := tw.lpack[r*w : (r+1)*w]
+		row, lr := tw.lpack[r*w:(r+1)*w], l.RawRow(lo + r)[:lo+r+1]
 		for k := range row {
 			if r-k >= 0 {
-				row[k] = l.At(lo+r, lo+r-k)
+				row[k] = lr[lo+r-k]
 			} else {
 				row[k] = 0
 			}
@@ -272,8 +273,9 @@ func (tw *Workspace) SolveUpperInto(dst matrix.Vector, u *matrix.Dense, b matrix
 	}
 	tw.mirror = matrix.Reuse(tw.mirror, n, n)
 	for i := 0; i < n; i++ {
-		for j := 0; j < n; j++ {
-			tw.mirror.Set(i, j, u.At(n-1-i, n-1-j))
+		mi, ui := tw.mirror.RawRow(i), u.RawRow(n-1-i)
+		for j := range mi {
+			mi[j] = ui[n-1-j]
 		}
 	}
 	tw.revb = matrix.ReuseVec(tw.revb, n)
