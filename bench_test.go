@@ -617,8 +617,8 @@ func BenchmarkIntraSolveParallel(b *testing.B) {
 }
 
 // BenchmarkCompiledExec measures the steady-state compiled-schedule
-// execution alone — schedule cached, bands packed, buffers reused — which
-// must run at 0 allocs/op.
+// execution alone — schedule cached, operands padded, buffers reused —
+// which must run at 0 allocs/op.
 func BenchmarkCompiledExec(b *testing.B) {
 	b.Run("matvec/w=8/nm=16", func(b *testing.B) {
 		b.ReportAllocs()
@@ -631,14 +631,12 @@ func BenchmarkCompiledExec(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		band := make([]float64, sch.Rows*w)
-		t.PackBand(band)
-		xbar := t.TransformX(x)
+		xp := x.Pad(t.MBar * w)
 		bp := matrix.NewVector(sch.BLen)
 		y := make([]float64, sch.Rows)
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			sch.Exec(band, xbar, bp, y)
+			sch.ExecGrid(t.Padded().Raw(), xp, bp, y)
 		}
 		b.ReportMetric(float64(sch.MACs), "MACs")
 	})

@@ -4,9 +4,10 @@
 // (internal/core, internal/schedule, internal/stream, internal/sparse,
 // the direct solvers, and the internal/solved HTTP facade) lacks a doc
 // comment, when a relative markdown link in the top-level docs points at
-// a file that does not exist, or when a backticked stream API name in
+// a file that does not exist, or when a backticked package-qualified name
+// (`dbt.NewMatVec`, `stream.Scheduler`) or stream Submit… name in
 // README.md, DESIGN.md or EXPERIMENTS.md names no exported identifier of
-// internal/stream.
+// that internal package.
 //
 // Usage:
 //
@@ -47,9 +48,9 @@ var markdownFiles = []string{"README.md", "DESIGN.md", "EXPERIMENTS.md", "ROADMA
 
 var problems int
 
-// exports holds the exported top-level identifiers and method names of
-// each strict package, keyed by package name; checkStreamNames reads the
-// stream's.
+// exports holds the top-level identifiers and method names of every
+// internal package, keyed by package name and mapped to whether each is
+// exported; checkAPINames reads them.
 var exports = map[string]map[string]bool{}
 
 func complain(format string, args ...interface{}) {
@@ -72,13 +73,13 @@ func main() {
 		checkPackage(dir)
 	}
 	checkMarkdown(*root)
-	checkStreamNames(*root)
+	checkAPINames(*root)
 
 	if problems > 0 {
 		fmt.Fprintf(os.Stderr, "doccheck: %d problems\n", problems)
 		os.Exit(1)
 	}
-	fmt.Println("doccheck: all package docs, exported docs, markdown links and stream API names clean")
+	fmt.Println("doccheck: all package docs, exported docs, markdown links and package-qualified API names clean")
 }
 
 // checkPackage parses one package directory and enforces the doc rules.
@@ -101,24 +102,23 @@ func checkPackage(dir string) {
 		if !hasDoc {
 			complain("package %s (%s) has no package doc comment", name, dir)
 		}
-		if strictPackages[name] {
-			exports[name] = map[string]bool{}
-			for path, f := range pkg.Files {
-				checkExportedDocs(fset, path, f, exports[name])
-			}
+		exports[name] = map[string]bool{}
+		for path, f := range pkg.Files {
+			checkExportedDocs(fset, path, f, exports[name], strictPackages[name])
 		}
 	}
 }
 
-// checkExportedDocs requires a doc comment on every exported top-level
-// declaration (a group doc on a const/var/type block covers its members)
-// and records each exported name in names.
-func checkExportedDocs(fset *token.FileSet, path string, f *ast.File, names map[string]bool) {
+// checkExportedDocs records each top-level and method name in names,
+// mapped to whether it is exported, and, when strict, requires a doc
+// comment on every exported top-level declaration (a group doc on a
+// const/var/type block covers its members).
+func checkExportedDocs(fset *token.FileSet, path string, f *ast.File, names map[string]bool, strict bool) {
 	for _, decl := range f.Decls {
 		switch d := decl.(type) {
 		case *ast.FuncDecl:
 			names[d.Name.Name] = d.Name.IsExported()
-			if d.Name.IsExported() && d.Doc == nil {
+			if strict && d.Name.IsExported() && d.Doc == nil {
 				pos := fset.Position(d.Pos())
 				complain("%s:%d: exported %s %s has no doc comment", path, pos.Line, kindOf(d), d.Name.Name)
 			}
@@ -127,14 +127,14 @@ func checkExportedDocs(fset *token.FileSet, path string, f *ast.File, names map[
 				switch s := spec.(type) {
 				case *ast.TypeSpec:
 					names[s.Name.Name] = s.Name.IsExported()
-					if s.Name.IsExported() && d.Doc == nil && s.Doc == nil && s.Comment == nil {
+					if strict && s.Name.IsExported() && d.Doc == nil && s.Doc == nil && s.Comment == nil {
 						pos := fset.Position(s.Pos())
 						complain("%s:%d: exported type %s has no doc comment", path, pos.Line, s.Name.Name)
 					}
 				case *ast.ValueSpec:
 					for _, name := range s.Names {
 						names[name.Name] = name.IsExported()
-						if name.IsExported() && d.Doc == nil && s.Doc == nil && s.Comment == nil {
+						if strict && name.IsExported() && d.Doc == nil && s.Doc == nil && s.Comment == nil {
 							pos := fset.Position(s.Pos())
 							complain("%s:%d: exported %s %s has no doc comment", path, pos.Line, d.Tok, name.Name)
 						}
@@ -190,7 +190,7 @@ func checkMarkdown(root string) {
 	}
 }
 
-// apiDocs are the documents whose backticked stream API names must exist.
+// apiDocs are the documents whose backticked API names must exist.
 var apiDocs = []string{"README.md", "DESIGN.md", "EXPERIMENTS.md"}
 
 var (
@@ -199,20 +199,22 @@ var (
 	fence = regexp.MustCompile("(?s)```.*?```")
 	span  = regexp.MustCompile("`[^`]+`")
 	// submitName matches a Submit… name with its optional qualifier;
-	// streamName matches a stream-qualified name. Both keep bracket
-	// shorthand (SubmitSolveInto[QoS]) and * wildcards (Submit*Into).
+	// qualName matches a package-qualified exported name (pkg.Name). Both
+	// keep bracket shorthand (SubmitSolveInto[QoS]) and * wildcards
+	// (Submit*Into).
 	submitName = regexp.MustCompile(`(\w+\.)?(Submit[A-Z*\[][\w*\[\]]*)`)
-	streamName = regexp.MustCompile(`\bstream\.([A-Z][\w*\[\]]*)`)
+	qualName   = regexp.MustCompile(`\b([a-z]\w*)\.([A-Z][\w*\[\]]*)`)
 	bracket    = regexp.MustCompile(`\[(\w*)\]`)
 )
 
-// checkStreamNames fails every backticked Submit… or stream.X name in the
-// API documents that names no exported identifier of internal/stream, so
-// a renamed or deleted entry point cannot linger in the docs. A Submit…
-// name qualified by another type (Fleet.SubmitTo) is not the stream's and
-// is skipped.
-func checkStreamNames(root string) {
-	exported := exports["stream"]
+// checkAPINames fails every backticked pkg.Name in the API documents whose
+// pkg is an internal package and whose Name is no exported identifier of
+// it, and every unqualified (or Scheduler-qualified) Submit… name that is
+// no exported identifier of internal/stream, so a renamed or deleted
+// identifier cannot linger in the docs. A Submit… name qualified by another
+// type (Fleet.SubmitTo) is not the stream's and is skipped; so is a
+// qualifier that is no internal package (a type, a file name, `go test`).
+func checkAPINames(root string) {
 	for _, name := range apiDocs {
 		blob, err := os.ReadFile(filepath.Join(root, name))
 		if err != nil {
@@ -223,19 +225,22 @@ func checkStreamNames(root string) {
 		code := fence.FindAllString(text, -1)
 		code = append(code, span.FindAllString(fence.ReplaceAllString(text, ""), -1)...)
 		for _, c := range code {
-			names := map[string]string{} // name → as written
+			type ref struct{ pkg, name string }
+			refs := map[ref]string{} // reference → as written
 			for _, m := range submitName.FindAllStringSubmatch(c, -1) {
 				if q := m[1]; q == "" || q == "Scheduler." || !unicode.IsUpper(rune(q[0])) {
-					names[m[2]] = m[0]
+					refs[ref{"stream", m[2]}] = m[0]
 				}
 			}
-			for _, m := range streamName.FindAllStringSubmatch(c, -1) {
-				names[m[1]] = m[0]
+			for _, m := range qualName.FindAllStringSubmatch(c, -1) {
+				if exports[m[1]] != nil {
+					refs[ref{m[1], m[2]}] = m[0]
+				}
 			}
-			for n, written := range names {
-				for _, x := range expandBrackets(n) {
-					if !matchesExport(x, exported) {
-						complain("%s: `%s` names no exported identifier of internal/stream", name, written)
+			for r, written := range refs {
+				for _, x := range expandBrackets(r.name) {
+					if !matchesExport(x, exports[r.pkg]) {
+						complain("%s: `%s` names no exported identifier of internal/%s", name, written, r.pkg)
 						break
 					}
 				}

@@ -16,16 +16,24 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"log"
+	"net"
 	"net/http"
 	"os"
+	"os/signal"
+	"syscall"
 	"time"
 
 	"repro/internal/solved"
 	"repro/internal/stream"
 )
+
+// drainTimeout bounds how long a SIGINT/SIGTERM shutdown waits for
+// in-flight requests before the scheduler is closed anyway.
+const drainTimeout = 30 * time.Second
 
 func main() {
 	addr := flag.String("addr", ":8080", "listen address")
@@ -47,9 +55,36 @@ func main() {
 		os.Exit(2)
 	}
 
+	ln, err := net.Listen("tcp", *addr)
+	if err != nil {
+		log.Fatal(err)
+	}
 	s := stream.New(stream.Config{Shards: *shards, QueueBound: *queue, Policy: pol})
-	defer s.Close()
 	srv := solved.New(solved.Config{Stream: s, W: *w, RetryAfter: *retryAfter})
-	log.Printf("solved: serving on %s (%d shards, %s admission)", *addr, s.Shards(), pol)
-	log.Fatal(http.ListenAndServe(*addr, srv))
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
+	log.Printf("solved: serving on %s (%d shards, %s admission)", ln.Addr(), s.Shards(), pol)
+	if err := serve(ctx, ln, srv, s); err != nil {
+		log.Fatal(err)
+	}
+	log.Printf("solved: drained and stopped")
+}
+
+// serve answers h on ln until ctx is done, then stops accepting, lets the
+// in-flight requests finish (for at most drainTimeout) and closes s, so a
+// signal never drops a ticket that a request is still waiting on. It also
+// closes s when the listener fails.
+func serve(ctx context.Context, ln net.Listener, h http.Handler, s *stream.Scheduler) error {
+	defer s.Close()
+	hs := &http.Server{Handler: h}
+	done := make(chan error, 1)
+	go func() { done <- hs.Serve(ln) }()
+	select {
+	case err := <-done:
+		return err
+	case <-ctx.Done():
+	}
+	sctx, cancel := context.WithTimeout(context.Background(), drainTimeout)
+	defer cancel()
+	return hs.Shutdown(sctx)
 }

@@ -142,19 +142,10 @@ func (ar *Arena) MatVecPass(dst matrix.Vector, a *matrix.Dense, x, b matrix.Vect
 	clear(bp)
 	copy(bp, b)
 	ybuf := ar.Floats(sch.Rows)
-	if sch.GridReplay() {
-		// Grid-direct replay: no x̄ expansion, no band packing — the run
-		// descriptors index the padded grid and padded x directly.
-		xp := ar.Floats(t.MBar * w)
-		clear(xp)
-		copy(xp, x)
-		sch.ExecGrid(t.Grid.Padded().Raw(), xp, bp, ybuf)
-	} else {
-		xbar := t.TransformXInto(ar.Floats(t.BandCols()), x)
-		band := ar.Floats(sch.Rows * w)
-		t.PackBand(band)
-		sch.Exec(band, xbar, bp, ybuf)
-	}
+	xp := ar.Floats(t.MBar * w)
+	clear(xp)
+	copy(xp, x)
+	sch.ExecGrid(t.Padded().Raw(), xp, bp, ybuf)
 	t.RecoverYFlat(dst, ybuf)
 	return sch.T, nil
 }

@@ -125,8 +125,9 @@ func (s *MatVecSolver) Solve(a *matrix.Dense, x, b matrix.Vector, opts MatVecOpt
 		}
 		t = dbt.NewMatVecByColumns(a, s.w)
 	} else if useCompiled {
-		// The transform is only needed while the compiled pass packs and
-		// recovers, so it comes from the schedule pool and goes straight back.
+		// The transform is only needed while the compiled pass replays its
+		// padded grid and recovers y, so it comes from the schedule pool and
+		// goes straight back.
 		pooled := schedule.GetMatVec(a, s.w)
 		defer schedule.PutMatVec(pooled)
 		t = pooled
@@ -194,55 +195,30 @@ func (s *MatVecSolver) Solve(a *matrix.Dense, x, b matrix.Vector, opts MatVecOpt
 }
 
 // solveCompiled executes the transformed problem on the compiled-schedule
-// engine: shape-cached schedule, packed band coefficients, O(MACs)
-// execution with pooled scratch. Results and statistics are bit-identical
-// to the structural path.
+// engine: shape-cached schedule, grid-direct replay over the padded
+// matrix, O(MACs) execution with pooled scratch. Results and statistics
+// are bit-identical to the structural path.
 func (s *MatVecSolver) solveCompiled(t dbt.Transform, x, b matrix.Vector, opts MatVecOptions, nbar, mbar int) (*MatVecResult, error) {
 	sch, err := schedule.MatVecFor(t, opts.Overlap)
 	if err != nil {
 		return nil, err
 	}
-	// Scratch (padded x or x̄, padded b̄, band) lives in pooled buffers; only
-	// the returned y is a fresh allocation on this path.
+	// Scratch (padded x, padded b̄, ȳ) lives in pooled buffers; only the
+	// returned y is a fresh allocation on this path.
 	bpBuf := schedule.GetFloats(sch.BLen)
 	defer schedule.PutFloats(bpBuf)
 	bp := matrix.Vector(*bpBuf)
 	copy(bp, b)
 	ybuf := schedule.GetFloatsUninit(sch.Rows)
 	defer schedule.PutFloats(ybuf)
-
-	var aflat []float64
-	mv, isByRows := t.(*dbt.MatVec)
-	if isByRows {
-		aflat = mv.Grid.Padded().Raw()
-	} else if mvc, ok := t.(*dbt.MatVecByColumns); ok {
-		aflat = mvc.Grid.Padded().Raw()
-	}
-	if aflat != nil && sch.GridReplay() {
-		// Grid-direct replay: the run descriptors index the padded grid and
-		// padded x, so neither x̄ expansion nor band packing happens at all.
-		xpBuf := schedule.GetFloats(mbar * s.w)
-		defer schedule.PutFloats(xpBuf)
-		copy(*xpBuf, x)
-		sch.ExecGrid(aflat, *xpBuf, bp, *ybuf)
-	} else {
-		var xbar matrix.Vector
-		if isByRows {
-			xbarBuf := schedule.GetFloatsUninit(t.BandCols())
-			defer schedule.PutFloats(xbarBuf)
-			xbar = mv.TransformXInto(*xbarBuf, x)
-		} else {
-			xbar = t.TransformX(x)
-		}
-		band := schedule.GetFloatsUninit(sch.Rows * s.w)
-		defer schedule.PutFloats(band)
-		t.PackBand(*band)
-		sch.Exec(*band, xbar, bp, *ybuf)
-	}
+	xpBuf := schedule.GetFloats(mbar * s.w)
+	defer schedule.PutFloats(xpBuf)
+	copy(*xpBuf, x)
+	sch.ExecGrid(t.Padded().Raw(), *xpBuf, bp, *ybuf)
 
 	// Recover y (copying, so the pooled buffers can be released).
 	var y matrix.Vector
-	if isByRows {
+	if mv, ok := t.(*dbt.MatVec); ok {
 		y = mv.RecoverYFlat(make(matrix.Vector, mv.N), *ybuf)
 	} else {
 		ybars := make([]matrix.Vector, t.Blocks())

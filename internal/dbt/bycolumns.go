@@ -29,13 +29,20 @@ type Transform interface {
 	RecoverY(ybars []matrix.Vector) matrix.Vector
 	// Validate checks the structural conditions of §2.
 	Validate() error
-	// PackBand writes Ā into dst (len BandRows()·w) in the packed layout of
-	// pack.go, for the compiled-schedule engine.
-	PackBand(dst []float64)
+	// UpperIndex and LowerIndex locate band block k's Ū and L̄ triangles
+	// as blocks (r, s) of the padded grid.
+	UpperIndex(k int) (r, s int)
+	LowerIndex(k int) (r, s int)
+	// Padded returns the zero-padded n̄w × m̄w matrix whose blocks the band
+	// re-indexes; the compiled engine replays Ā straight out of it.
+	Padded() *matrix.Dense
 }
 
 // Shape implements Transform for the by-rows variant.
 func (t *MatVec) Shape() (w, nbar, mbar int) { return t.W, t.NBar, t.MBar }
+
+// Padded implements Transform for the by-rows variant.
+func (t *MatVec) Padded() *matrix.Dense { return t.Grid.Padded() }
 
 var _ Transform = (*MatVec)(nil)
 
@@ -77,6 +84,9 @@ func NewMatVecByColumns(a *matrix.Dense, w int) *MatVecByColumns {
 
 // Shape implements Transform.
 func (t *MatVecByColumns) Shape() (w, nbar, mbar int) { return t.W, t.NBar, t.MBar }
+
+// Padded implements Transform.
+func (t *MatVecByColumns) Padded() *matrix.Dense { return t.Grid.Padded() }
 
 // Blocks returns n̄·m̄.
 func (t *MatVecByColumns) Blocks() int { return t.NBar * t.MBar }

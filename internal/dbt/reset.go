@@ -10,10 +10,9 @@ import (
 // This file holds the allocation-free counterparts of the transform
 // constructors and stream helpers, for the compiled engine's transform
 // pools and scratch arenas (internal/schedule, internal/core): Reset
-// rebuilds a matvec transform in place reusing its grid storage,
-// TransformXInto writes x̄ into a caller buffer, and RecoverYFlat extracts
-// y from the flat ȳ buffer the compiled replay produces. Each is bit-identical to its
-// allocating twin.
+// rebuilds a matvec transform in place reusing its grid storage, and
+// RecoverYFlat extracts y from the flat ȳ buffer the compiled replay
+// produces. Each is bit-identical to its allocating twin.
 
 // Reset rebuilds t in place as the DBT-by-rows transformation of a with
 // array size w, reusing the grid's padded storage when capacity allows. A
@@ -27,39 +26,6 @@ func (t *MatVec) Reset(a *matrix.Dense, w int) {
 	t.W = w
 	t.NBar, t.MBar = t.Grid.BlockRows, t.Grid.BlockCols
 	t.N, t.M = a.Rows(), a.Cols()
-}
-
-// TransformXInto writes x̄ into dst (len ≥ BandCols()) and returns the
-// filled prefix as a Vector. It produces exactly TransformX's values —
-// x̄_k = padded x block (k mod m̄), plus the w−1 tail — without allocating.
-func (t *MatVec) TransformXInto(dst []float64, x matrix.Vector) matrix.Vector {
-	if len(x) != t.M {
-		panic(fmt.Sprintf("dbt: TransformXInto length %d, want %d", len(x), t.M))
-	}
-	if len(dst) < t.BandCols() {
-		panic(fmt.Sprintf("dbt: TransformXInto dst len %d, want ≥ %d", len(dst), t.BandCols()))
-	}
-	w := t.W
-	// writeBlock writes count elements of padded x block s at dst[off:].
-	writeBlock := func(off, s, count int) {
-		blk := dst[off : off+count]
-		lo := s * w
-		n := t.M - lo
-		if n > count {
-			n = count
-		}
-		if n < 0 {
-			n = 0
-		}
-		copy(blk[:n], x[lo:lo+n])
-		clear(blk[n:])
-	}
-	for k := 0; k < t.Blocks(); k++ {
-		writeBlock(k*w, k%t.MBar, w)
-	}
-	_, s := t.LowerIndex(t.Blocks() - 1)
-	writeBlock(t.Blocks()*w, s, w-1)
-	return matrix.Vector(dst[:t.BandCols()])
 }
 
 // RecoverYFlat extracts the final y (length N) from the flat ȳ buffer of a

@@ -33,10 +33,8 @@ func TestResetMatchesNew(t *testing.T) {
 			}
 		}
 		x := matrix.RandomVector(rng, m, 5)
-		want := fresh.TransformX(x)
-		got := reused.TransformXInto(make([]float64, reused.BandCols()+rng.Intn(3)), x)
-		if !got.Equal(want, 0) {
-			t.Fatal("TransformXInto mismatch")
+		if !reused.TransformX(x).Equal(fresh.TransformX(x), 0) {
+			t.Fatal("Reset x̄ stream mismatch")
 		}
 	}
 }

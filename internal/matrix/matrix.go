@@ -71,8 +71,8 @@ func (m *Dense) check(i, j int) {
 }
 
 // RawRow returns row i as a slice sharing the matrix's backing storage —
-// no copy, no per-element bounds checks. It exists for the packed-band
-// exporters on the compiled-engine fast path; callers must not modify or
+// no copy, no per-element bounds checks. It exists for the row-wise host
+// loops on the compiled-engine fast path; callers must not modify or
 // retain the slice.
 func (m *Dense) RawRow(i int) []float64 {
 	if i < 0 || i >= m.rows {

@@ -30,9 +30,7 @@ func TestPlanCacheConcurrentSameShape(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			tr := dbt.NewMatVec(a, w)
-			band := make([]float64, tr.BandRows()*w)
-			tr.PackBand(band)
-			xbar := tr.TransformX(x)
+			xp := x.Pad(tr.MBar * w)
 			for i := 0; i < 200; i++ {
 				sch, err := MatVecFor(tr, false)
 				if err != nil {
@@ -41,7 +39,7 @@ func TestPlanCacheConcurrentSameShape(t *testing.T) {
 				}
 				y := make([]float64, sch.Rows)
 				b := make([]float64, sch.BLen)
-				sch.Exec(band, xbar, b, y)
+				sch.ExecGrid(tr.Padded().Raw(), xp, b, y)
 				got := tr.RecoverYFlat(make(matrix.Vector, tr.N), y)
 				if !got.Equal(want, 0) {
 					t.Error("concurrent replay produced a wrong result")

@@ -4,14 +4,15 @@ import "os"
 
 // This file holds the shared replay kernels every compiled plan dispatches
 // into (DESIGN §12). The plan compilers emit each row's gather as contiguous
-// *runs* over the operand buffers — at most two per sparse band row (the
-// Ū→L̄ wrap is the only break), exactly one per dense matvec row, a clamped
-// span per trisolve row, at most two per matmul position — so the hot loop
-// is straight slice arithmetic instead of a per-MAC index gather. Two
-// idioms keep the bounds checker out of the inner loops:
+// *runs* over the operand buffers — at most two per dense or sparse matvec
+// band row, read straight out of the padded grid (the Ū→L̄ wrap is the only
+// break), a clamped span per packed trisolve row, at most two per flattened
+// matmul chain — so the hot loop is straight slice arithmetic instead of a
+// per-MAC index gather. Two idioms keep the bounds checker out of the inner
+// loops:
 //
 //   - re-slice every operand to its exact extent up front (`x = x[:len(a)]`,
-//     `xs = xs[:15]`): after that, constant indices and `range`-bounded
+//     `xu = xu[:8:8]`): after that, constant indices and `range`-bounded
 //     accesses are provably in range;
 //   - in the unrolled width specializations, give each row a compile-time
 //     constant trip count so the loop body is branch-free straight-line code
@@ -25,16 +26,16 @@ import "os"
 // for the triangular solver) or the float64 rounding trail diverges from
 // the structural oracle. The kernels therefore never reassociate within a
 // row — every `v += term` is a separate statement — but they freely
-// interleave *independent* rows (the quad
-// layouts below) because rows only depend on outputs at feedback distance
-// ≥ w, which block boundaries respect. The matmul plan interleaves four
+// interleave *independent* rows (the quad layouts below) because rows only
+// depend on outputs at feedback distance ≥ w, which block boundaries
+// respect. The matmul plan interleaves four
 // flattened C-element chains (dotRun4), which are independent by
 // construction.
 //
-// To add a width specialization: write the unrolled kernels (band and grid
-// flavors), add a kern constant, extend kernelFor, and extend the pinning
-// test in kernel_test.go that proves the new kernels bit-identical to the
-// generic ones on randomized data.
+// To add a width specialization: write the unrolled grid kernels (single
+// and two-vector), add a kern constant, extend kernelFor, and extend the
+// pinning tests in kernel_test.go that prove the new kernels bit-identical
+// to the generic ones on randomized data.
 
 // Run is one contiguous-run descriptor of a compiled gather: Len
 // coefficients starting at ABase in the flat operand matrix, paired with Len
@@ -118,93 +119,6 @@ func dotRunRev7(v float64, a, x []float64) float64 {
 	v += a[1] * x[5]
 	v += a[0] * x[6]
 	return v
-}
-
-// bandBlockGeneric replays one w-row block of a packed band: row a starts
-// from ini[a] and adds band[a·w+d]·xs[a+d] for d increasing.
-func bandBlockGeneric(out, ini, band, xs []float64, w int) {
-	for a := 0; a < w; a++ {
-		out[a] = dotRun(ini[a], band[a*w:a*w+w], xs[a:])
-	}
-}
-
-// bandBlock4 is bandBlockGeneric unrolled for w = 4: one quad of rows with
-// scalar accumulators, constant trip counts, diagonal-major interleave.
-func bandBlock4(out, ini, band, xs []float64) {
-	band = band[:16]
-	xs = xs[:7]
-	ini = ini[:4]
-	a0 := band[0:4:4]
-	a1 := band[4:8:8]
-	a2 := band[8:12:12]
-	a3 := band[12:16:16]
-	x0 := xs[0:4:4]
-	x1 := xs[1:5:5]
-	x2 := xs[2:6:6]
-	x3 := xs[3:7:7]
-	v0, v1, v2, v3 := ini[0], ini[1], ini[2], ini[3]
-	for d := 0; d < 4; d++ {
-		v0 += a0[d] * x0[d]
-		v1 += a1[d] * x1[d]
-		v2 += a2[d] * x2[d]
-		v3 += a3[d] * x3[d]
-	}
-	out = out[:4]
-	out[0] = v0
-	out[1] = v1
-	out[2] = v2
-	out[3] = v3
-}
-
-// bandBlock8 is bandBlockGeneric unrolled for w = 8: two quads of rows with
-// scalar accumulators (eight would spill), constant trip counts.
-func bandBlock8(out, ini, band, xs []float64) {
-	band = band[:64]
-	xs = xs[:15]
-	ini = ini[:8]
-	out = out[:8]
-	{
-		a0 := band[0:8:8]
-		a1 := band[8:16:16]
-		a2 := band[16:24:24]
-		a3 := band[24:32:32]
-		x0 := xs[0:8:8]
-		x1 := xs[1:9:9]
-		x2 := xs[2:10:10]
-		x3 := xs[3:11:11]
-		v0, v1, v2, v3 := ini[0], ini[1], ini[2], ini[3]
-		for d := 0; d < 8; d++ {
-			v0 += a0[d] * x0[d]
-			v1 += a1[d] * x1[d]
-			v2 += a2[d] * x2[d]
-			v3 += a3[d] * x3[d]
-		}
-		out[0] = v0
-		out[1] = v1
-		out[2] = v2
-		out[3] = v3
-	}
-	{
-		a4 := band[32:40:40]
-		a5 := band[40:48:48]
-		a6 := band[48:56:56]
-		a7 := band[56:64:64]
-		x4 := xs[4:12:12]
-		x5 := xs[5:13:13]
-		x6 := xs[6:14:14]
-		x7 := xs[7:15:15]
-		v4, v5, v6, v7 := ini[4], ini[5], ini[6], ini[7]
-		for d := 0; d < 8; d++ {
-			v4 += a4[d] * x4[d]
-			v5 += a5[d] * x5[d]
-			v6 += a6[d] * x6[d]
-			v7 += a7[d] * x7[d]
-		}
-		out[4] = v4
-		out[5] = v5
-		out[6] = v6
-		out[7] = v7
-	}
 }
 
 // gridBlockGeneric replays one w-row block straight off the padded grid:

@@ -6,15 +6,14 @@ import (
 	"testing"
 
 	"repro/internal/dbt"
-	"repro/internal/matrix"
 )
 
 // BenchmarkReplayKernels is the kernel ladder (EXPERIMENTS E19): every replay
 // path at the specialized widths, generic vs unrolled, at a fixed 1024-MAC
 // working set so rows are comparable across widths. The "generic" rows are
 // what CI's kernel-generic job (REPRO_GENERIC_KERNELS) runs everywhere; the
-// "unrolled" rows are the default production kernels; the matvec-grid rows
-// additionally skip the pack by replaying the padded grid directly.
+// "unrolled" rows are the default production kernels. The matvec-grid rows
+// replay the dense plan straight off the padded grid, as the facade does.
 func BenchmarkReplayKernels(b *testing.B) {
 	rng := rand.New(rand.NewSource(51))
 	for _, w := range []int{4, 8} {
@@ -32,25 +31,12 @@ func BenchmarkReplayKernels(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		band := make([]float64, s.Rows*w)
-		tr.PackBand(band)
-		xbar := tr.TransformX(matrix.Vector(x))
 		bp := make([]float64, s.BLen)
 		y := make([]float64, s.Rows)
 		xp := make([]float64, w)
 		copy(xp, x)
-		aflat := tr.Grid.Padded().Raw()
+		aflat := tr.Padded().Raw()
 		for _, k := range kerns {
-			b.Run(fmt.Sprintf("matvec-exec/w=%d/%s", w, k.name), func(b *testing.B) {
-				b.ReportAllocs()
-				saved := s.kern
-				s.kern = k.k
-				defer func() { s.kern = saved }()
-				for i := 0; i < b.N; i++ {
-					s.Exec(band, xbar, bp, y)
-				}
-				b.ReportMetric(float64(s.MACs), "MACs")
-			})
 			b.Run(fmt.Sprintf("matvec-grid/w=%d/%s", w, k.name), func(b *testing.B) {
 				b.ReportAllocs()
 				saved := s.kern

@@ -61,33 +61,6 @@ func TestKernelForSelection(t *testing.T) {
 	}
 }
 
-// TestBandKernelsPinned: bandBlock4/bandBlock8 bit-identical to
-// bandBlockGeneric on random blocks.
-func TestBandKernelsPinned(t *testing.T) {
-	rng := rand.New(rand.NewSource(91))
-	for _, w := range []int{4, 8} {
-		for trial := 0; trial < 50; trial++ {
-			band := randFloats(rng, w*w)
-			xs := randFloats(rng, 2*w-1)
-			ini := randFloats(rng, w)
-			want := make([]float64, w)
-			got := make([]float64, w)
-			bandBlockGeneric(want, ini, band, xs, w)
-			switch w {
-			case 4:
-				bandBlock4(got, ini, band, xs)
-			case 8:
-				bandBlock8(got, ini, band, xs)
-			}
-			for a := 0; a < w; a++ {
-				if got[a] != want[a] {
-					t.Fatalf("w=%d trial %d row %d: unrolled %v ≠ generic %v", w, trial, a, got[a], want[a])
-				}
-			}
-		}
-	}
-}
-
 // TestGridKernelsPinned: gridBlock4/gridBlock8 bit-identical to
 // gridBlockGeneric for several strides.
 func TestGridKernelsPinned(t *testing.T) {
@@ -173,10 +146,8 @@ func TestRevKernelsPinned(t *testing.T) {
 }
 
 // TestMatVecPlanKernelsPinned compiles real matvec plans at the specialized
-// widths and pins three ways through the same plan to bitwise-equal outputs:
-// packed Exec with the unrolled kernel, packed Exec forced generic, and
-// grid-direct ExecGrid (which must read exactly the elements the pack would
-// have copied, in the same order).
+// widths, both DBT variants, and pins ExecGrid with the unrolled kernel to
+// ExecGrid forced generic over the same plan, bitwise.
 func TestMatVecPlanKernelsPinned(t *testing.T) {
 	rng := rand.New(rand.NewSource(94))
 	for _, w := range []int{4, 8} {
@@ -190,15 +161,12 @@ func TestMatVecPlanKernelsPinned(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				band := make([]float64, s.Rows*w)
-				tr.PackBand(band)
-				xbar := tr.TransformX(x)
-				bp := make([]float64, s.BLen)
-				copy(bp, b)
-
+				_, _, mbar := tr.Shape()
+				xp := x.Pad(mbar * w)
+				bp := b.Pad(s.BLen)
 				run := func() []float64 {
 					y := make([]float64, s.Rows)
-					s.Exec(band, xbar, bp, y)
+					s.ExecGrid(tr.Padded().Raw(), xp, bp, y)
 					return y
 				}
 				want := run()
@@ -208,28 +176,7 @@ func TestMatVecPlanKernelsPinned(t *testing.T) {
 				s.kern = saved
 				for i := range want {
 					if want[i] != generic[i] {
-						t.Fatalf("w=%d %T %v: unrolled Exec ≠ generic Exec at row %d", w, tr, shape, i)
-					}
-				}
-
-				if !s.GridReplay() {
-					t.Fatalf("w=%d %T: dbt-built transform did not compile grid descriptors", w, tr)
-				}
-				_, _, mbar := tr.Shape()
-				xp := make([]float64, mbar*w)
-				copy(xp, x)
-				grid := make([]float64, s.Rows)
-				var aflat []float64
-				switch g := tr.(type) {
-				case *dbt.MatVec:
-					aflat = g.Grid.Padded().Raw()
-				case *dbt.MatVecByColumns:
-					aflat = g.Grid.Padded().Raw()
-				}
-				s.ExecGrid(aflat, xp, bp, grid)
-				for i := range want {
-					if want[i] != grid[i] {
-						t.Fatalf("w=%d %T %v: ExecGrid ≠ packed Exec at row %d: %v vs %v", w, tr, shape, i, grid[i], want[i])
+						t.Fatalf("w=%d %T %v: unrolled ExecGrid ≠ generic ExecGrid at row %d: %v vs %v", w, tr, shape, i, want[i], generic[i])
 					}
 				}
 				if s.Bytes() <= 0 {

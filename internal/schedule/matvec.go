@@ -56,9 +56,8 @@ type MatVec struct {
 	W, NBar, MBar int
 	Overlap       bool
 
-	// Rows is the band row count n̄m̄w; XLen the x̄ stream length
-	// (n̄m̄w + w − 1); BLen the padded b length (n̄w).
-	Rows, XLen, BLen int
+	// Rows is the band row count n̄m̄w; BLen the padded b length (n̄w).
+	Rows, BLen int
 
 	// T is the step count the array would measure; MACs the total
 	// multiply–accumulate count (= Rows·w); GroupableConflicts the number of
@@ -79,10 +78,7 @@ type MatVec struct {
 
 	// Grid-replay descriptors (ExecGrid): per block k, the flat offsets of
 	// its Ū and L̄ coefficient runs in the padded matrix's backing storage
-	// and the padded-x column bases they pair with. Compiled only for the
-	// dbt-built transforms, whose PackBand/TransformX are by construction
-	// views of the padded grid — nil for external Transform implementations
-	// (GridReplay reports which).
+	// and the padded-x column bases they pair with.
 	uOff, lOff []int32
 	uCol, lCol []int32
 	stride     int
@@ -96,20 +92,12 @@ type MatVec struct {
 // feedback chain stays inside one sub-problem).
 func OverlapSplit(nbar, mbar int) int { return (nbar + 1) / 2 * mbar }
 
-// gridIndexed is the compile-time face of a transform whose band blocks are
-// contiguous runs of a padded block grid: block k's Ū coefficients live in
-// block (r, s) of the grid returned by UpperIndex, its L̄ coefficients in
-// the block returned by LowerIndex.
-type gridIndexed interface {
-	UpperIndex(k int) (r, s int)
-	LowerIndex(k int) (r, s int)
-}
-
 // compileMatVec builds the schedule for the shape of t. It returns an
 // error (matching the structural path's failure mode) when the
 // transformation fails §2 validation or cannot be split for overlap —
 // impossible for the dbt-built variants, reachable for external Transform
-// implementations.
+// implementations — and when the padded grid has more elements than the
+// int32 run offsets can address (past 2³¹, a 16 GiB matrix).
 func compileMatVec(t dbt.Transform, overlap bool) (*MatVec, error) {
 	// §2's structural conditions are shape-only too: checked once here, and
 	// the cache remembers the clean bill for every later same-shape solve.
@@ -117,14 +105,24 @@ func compileMatVec(t dbt.Transform, overlap bool) (*MatVec, error) {
 		return nil, err
 	}
 	w, nbar, mbar := t.Shape()
+	stride := mbar * w
+	if int64(nbar)*int64(w)*int64(stride) > math.MaxInt32 {
+		return nil, fmt.Errorf("schedule: padded matvec grid %d×%d exceeds the %d elements a plan can address",
+			nbar*w, stride, math.MaxInt32)
+	}
 	blocks := t.Blocks()
 	rows := blocks * w
 	s := &MatVec{
 		W: w, NBar: nbar, MBar: mbar, Overlap: overlap,
-		Rows: rows, XLen: t.BandCols(), BLen: nbar * w,
+		Rows: rows, BLen: nbar * w,
 		MACs:     rows * w,
 		initKind: make([]uint8, blocks),
 		initBase: make([]int32, blocks),
+		uOff:     make([]int32, blocks),
+		lOff:     make([]int32, blocks),
+		uCol:     make([]int32, blocks),
+		lCol:     make([]int32, blocks),
+		stride:   stride,
 		kern:     kernelFor(w),
 	}
 
@@ -145,30 +143,18 @@ func compileMatVec(t dbt.Transform, overlap bool) (*MatVec, error) {
 		}
 	}
 
-	// Run descriptors for grid replay: the dbt-built transforms pack band
-	// block k by copying row runs out of padded blocks (ru, su) and
-	// (rl, sl), and their x̄ is the padded x re-read block by block (§2
-	// condition 2 makes consecutive blocks share the boundary column), so
-	// the replay can skip both copies and read the grid directly.
-	switch t.(type) {
-	case *dbt.MatVec, *dbt.MatVecByColumns:
-		gi := t.(gridIndexed)
-		stride := mbar * w
-		if int64(nbar)*int64(w)*int64(stride) <= math.MaxInt32 {
-			s.stride = stride
-			s.uOff = make([]int32, blocks)
-			s.lOff = make([]int32, blocks)
-			s.uCol = make([]int32, blocks)
-			s.lCol = make([]int32, blocks)
-			for k := 0; k < blocks; k++ {
-				ru, su := gi.UpperIndex(k)
-				rl, sl := gi.LowerIndex(k)
-				s.uOff[k] = int32(ru*w*stride + su*w)
-				s.lOff[k] = int32(rl*w*stride + sl*w)
-				s.uCol[k] = int32(su * w)
-				s.lCol[k] = int32(sl * w)
-			}
-		}
+	// Run descriptors for grid replay: band block k is Ū of padded block
+	// (ru, su) and L̄ of padded block (rl, sl), and its x̄ block is padded x
+	// block su (§2 condition 2 makes consecutive blocks share the boundary
+	// column), so the replay reads Ā and x̄ straight out of the padded
+	// operands and neither is ever materialized.
+	for k := 0; k < blocks; k++ {
+		ru, su := t.UpperIndex(k)
+		rl, sl := t.LowerIndex(k)
+		s.uOff[k] = int32(ru*w*stride + su*w)
+		s.lOff[k] = int32(rl*w*stride + sl*w)
+		s.uCol[k] = int32(su * w)
+		s.lCol[k] = int32(sl * w)
 	}
 
 	// Program ranges and offsets exactly as core schedules them: one program
@@ -246,58 +232,17 @@ func compileMatVec(t dbt.Transform, overlap bool) (*MatVec, error) {
 	return s, nil
 }
 
-// Exec runs the compiled schedule over one problem's data. band is the
-// packed Ā (len Rows·w, dbt.PackBand layout), xbar the transformed x̄
-// (len ≥ XLen), b the padded b̄ (len ≥ BLen), and y the output buffer
-// (len ≥ Rows) receiving every band row's ȳ. Exec performs no allocation;
-// each row is one contiguous run of the packed band replayed by the shared
-// band kernels in the array's cycle order (increasing diagonal), so results
-// are bit-identical to the structural simulator.
-func (s *MatVec) Exec(band, xbar, b, y []float64) {
-	w := s.W
-	if len(band) < s.Rows*w || len(xbar) < s.XLen || len(b) < s.BLen || len(y) < s.Rows {
-		panic(fmt.Sprintf("schedule: Exec buffer sizes band=%d xbar=%d b=%d y=%d for rows=%d w=%d",
-			len(band), len(xbar), len(b), len(y), s.Rows, w))
-	}
-	blocks := s.Rows / w
-	for k := 0; k < blocks; k++ {
-		var ini []float64
-		if s.initKind[k] == matvecFromB {
-			ini = b[s.initBase[k]:]
-		} else {
-			ini = y[s.initBase[k]:]
-		}
-		out := y[k*w:]
-		cb := band[k*w*w:]
-		xs := xbar[k*w:]
-		switch s.kern {
-		case kernW8:
-			bandBlock8(out, ini, cb, xs)
-		case kernW4:
-			bandBlock4(out, ini, cb, xs)
-		default:
-			bandBlockGeneric(out, ini, cb, xs, w)
-		}
-	}
-}
-
-// GridReplay reports whether the plan carries grid-replay descriptors, i.e.
-// whether ExecGrid may be used instead of the pack-then-Exec pipeline.
-func (s *MatVec) GridReplay() bool { return s.uOff != nil }
-
-// ExecGrid runs the compiled schedule directly over the padded operands,
-// skipping both dbt.PackBand and the x̄ transform: aflat is the padded
-// matrix's backing storage (row-major n̄w × m̄w — the transform's
-// Grid.Padded().Raw()), xp the padded x (len ≥ m̄w), b the padded b̄
-// (len ≥ BLen) and y the output buffer (len ≥ Rows). The grid kernels read
-// exactly the elements the pack would have copied, in the same order, so
-// results are bit-identical to Exec over the packed band. Only valid when
-// GridReplay() is true.
+// ExecGrid runs the compiled schedule directly over the padded operands:
+// aflat is the padded matrix's backing storage (row-major n̄w × m̄w — the
+// transform's Padded().Raw()), xp the padded x (len ≥ m̄w), b the padded b̄
+// (len ≥ BLen) and y the output buffer (len ≥ Rows) receiving every band
+// row's ȳ. ExecGrid performs no allocation. Band row kw+a is the Ū run
+// u[a][a..w−1] on diagonals 0..w−1−a followed by the L̄ run l[a][0..a−1] on
+// diagonals w−a..w−1, replayed in the array's cycle order (increasing
+// diagonal) from the row's b̄ or feedback init, so results are
+// bit-identical to the structural simulator.
 func (s *MatVec) ExecGrid(aflat, xp, b, y []float64) {
 	w := s.W
-	if s.uOff == nil {
-		panic("schedule: ExecGrid on a plan without grid descriptors")
-	}
 	if len(aflat) < s.NBar*w*s.stride || len(xp) < s.stride || len(b) < s.BLen || len(y) < s.Rows {
 		panic(fmt.Sprintf("schedule: ExecGrid buffer sizes a=%d xp=%d b=%d y=%d for rows=%d w=%d stride=%d",
 			len(aflat), len(xp), len(b), len(y), s.Rows, w, s.stride))

@@ -14,8 +14,8 @@ import (
 // (initialization sources, accumulation orders, emit/inject stamps,
 // feedback topology, activity counts), precomputed as dense index arrays.
 // A plan is immutable after compilation and shared freely across
-// goroutines; *replay* (the plan's Exec method) walks those arrays over one
-// problem's data in O(work) with zero allocations. Four workloads compile
+// goroutines; *replay* (the plan's Exec or ExecGrid method) walks those
+// arrays over one problem's data in O(work) with zero allocations. Four workloads compile
 // today — matvec (linear array), matmul (hexagonal array), trisolve
 // (triangular solver array), and the sparse matvec (linear array, one
 // program per retained row band) — and cache.go holds one cache per

@@ -3,6 +3,7 @@ package schedule
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -95,10 +96,8 @@ func TestMatVecExecAgainstBlockRecurrence(t *testing.T) {
 			b := matrix.RandomVector(rng, n, 5)
 			tr := dbt.NewMatVec(a, w)
 			sch := mustMatVecFor(t, tr, false)
-			band := make([]float64, sch.Rows*w)
-			tr.PackBand(band)
 			y := make([]float64, sch.Rows)
-			sch.Exec(band, tr.TransformX(x), b.Pad(sch.BLen), y)
+			sch.ExecGrid(tr.Padded().Raw(), x.Pad(tr.MBar*w), b.Pad(sch.BLen), y)
 			want := tr.BlockRecurrence(x, b)
 			for k, blk := range want {
 				for i, v := range blk {
@@ -190,32 +189,6 @@ func TestMatMulFlattenedPlan(t *testing.T) {
 	}
 }
 
-// TestPackedBandsMatchReaders: the packed matvec exporters must agree
-// element for element with the closure readers they replace. (The matmul
-// bands are never packed; dbt's TestBandRunsMatchReaders pins the run
-// descriptors the grid replay reads them through.)
-func TestPackedBandsMatchReaders(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	for _, w := range []int{1, 2, 4} {
-		a := matrix.RandomDense(rng, 3*w+1, 2*w+1, 5)
-		for _, tr := range []dbt.Transform{dbt.NewMatVec(a, w), dbt.NewMatVecByColumns(a, w)} {
-			band := make([]float64, tr.BandRows()*w)
-			tr.PackBand(band)
-			for i := 0; i < tr.BandRows(); i++ {
-				for d := 0; d < w; d++ {
-					want := 0.0
-					if j := i + d; j < tr.BandCols() {
-						want = tr.BandAt(i, j)
-					}
-					if band[i*w+d] != want {
-						t.Fatalf("w=%d row %d diag %d: packed %g, reader %g", w, i, d, band[i*w+d], want)
-					}
-				}
-			}
-		}
-	}
-}
-
 // brokenTransform wraps a valid transform with a failing Validate — the
 // shape an external Transform implementation with a pairing bug would take.
 type brokenTransform struct{ dbt.Transform }
@@ -231,6 +204,30 @@ func TestInvalidTransformErrors(t *testing.T) {
 	a := matrix.RandomDense(rand.New(rand.NewSource(6)), 6, 6, 3)
 	if _, err := MatVecFor(brokenTransform{dbt.NewMatVec(a, 3)}, false); err != errBroken {
 		t.Fatalf("want errBroken, got %v", err)
+	}
+}
+
+// hugeTransform claims a padded grid of 2¹⁴·8 × 2¹²·8 = 2³² elements,
+// past what a plan's int32 run offsets address, while every other method
+// answers for the small transform it embeds.
+type hugeTransform struct{ *dbt.MatVec }
+
+func (hugeTransform) Shape() (w, nbar, mbar int) { return 8, 1 << 14, 1 << 12 }
+
+// TestMatVecForRejectsOversizedGrid: a grid the plan cannot address comes
+// back as an error from MatVecFor, checked before the compiler allocates
+// any per-block descriptor (2²⁶ blocks here would be over a gigabyte).
+func TestMatVecForRejectsOversizedGrid(t *testing.T) {
+	tr := hugeTransform{dbt.NewMatVec(matrix.RandomDense(rand.New(rand.NewSource(7)), 8, 8, 3), 8)}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	s, err := MatVecFor(tr, false)
+	runtime.ReadMemStats(&after)
+	if err == nil || s != nil {
+		t.Fatalf("MatVecFor on a 2³²-element grid: plan %v, err %v; want an error", s, err)
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
+		t.Fatalf("MatVecFor allocated %d bytes before rejecting the shape", grew)
 	}
 }
 
