@@ -685,7 +685,9 @@ func main() {
 		streamRows(name, shards, metrics)
 	}
 
-	// Batch throughput at full GOMAXPROCS.
+	// Batch throughput over the pass-worker ladder, named like the *-par
+	// rows: host-independent workers=1 and workers=2 rungs, and the
+	// NumCPU rung as "workers=max" with its count in the metrics.
 	problems := make([]core.MatVecProblem, 128)
 	for i := range problems {
 		problems[i] = core.MatVecProblem{
@@ -693,16 +695,23 @@ func main() {
 			X: matrix.RandomVector(rng, 8, 3),
 		}
 	}
-	entries = append(entries, bench(fmt.Sprintf("solve-batch/workers=%d", runtime.GOMAXPROCS(0)),
-		nil, func(b *testing.B) {
+	for _, workers := range core.PassWorkerLadder(runtime.GOMAXPROCS(0)) {
+		name := fmt.Sprintf("workers=%d", workers)
+		var metrics map[string]float64
+		if workers > 2 {
+			name = "workers=max"
+			metrics = map[string]float64{"workers": float64(workers)}
+		}
+		entries = append(entries, bench("solve-batch/"+name, metrics, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := vs.SolveBatch(problems); err != nil {
+				if _, err := vs.SolveBatchWorkers(problems, workers); err != nil {
 					b.Fatal(err)
 				}
 			}
 			b.ReportMetric(float64(len(problems)*b.N)/b.Elapsed().Seconds(), "problems/s")
 		}))
+	}
 
 	snap := Snapshot{
 		Date:       time.Now().UTC().Format("2006-01-02"),

@@ -35,6 +35,11 @@ import (
 // in-flight requests before the scheduler is closed anyway.
 const drainTimeout = 30 * time.Second
 
+// readHeaderTimeout bounds how long a connection may take to send its
+// request headers, so idle or trickling clients cannot hold connections
+// open indefinitely.
+const readHeaderTimeout = 10 * time.Second
+
 func main() {
 	addr := flag.String("addr", ":8080", "listen address")
 	shards := flag.Int("shards", 0, "stream shards (0 = GOMAXPROCS)")
@@ -76,7 +81,7 @@ func main() {
 // closes s when the listener fails.
 func serve(ctx context.Context, ln net.Listener, h http.Handler, s *stream.Scheduler) error {
 	defer s.Close()
-	hs := &http.Server{Handler: h}
+	hs := &http.Server{Handler: h, ReadHeaderTimeout: readHeaderTimeout}
 	done := make(chan error, 1)
 	go func() { done <- hs.Serve(ln) }()
 	select {

@@ -54,8 +54,8 @@ func Partition(a *matrix.Dense, w int) *Grid {
 
 // Repartition rebuilds g in place as the block grid of a with block size w,
 // reusing the padded matrix's storage when its capacity allows. It is the
-// allocation-free counterpart of Partition for transform pools and scratch
-// arenas that build one grid per array pass.
+// allocation-free counterpart of Partition for scratch arenas that build
+// one grid per array pass.
 func (g *Grid) Repartition(a *matrix.Dense, w int) {
 	if w < 1 {
 		panic(fmt.Sprintf("blockpart: invalid block size %d", w))

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"sync"
 
 	"repro/internal/blockpart"
 	"repro/internal/dbt"
@@ -18,8 +19,11 @@ import (
 // Ownership rules (see DESIGN.md §5):
 //
 //   - An arena belongs to one goroutine at a time. The Executor gives each
-//     simulated array its own arena; serial workspaces own one directly.
-//     Two passes may share an arena only sequentially — never concurrently.
+//     simulated array its own arena; serial workspaces own one directly;
+//     the one-shot compiled calls (MatVecSolver.Solve, MatMulSolver.Solve,
+//     the sparse and band-triangular solves) own a pooled arena between
+//     GetArena and PutArena. Two passes may share an arena only
+//     sequentially — never concurrently.
 //   - Reset marks the start of a unit of work (the executor resets the
 //     arena before every task it runs). Everything drawn from the arena
 //     after a Reset is valid until the next Reset; nothing drawn from an
@@ -41,6 +45,24 @@ type Arena struct {
 func NewArena() *Arena {
 	return &Arena{memo: schedule.NewPlanMemo(), mvT: &dbt.MatVec{}}
 }
+
+// arenaPool holds the arenas the one-shot compiled calls borrow. A pooled
+// arena keeps its plan memo, transform and slab capacities across borrows,
+// so a repeated shape replays with no scratch allocation; the pool drops
+// idle arenas at GC like any sync.Pool.
+var arenaPool = sync.Pool{New: func() interface{} { return NewArena() }}
+
+// GetArena returns a Reset arena from the process-wide pool, owned by the
+// caller until PutArena.
+func GetArena() *Arena {
+	ar := arenaPool.Get().(*Arena)
+	ar.Reset()
+	return ar
+}
+
+// PutArena returns an arena obtained from GetArena to the pool. Nothing
+// drawn from it may be used afterwards.
+func PutArena(ar *Arena) { arenaPool.Put(ar) }
 
 // Reset recycles every buffer drawn since the previous Reset. Plans,
 // transforms and slab capacities are retained — that is the point.
@@ -138,16 +160,25 @@ func (ar *Arena) MatVecPass(dst matrix.Vector, a *matrix.Dense, x, b matrix.Vect
 	if b != nil && len(b) != a.Rows() {
 		return 0, fmt.Errorf("core: len(b)=%d, want %d", len(b), a.Rows())
 	}
+	t.RecoverYFlat(dst, ar.matvecGrid(sch, t, x, b))
+	return sch.T, nil
+}
+
+// matvecGrid replays the compiled matvec plan sch of transform t over its
+// padded grid, with x and b zero-padded into arena scratch, and returns the
+// flat ȳ buffer (valid until the arena's next Reset). It is the compiled
+// body shared by MatVecPass and MatVecSolver.Solve.
+func (ar *Arena) matvecGrid(sch *schedule.MatVec, t dbt.Transform, x, b matrix.Vector) []float64 {
+	w, _, mbar := t.Shape()
 	bp := ar.Floats(sch.BLen)
 	clear(bp)
 	copy(bp, b)
-	ybuf := ar.Floats(sch.Rows)
-	xp := ar.Floats(t.MBar * w)
+	ybar := ar.Floats(sch.Rows)
+	xp := ar.Floats(mbar * w)
 	clear(xp)
 	copy(xp, x)
-	sch.ExecGrid(t.Padded().Raw(), xp, bp, ybuf)
-	t.RecoverYFlat(dst, ybuf)
-	return sch.T, nil
+	sch.ExecGrid(t.Padded().Raw(), xp, bp, ybar)
+	return ybar
 }
 
 // MatMulPass computes dst = A·B + E (e may be nil) as one hexagonal-array

@@ -101,8 +101,7 @@ func PassWorkerLadder(numCPU int) []int {
 // no second pool implementation). Results come back aligned with items; on
 // error the failing entries are zero and a single joined error covering
 // EVERY failing index (each annotated "batch problem i") is returned
-// alongside the successful results. The solver packages built on core
-// (trisolve, solve) reuse it for their own batch APIs.
+// alongside the successful results.
 func Batch[P, R any](items []P, workers int, solve func(P) (R, error)) ([]R, error) {
 	if len(items) == 0 {
 		return nil, nil

@@ -118,6 +118,11 @@ func (s *MatVecSolver) Solve(a *matrix.Dense, x, b matrix.Vector, opts MatVecOpt
 	if err != nil {
 		return nil, err
 	}
+	var ar *Arena
+	if useCompiled {
+		ar = GetArena()
+		defer PutArena(ar)
+	}
 	var t dbt.Transform
 	if opts.ByColumns {
 		if opts.Overlap {
@@ -126,11 +131,10 @@ func (s *MatVecSolver) Solve(a *matrix.Dense, x, b matrix.Vector, opts MatVecOpt
 		t = dbt.NewMatVecByColumns(a, s.w)
 	} else if useCompiled {
 		// The transform is only needed while the compiled pass replays its
-		// padded grid and recovers y, so it comes from the schedule pool and
-		// goes straight back.
-		pooled := schedule.GetMatVec(a, s.w)
-		defer schedule.PutMatVec(pooled)
-		t = pooled
+		// padded grid and recovers y, so the borrowed arena's retained
+		// transform is rebuilt in place.
+		ar.mvT.Reset(a, s.w)
+		t = ar.mvT
 	} else {
 		t = dbt.NewMatVec(a, s.w)
 	}
@@ -141,7 +145,7 @@ func (s *MatVecSolver) Solve(a *matrix.Dense, x, b matrix.Vector, opts MatVecOpt
 	if useCompiled {
 		// Validation is structural (shape-only); the schedule compiler runs
 		// it once per shape and the cache remembers the clean bill.
-		return s.solveCompiled(t, x, b, opts, nbar, mbar)
+		return s.solveCompiled(ar, t, x, b, opts, nbar, mbar)
 	}
 	if err := t.Validate(); err != nil {
 		return nil, err
@@ -196,34 +200,23 @@ func (s *MatVecSolver) Solve(a *matrix.Dense, x, b matrix.Vector, opts MatVecOpt
 
 // solveCompiled executes the transformed problem on the compiled-schedule
 // engine: shape-cached schedule, grid-direct replay over the padded
-// matrix, O(MACs) execution with pooled scratch. Results and statistics
-// are bit-identical to the structural path.
-func (s *MatVecSolver) solveCompiled(t dbt.Transform, x, b matrix.Vector, opts MatVecOptions, nbar, mbar int) (*MatVecResult, error) {
+// matrix, O(MACs) execution with scratch drawn from ar. Results and
+// statistics are bit-identical to the structural path.
+func (s *MatVecSolver) solveCompiled(ar *Arena, t dbt.Transform, x, b matrix.Vector, opts MatVecOptions, nbar, mbar int) (*MatVecResult, error) {
 	sch, err := schedule.MatVecFor(t, opts.Overlap)
 	if err != nil {
 		return nil, err
 	}
-	// Scratch (padded x, padded b̄, ȳ) lives in pooled buffers; only the
-	// returned y is a fresh allocation on this path.
-	bpBuf := schedule.GetFloats(sch.BLen)
-	defer schedule.PutFloats(bpBuf)
-	bp := matrix.Vector(*bpBuf)
-	copy(bp, b)
-	ybuf := schedule.GetFloatsUninit(sch.Rows)
-	defer schedule.PutFloats(ybuf)
-	xpBuf := schedule.GetFloats(mbar * s.w)
-	defer schedule.PutFloats(xpBuf)
-	copy(*xpBuf, x)
-	sch.ExecGrid(t.Padded().Raw(), *xpBuf, bp, *ybuf)
+	ybar := ar.matvecGrid(sch, t, x, b)
 
-	// Recover y (copying, so the pooled buffers can be released).
+	// Recover y (copying, so the arena can go back to the pool).
 	var y matrix.Vector
 	if mv, ok := t.(*dbt.MatVec); ok {
-		y = mv.RecoverYFlat(make(matrix.Vector, mv.N), *ybuf)
+		y = mv.RecoverYFlat(make(matrix.Vector, mv.N), ybar)
 	} else {
 		ybars := make([]matrix.Vector, t.Blocks())
 		for k := range ybars {
-			ybars[k] = matrix.Vector((*ybuf)[k*s.w : (k+1)*s.w])
+			ybars[k] = matrix.Vector(ybar[k*s.w : (k+1)*s.w])
 		}
 		y = t.RecoverY(ybars)
 	}

@@ -112,28 +112,16 @@ func (s *MatMulSolver) Solve(a, b *matrix.Dense, opts MatMulOptions) (*MatMulRes
 
 // solveCompiled executes the problem on the compiled-schedule engine:
 // shape-cached schedule, grid-direct replay of one flattened feedback
-// chain per C element over the operands' padded grids, with pooled
-// scratch. Results and statistics are bit-identical to the structural
-// path.
+// chain per C element over the operands' padded grids, with scratch drawn
+// from a pooled arena. Results and statistics are bit-identical to the
+// structural path.
 func (s *MatMulSolver) solveCompiled(a, b *matrix.Dense, opts MatMulOptions) (*MatMulResult, error) {
 	w := s.w
-	sch := schedule.MatMulFor(w, blockpart.Ceil(a.Rows(), w), blockpart.Ceil(a.Cols(), w), blockpart.Ceil(b.Cols(), w))
-	// Scratch comes from the schedule pool and goes back when the solve
-	// returns; a pass draws at most four buffers.
-	var pooled [4]*[]float64
-	np := 0
-	defer func() {
-		for _, p := range pooled[:np] {
-			schedule.PutFloats(p)
-		}
-	}()
+	ar := GetArena()
+	defer PutArena(ar)
+	sch := ar.Plans().MatMulFor(w, blockpart.Ceil(a.Rows(), w), blockpart.Ceil(a.Cols(), w), blockpart.Ceil(b.Cols(), w))
 	cFinal := matrix.NewDense(a.Rows(), b.Cols())
-	gridPass(sch, cFinal, a, b, opts.E, func(n int) []float64 {
-		p := schedule.GetFloatsUninit(n)
-		pooled[np] = p
-		np++
-		return *p
-	})
+	gridPass(sch, cFinal, a, b, opts.E, ar.Floats)
 
 	regular, irregular := sch.CopyDelays()
 	stats := MatMulStats{
@@ -150,9 +138,10 @@ func (s *MatMulSolver) solveCompiled(a, b *matrix.Dense, opts MatMulOptions) (*M
 }
 
 // gridPass runs one compiled grid-direct pass dst = A·B + E (e may be nil,
-// or dst itself) through sch, drawing scratch from take. Operands already
-// on the block grid are read and written in place; ragged ones go through
-// zero-padded scratch copies. B is always staged, transposed.
+// or dst itself) through sch, drawing scratch from take (an arena's
+// Floats). Operands already on the block grid are read and written in
+// place; ragged ones go through zero-padded scratch copies. B is always
+// staged, transposed.
 func gridPass(sch *schedule.MatMul, dst, a, b, e *matrix.Dense, take func(n int) []float64) {
 	w := sch.W
 	rows, cols := sch.NBar*w, sch.MBar*w

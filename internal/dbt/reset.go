@@ -8,8 +8,8 @@ import (
 )
 
 // This file holds the allocation-free counterparts of the transform
-// constructors and stream helpers, for the compiled engine's transform
-// pools and scratch arenas (internal/schedule, internal/core): Reset
+// constructors and stream helpers, for the compiled engine's scratch
+// arenas (internal/core): Reset
 // rebuilds a matvec transform in place reusing its grid storage, and
 // RecoverYFlat extracts y from the flat ȳ buffer the compiled replay
 // produces. Each is bit-identical to its allocating twin.

@@ -1,10 +1,6 @@
 package schedule
 
-import (
-	"sync"
-
-	"repro/internal/dbt"
-)
+import "repro/internal/dbt"
 
 // One shape-keyed plan cache per workload (see plan.go for the bounding and
 // concurrency story).
@@ -127,31 +123,3 @@ func TriSolveFor(n, w int) *TriSolve {
 	s, _ := trisolveCache.get(key, func() (*TriSolve, error) { return compileTriSolve(n, w), nil })
 	return s
 }
-
-// floatPool recycles the per-solve scratch buffers (packed bands, output
-// bands) so steady-state solves allocate nothing in the execution engine.
-var floatPool = sync.Pool{New: func() interface{} { s := make([]float64, 0, 256); return &s }}
-
-// GetFloats returns a zeroed float64 scratch slice of length n from the
-// pool. Pair with PutFloats.
-func GetFloats(n int) *[]float64 {
-	p := GetFloatsUninit(n)
-	clear(*p)
-	return p
-}
-
-// GetFloatsUninit returns a scratch slice of length n whose contents are
-// arbitrary. For buffers that are provably fully written before any read
-// (packed bands, Exec outputs) this skips a memset of the same order as
-// the compute itself. Pair with PutFloats.
-func GetFloatsUninit(n int) *[]float64 {
-	p := floatPool.Get().(*[]float64)
-	if cap(*p) < n {
-		*p = make([]float64, n)
-	}
-	*p = (*p)[:n]
-	return p
-}
-
-// PutFloats returns a scratch slice to the pool.
-func PutFloats(p *[]float64) { floatPool.Put(p) }

@@ -139,34 +139,3 @@ func TestPlanMemoSharesPlans(t *testing.T) {
 		t.Error("matmul memo failed to hit on a repeated shape")
 	}
 }
-
-// TestTransformPoolRoundTrip: pooled transforms must be rebuilt correctly
-// for every new shape, concurrently.
-func TestTransformPoolRoundTrip(t *testing.T) {
-	var wg sync.WaitGroup
-	for g := 0; g < 6; g++ {
-		wg.Add(1)
-		go func(seed int64) {
-			defer wg.Done()
-			rng := rand.New(rand.NewSource(seed))
-			for i := 0; i < 50; i++ {
-				w := 1 + rng.Intn(4)
-				n, m := 1+rng.Intn(3*w), 1+rng.Intn(3*w)
-				a := matrix.RandomDense(rng, n, m, 5)
-				tr := GetMatVec(a, w)
-				fresh := dbt.NewMatVec(a, w)
-				for i := 0; i < fresh.BandRows(); i++ {
-					for d := 0; d < w; d++ {
-						if j := i + d; j < fresh.BandCols() && tr.BandAt(i, j) != fresh.BandAt(i, j) {
-							t.Errorf("pooled transform band mismatch at (%d,%d)", i, j)
-							PutMatVec(tr)
-							return
-						}
-					}
-				}
-				PutMatVec(tr)
-			}
-		}(int64(100 + g))
-	}
-	wg.Wait()
-}

@@ -332,22 +332,3 @@ func TestTriSolveExecAgainstSubstitution(t *testing.T) {
 		}
 	}
 }
-
-// TestScratchPool: pooled buffers come back zeroed at the requested length.
-func TestScratchPool(t *testing.T) {
-	p := GetFloats(10)
-	for i := range *p {
-		(*p)[i] = float64(i + 1)
-	}
-	PutFloats(p)
-	q := GetFloats(1000)
-	if len(*q) != 1000 {
-		t.Fatalf("len %d, want 1000", len(*q))
-	}
-	for i, v := range *q {
-		if v != 0 {
-			t.Fatalf("scratch not zeroed at %d: %g", i, v)
-		}
-	}
-	PutFloats(q)
-}

@@ -1,7 +1,6 @@
 package solve
 
 import (
-	"errors"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -146,50 +145,5 @@ func TestIterativeEngineEquiv(t *testing.T) {
 			t.Fatalf("%s: engines disagree (sweeps %d vs %d, residual %g vs %g)",
 				method.name, st0.Sweeps, st1.Sweeps, st0.Residual, st1.Residual)
 		}
-	}
-}
-
-// TestSolveBatchMatchesSerial: the batch API returns exactly what serial
-// Solve calls return, across worker counts.
-func TestSolveBatchMatchesSerial(t *testing.T) {
-	rng := rand.New(rand.NewSource(305))
-	w := 3
-	var problems []Problem
-	for i := 0; i < 10; i++ {
-		n := 1 + rng.Intn(12)
-		a, _ := diagonallyDominant(rng, n)
-		problems = append(problems, Problem{A: a, D: matrix.RandomVector(rng, n, 5)})
-	}
-	for _, workers := range []int{1, 4, 16} {
-		got, err := SolveBatch(problems, w, workers)
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		for i, p := range problems {
-			want, stats, err := Solve(p.A, p.D, w, p.Opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !got[i].X.Equal(want, 0) {
-				t.Fatalf("workers=%d problem %d: batch X differs from serial", workers, i)
-			}
-			if !reflect.DeepEqual(got[i].Stats, stats) {
-				t.Fatalf("workers=%d problem %d: batch stats differ", workers, i)
-			}
-		}
-	}
-	// Error propagation: a singular problem fails with its index while
-	// siblings still return.
-	bad := Problem{A: matrix.NewDense(2, 2), D: make(matrix.Vector, 2)}
-	res, err := SolveBatch([]Problem{problems[0], bad}, w, 2)
-	if !errors.Is(err, ErrSingular) {
-		t.Fatalf("err = %v, want ErrSingular", err)
-	}
-	var serr *SingularError
-	if !errors.As(err, &serr) || serr.Index != 0 {
-		t.Fatalf("err = %#v, want a *SingularError at pivot 0", err)
-	}
-	if res[0] == nil || res[1] != nil {
-		t.Fatalf("batch error handling: res[0]=%v res[1]=%v", res[0], res[1])
 	}
 }

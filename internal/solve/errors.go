@@ -4,8 +4,8 @@ import "repro/internal/trisolve"
 
 // ErrSingular is the sentinel matched by errors.Is for every
 // singular-pivot failure of the direct solvers — BlockLU's zero pivots,
-// the triangular inverses' zero diagonals, LowerTriangularSolve's
-// diagonal check and the trisolve phases of a full Solve. It aliases
+// the triangular inverses' zero diagonals and the trisolve phases of a
+// full Solve. It aliases
 // trisolve's sentinel so one errors.Is covers both layers of a direct
 // solve, wherever the pivot was detected and however many runtime layers
 // (executor fan-out, batch joins, stream tickets) wrapped it.

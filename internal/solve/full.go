@@ -1,9 +1,6 @@
 package solve
 
-import (
-	"repro/internal/core"
-	"repro/internal/matrix"
-)
+import "repro/internal/matrix"
 
 // The full direct solve: A·x = d factored as L·U on the hexagonal array,
 // then both triangular systems solved with the dedicated triangular-solver
@@ -42,34 +39,4 @@ type SolveStats struct {
 // Workspace directly for repeated steady-state solves.
 func Solve(a *matrix.Dense, d matrix.Vector, w int, opts Options) (matrix.Vector, *SolveStats, error) {
 	return NewWorkspaceExecutor(w, opts.Executor).Solve(a, d, opts)
-}
-
-// Problem is one independent A·x = d problem of a batch.
-type Problem struct {
-	A *matrix.Dense
-	D matrix.Vector
-	// Opts configure this problem's run (engine selection).
-	Opts Options
-}
-
-// Result is the outcome of one batched solve.
-type Result struct {
-	X     matrix.Vector
-	Stats *SolveStats
-}
-
-// SolveBatch solves every problem concurrently on the core worker pool
-// (workers < 1 means one worker) and returns results aligned with the
-// input. On error the failing entries are nil and the first error
-// (annotated with its index) is returned alongside the successful results.
-// Workloads repeat shapes, so workers share the compiled plan cache exactly
-// as the matvec/matmul batch APIs do.
-func SolveBatch(problems []Problem, w, workers int) ([]*Result, error) {
-	return core.Batch(problems, workers, func(p Problem) (*Result, error) {
-		x, stats, err := Solve(p.A, p.D, w, p.Opts)
-		if err != nil {
-			return nil, err
-		}
-		return &Result{X: x, Stats: stats}, nil
-	})
 }

@@ -154,63 +154,6 @@ func GaussSeidel(a *matrix.Dense, d matrix.Vector, w, maxSweeps int, tol float64
 	return x, stats, ErrNoConvergence
 }
 
-// LowerTriangularSolve solves L·y = d for lower-triangular L by block
-// forward substitution with block width w: the off-diagonal products
-// L[r, <r]·y run through the DBT array; each w×w diagonal block is solved
-// by host substitution (the report-/8/ substitution).
-func LowerTriangularSolve(l *matrix.Dense, d matrix.Vector, w int, opts Options) (matrix.Vector, *IterStats, error) {
-	n := l.Rows()
-	if l.Cols() != n {
-		return nil, nil, fmt.Errorf("solve: triangular solve needs a square matrix, got %d×%d", n, l.Cols())
-	}
-	if len(d) != n {
-		return nil, nil, fmt.Errorf("solve: len(d)=%d, want %d", len(d), n)
-	}
-	for i := 0; i < n; i++ {
-		if l.At(i, i) == 0 {
-			return nil, nil, &SingularError{Op: "solve.LowerTriangularSolve", Index: i}
-		}
-		for j := i + 1; j < n; j++ {
-			if l.At(i, j) != 0 {
-				return nil, nil, fmt.Errorf("solve: L[%d][%d] ≠ 0: not lower triangular", i, j)
-			}
-		}
-	}
-	solver := core.NewMatVecSolver(w)
-	y := matrix.NewVector(n)
-	stats := &IterStats{}
-	nb := (n + w - 1) / w
-	for rb := 0; rb < nb; rb++ {
-		lo, hi := rb*w, (rb+1)*w
-		if hi > n {
-			hi = n
-		}
-		rhs := make(matrix.Vector, hi-lo)
-		copy(rhs, d[lo:hi])
-		if lo > 0 {
-			// s = L[lo:hi, 0:lo]·y[0:lo] on the array.
-			res, err := solver.Solve(l.Slice(lo, hi, 0, lo), y[:lo], nil, core.MatVecOptions{Engine: opts.Engine})
-			if err != nil {
-				return nil, nil, err
-			}
-			stats.ArraySteps += res.Stats.T
-			for i := range rhs {
-				rhs[i] -= res.Y[i]
-			}
-		}
-		// Diagonal block substitution on the host.
-		for i := lo; i < hi; i++ {
-			s := rhs[i-lo]
-			for j := lo; j < i; j++ {
-				s -= l.At(i, j) * y[j]
-			}
-			y[i] = s / l.At(i, i)
-		}
-	}
-	stats.Residual = residual(l, y, d)
-	return y, stats, nil
-}
-
 // residual returns ‖A·x − d‖∞ without allocating: each row's dot product
 // accumulates in the same order as matrix.Dense.MulVec, so the value is
 // bit-identical to the allocating formulation it replaced.

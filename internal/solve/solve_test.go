@@ -1,7 +1,6 @@
 package solve
 
 import (
-	"errors"
 	"math"
 	"math/rand"
 	"testing"
@@ -88,31 +87,6 @@ func TestJacobiNoConvergence(t *testing.T) {
 	}
 }
 
-func TestLowerTriangularSolve(t *testing.T) {
-	rng := rand.New(rand.NewSource(74))
-	for _, n := range []int{1, 4, 9, 14} {
-		l := matrix.NewDense(n, n)
-		for i := 0; i < n; i++ {
-			for j := 0; j < i; j++ {
-				l.Set(i, j, float64(rng.Intn(9)-4))
-			}
-			l.Set(i, i, float64(1+rng.Intn(4)))
-		}
-		want := matrix.RandomVector(rng, n, 4)
-		d := l.MulVec(want, nil)
-		y, stats, err := LowerTriangularSolve(l, d, 3, Options{})
-		if err != nil {
-			t.Fatalf("n=%d: %v", n, err)
-		}
-		if !y.Equal(want, 1e-9) {
-			t.Errorf("n=%d: wrong solution (off by %g)", n, y.MaxAbsDiff(want))
-		}
-		if n > 3 && stats.ArraySteps == 0 {
-			t.Errorf("n=%d: off-diagonal work did not use the array", n)
-		}
-	}
-}
-
 func TestSolveValidation(t *testing.T) {
 	a := matrix.NewDense(2, 3)
 	if _, _, err := Jacobi(a, make(matrix.Vector, 2), 2, 5, 1e-6, Options{}); err == nil {
@@ -124,18 +98,5 @@ func TestSolveValidation(t *testing.T) {
 	}
 	if _, _, err := GaussSeidel(a, make(matrix.Vector, 2), 2, 5, 1e-6, Options{}); err == nil {
 		t.Error("expected non-square error")
-	}
-	notL := matrix.FromRows([][]float64{{1, 2}, {0, 1}})
-	if _, _, err := LowerTriangularSolve(notL, make(matrix.Vector, 2), 2, Options{}); err == nil {
-		t.Error("expected not-lower-triangular error")
-	}
-	sing := matrix.FromRows([][]float64{{1, 0}, {1, 0}})
-	_, _, err := LowerTriangularSolve(sing, make(matrix.Vector, 2), 2, Options{})
-	if !errors.Is(err, ErrSingular) {
-		t.Errorf("err = %v, want ErrSingular", err)
-	}
-	var serr *SingularError
-	if !errors.As(err, &serr) || serr.Index != 1 {
-		t.Errorf("err = %#v, want a *SingularError at pivot 1", err)
 	}
 }

@@ -14,7 +14,8 @@
 // (stream.ErrSaturated) returns 429 with a Retry-After header, a
 // singular system (*solve.SingularError) returns 422 with the pivot index,
 // an unconverged refinement (*solve.IllConditionedError) returns 422 with
-// the condition report, malformed requests return 400, a closed stream
+// the condition report, a body over MaxBodyBytes returns 413, malformed
+// requests (a w above MaxW among them) return 400, a closed stream
 // returns 503, anything else (a recovered job panic, say) returns 500. The
 // handler holds no state of its own beyond the scheduler: every request is
 // one ticket, submitted with the request's QoS and redeemed before the
@@ -34,6 +35,14 @@ import (
 	"repro/internal/solve"
 	"repro/internal/stream"
 )
+
+// MaxBodyBytes bounds a POST /solve body; a larger one returns 413 before
+// it is decoded. 32 MiB holds a dense system of n ≈ 1000 in JSON.
+const MaxBodyBytes = 32 << 20
+
+// MaxW caps a request's array size w. A solve's scratch grows with w
+// whatever n is, so an unbounded w lets a tiny body claim unbounded memory.
+const MaxW = 1024
 
 // Request is the POST /solve body: the system A·x = d plus optional
 // execution knobs. Zero-value knobs take the server's defaults.
@@ -172,9 +181,14 @@ func (srv *Server) handleSolve(rw http.ResponseWriter, req *http.Request) {
 		return
 	}
 	var body Request
-	dec := json.NewDecoder(req.Body)
+	dec := json.NewDecoder(http.MaxBytesReader(rw, req.Body, MaxBodyBytes))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&body); err != nil {
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			writeError(rw, http.StatusRequestEntityTooLarge, fmt.Errorf("solved: request body over %d bytes", MaxBodyBytes))
+			return
+		}
 		writeError(rw, http.StatusBadRequest, fmt.Errorf("solved: bad request body: %w", err))
 		return
 	}
@@ -197,8 +211,8 @@ func (srv *Server) handleSolve(rw http.ResponseWriter, req *http.Request) {
 	if w == 0 {
 		w = srv.w
 	}
-	if w < 1 {
-		writeError(rw, http.StatusBadRequest, fmt.Errorf("solved: invalid array size %d", body.W))
+	if w < 1 || w > MaxW {
+		writeError(rw, http.StatusBadRequest, fmt.Errorf("solved: invalid array size %d (want 1..%d)", w, MaxW))
 		return
 	}
 	var eng core.Engine

@@ -293,6 +293,7 @@ func TestSolveEndpoint400(t *testing.T) {
 		{A: [][]float64{{1, 2}}, D: []float64{1}},                                                // not square
 		{A: [][]float64{{2}}, D: []float64{1, 2}},                                                // len(d) mismatch
 		{A: [][]float64{{2}}, D: []float64{1}, W: -1},                                            // bad w
+		{A: [][]float64{{2, 1}, {1, 2}}, D: []float64{1, 2}, W: MaxW + 1},                        // w over the cap
 		{A: [][]float64{{2}}, D: []float64{1}, Engine: "quantum"},                                // bad engine
 		{A: [][]float64{{2}}, D: []float64{1}, Priority: "urgent"},                               // bad priority
 		{A: [][]float64{{2}}, D: []float64{1}, Pivot: "complete"},                                // bad pivot policy
@@ -309,6 +310,29 @@ func TestSolveEndpoint400(t *testing.T) {
 	}
 	if st := s.Stats(); st.Submitted != 0 {
 		t.Errorf("malformed requests reached the scheduler: %+v", st)
+	}
+}
+
+// TestSolveEndpoint413: a body over MaxBodyBytes is refused with 413
+// before any ticket is drawn.
+func TestSolveEndpoint413(t *testing.T) {
+	ts, s := newTestServer(t, stream.Config{Shards: 1})
+	blob := append([]byte(`{"a":[[2]],"d":[1],"engine":"`), bytes.Repeat([]byte("x"), MaxBodyBytes)...)
+	blob = append(blob, `"}`...)
+	resp, err := http.Post(ts.URL+"/solve", "application/json", bytes.NewReader(blob))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var got ErrorResponse
+	if err := json.NewDecoder(resp.Body).Decode(&got); err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusRequestEntityTooLarge || got.Error == "" {
+		t.Fatalf("status %d (%q), want 413 with a message", resp.StatusCode, got.Error)
+	}
+	if st := s.Stats(); st.Submitted != 0 {
+		t.Errorf("an oversized request reached the scheduler: %+v", st)
 	}
 }
 

@@ -165,7 +165,9 @@ func (t *MatVec) SolveEngine(x, b matrix.Vector, eng core.Engine) (*Result, erro
 	if !useCompiled {
 		return t.Solve(x, b)
 	}
-	return t.solveCompiled(nil, x, b, false)
+	ar := core.GetArena()
+	defer core.PutArena(ar)
+	return t.solveCompiled(ar, x, b, false)
 }
 
 // SolveOverlappedEngine is SolveEngine in the paper's §2 overlap mode: the
@@ -186,11 +188,14 @@ func (t *MatVec) SolveOverlappedEngine(x, b matrix.Vector, eng core.Engine) (*Re
 	if !useCompiled {
 		return t.solveOverlapped(x, b)
 	}
-	return t.solveCompiled(nil, x, b, true)
+	ar := core.GetArena()
+	defer core.PutArena(ar)
+	return t.solveCompiled(ar, x, b, true)
 }
 
-// SolveEngineOn is SolveEngine with compiled plans resolved through ar's
-// pattern-keyed plan memo instead of the global cache. The stream
+// SolveEngineOn is SolveEngine on the caller's arena instead of a pooled
+// one: compiled plans resolve through ar's pattern-keyed plan memo and
+// scratch comes from ar. The stream
 // scheduler's full-result sparse jobs run it on their pattern-affinity
 // shard's arena, so a repeating sparsity pattern replays the shard's
 // memoized plan without contending on the process-wide cache. The result
@@ -203,7 +208,7 @@ func (t *MatVec) SolveEngineOn(ar *core.Arena, x, b matrix.Vector, eng core.Engi
 	if !useCompiled {
 		return t.Solve(x, b)
 	}
-	return t.solveCompiled(ar.Plans(), x, b, false)
+	return t.solveCompiled(ar, x, b, false)
 }
 
 // checkLens validates the operand lengths shared by every solve path.
@@ -218,19 +223,13 @@ func (t *MatVec) checkLens(x, b matrix.Vector) error {
 }
 
 // planFor resolves the compiled plan for t's pattern: the transform's own
-// cached pointer when already published, else through memo (when non-nil)
-// or the global pattern-keyed cache, publishing the result for later calls.
+// cached pointer when already published, else through memo (backed by the
+// global pattern-keyed cache), publishing the result for later calls.
 func (t *MatVec) planFor(memo *schedule.PlanMemo) (*schedule.SparseMatVec, error) {
 	if p := t.plan.Load(); p != nil {
 		return p, nil
 	}
-	var plan *schedule.SparseMatVec
-	var err error
-	if memo != nil {
-		plan, err = memo.SparseMatVecFor(t.W, t.NBar, t.MBar, t.Retained)
-	} else {
-		plan, err = schedule.SparseMatVecFor(t.W, t.NBar, t.MBar, t.Retained)
-	}
+	plan, err := memo.SparseMatVecFor(t.W, t.NBar, t.MBar, t.Retained)
 	if err != nil {
 		return nil, err
 	}
@@ -238,40 +237,30 @@ func (t *MatVec) planFor(memo *schedule.PlanMemo) (*schedule.SparseMatVec, error
 	return plan, nil
 }
 
-// solveCompiled resolves the pattern-keyed plan — through memo when
-// non-nil, the global cache otherwise — and replays it over pooled
-// scratch. With overlapped set it reports the overlapped schedule's step
+// solveCompiled is the compiled full-result solve: one PassInto on ar into
+// a fresh y. With overlapped set it reports the overlapped schedule's step
 // count and utilization; the replayed values are identical either way (the
 // overlap changes when MACs happen, never what they compute).
-func (t *MatVec) solveCompiled(memo *schedule.PlanMemo, x, b matrix.Vector, overlapped bool) (*Result, error) {
-	if err := t.checkLens(x, b); err != nil {
+func (t *MatVec) solveCompiled(ar *core.Arena, x, b matrix.Vector, overlapped bool) (*Result, error) {
+	y := matrix.NewVector(t.N)
+	if _, err := t.PassInto(ar, y, x, b, core.EngineCompiled); err != nil {
 		return nil, err
 	}
-	plan, err := t.planFor(memo)
-	if err != nil {
-		return nil, err
-	}
-	w := t.W
-	xp := schedule.GetFloatsUninit(t.MBar * w)
-	copy(*xp, x)
-	clear((*xp)[len(x):])
-	bp := schedule.GetFloatsUninit(t.NBar * w)
-	copy(*bp, b)
-	clear((*bp)[len(b):])
-	ybar := schedule.GetFloatsUninit(plan.MaxBandRows)
-	y := matrix.NewVector(t.NBar * w)
-	plan.Exec(t.Grid.Padded().Raw(), *xp, *bp, y, *ybar)
-	schedule.PutFloats(xp)
-	schedule.PutFloats(bp)
-	schedule.PutFloats(ybar)
-	res := &Result{Y: y[:t.N], T: plan.T, Q: plan.Q, Utilization: plan.Utilization()}
+	return t.result(y, overlapped), nil
+}
+
+// result wraps the y of a compiled pass with the statistics of t's plan,
+// which that pass published.
+func (t *MatVec) result(y matrix.Vector, overlapped bool) *Result {
+	plan := t.plan.Load()
+	res := &Result{Y: y, T: plan.T, Q: plan.Q, Utilization: plan.Utilization()}
 	if overlapped {
 		res.T, res.Utilization = plan.TOverlap, plan.OverlapUtilization()
 	}
 	if plan.Q > 0 {
-		res.MACs = plan.PEMACs(make([]int, w))
+		res.MACs = plan.PEMACs(make([]int, t.W))
 	}
-	return res, nil
+	return res
 }
 
 // batchB returns the v-th right-hand side of a batch, where a nil bs means
@@ -316,7 +305,20 @@ func (t *MatVec) SolveMany(xs, bs []matrix.Vector, eng core.Engine) ([]*Result, 
 	if !useCompiled {
 		return t.solveManySerial(xs, bs)
 	}
-	return t.solveManyCompiled(xs, bs)
+	ys := make([]matrix.Vector, len(xs))
+	for v := range ys {
+		ys[v] = matrix.NewVector(t.N)
+	}
+	ar := core.GetArena()
+	defer core.PutArena(ar)
+	if _, err := t.PassManyInto(ar, ys, xs, bs, core.EngineCompiled); err != nil {
+		return nil, err
+	}
+	out := make([]*Result, len(ys))
+	for v, y := range ys {
+		out[v] = t.result(y, false)
+	}
+	return out, nil
 }
 
 // solveManySerial is the oracle batch path: k independent structural
@@ -333,47 +335,6 @@ func (t *MatVec) solveManySerial(xs, bs []matrix.Vector) ([]*Result, error) {
 		}
 		out[v] = res
 	}
-	return out, nil
-}
-
-// solveManyCompiled packs the batch into strided pooled buffers and replays
-// the plan once over all k vectors.
-func (t *MatVec) solveManyCompiled(xs, bs []matrix.Vector) ([]*Result, error) {
-	if err := t.checkBatch(xs, bs); err != nil {
-		return nil, err
-	}
-	plan, err := t.planFor(nil)
-	if err != nil {
-		return nil, err
-	}
-	w, k := t.W, len(xs)
-	xw, yw := t.MBar*w, t.NBar*w
-	xp := schedule.GetFloatsUninit(k * xw)
-	bp := schedule.GetFloatsUninit(k * yw)
-	for v := range xs {
-		copy((*xp)[v*xw:], xs[v])
-		clear((*xp)[v*xw+len(xs[v]) : (v+1)*xw])
-		bv := batchB(bs, v)
-		copy((*bp)[v*yw:], bv)
-		clear((*bp)[v*yw+len(bv) : (v+1)*yw])
-	}
-	y := schedule.GetFloatsUninit(k * yw)
-	ybar := schedule.GetFloatsUninit(k * plan.MaxBandRows)
-	plan.ExecMany(t.Grid.Padded().Raw(), *xp, *bp, *y, *ybar, k)
-	out := make([]*Result, k)
-	for v := range out {
-		yv := matrix.NewVector(yw)
-		copy(yv, (*y)[v*yw:(v+1)*yw])
-		res := &Result{Y: yv[:t.N], T: plan.T, Q: plan.Q, Utilization: plan.Utilization()}
-		if plan.Q > 0 {
-			res.MACs = plan.PEMACs(make([]int, w))
-		}
-		out[v] = res
-	}
-	schedule.PutFloats(xp)
-	schedule.PutFloats(bp)
-	schedule.PutFloats(y)
-	schedule.PutFloats(ybar)
 	return out, nil
 }
 

@@ -487,3 +487,39 @@ func TestSparseKeyAllocFree(t *testing.T) {
 	}
 	_ = sink
 }
+
+// TestSparseSolveEngineAllocs pins the allocation count of the warm
+// one-shot compiled SolveEngine at the benchjson tridiagonal stencil
+// (w=4, 16 block rows): scratch comes from a pooled core arena, so only
+// the Result, its y and its per-PE MAC counts are allocated.
+func TestSparseSolveEngineAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation changes allocation behavior")
+	}
+	rng := rand.New(rand.NewSource(5))
+	w, nb := 4, 16
+	a := matrix.NewDense(nb*w, nb*w)
+	for r := 0; r < nb; r++ {
+		for s := r - 1; s <= r+1; s++ {
+			if s < 0 || s >= nb {
+				continue
+			}
+			for i := 0; i < w; i++ {
+				for j := 0; j < w; j++ {
+					a.Set(r*w+i, s*w+j, float64(rng.Intn(9)-4))
+				}
+			}
+		}
+	}
+	tr := NewMatVec(a, w)
+	x, b := matrix.RandomVector(rng, nb*w, 3), matrix.RandomVector(rng, nb*w, 3)
+	var err error
+	solve := func() { _, err = tr.SolveEngine(x, b, core.EngineCompiled) }
+	solve() // publish the plan and warm the arena pool
+	if allocs := testing.AllocsPerRun(100, solve); allocs != 3 {
+		t.Errorf("warm compiled SolveEngine allocates %v objects/op, want 3", allocs)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+}

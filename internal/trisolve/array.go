@@ -122,10 +122,11 @@ func (ar *Array) solveBandCompiled(l *matrix.Band, b matrix.Vector) *Result {
 	if n == 0 {
 		return res
 	}
-	lband := schedule.GetFloatsUninit(n * w)
-	defer schedule.PutFloats(lband)
-	dbt.PackTriBand(l, w, *lband)
-	sch.Exec(*lband, b, res.X)
+	scratch := core.GetArena()
+	defer core.PutArena(scratch)
+	lband := scratch.Floats(n * w)
+	dbt.PackTriBand(l, w, lband)
+	sch.Exec(lband, b, res.X)
 	return res
 }
 
