@@ -648,13 +648,32 @@ func BenchmarkCompiledExec(b *testing.B) {
 		bm := matrix.RandomDense(rng, 3*w, 3*w, 2)
 		// Grid-direct replay: A read in place, B staged once (outside the
 		// timed loop, like the operands of the matvec row above).
-		sch := schedule.MatMulFor(w, 3, 3, 3)
+		sch := schedule.MatMulFor(w, 3, 3, 3, 3*w)
 		bt := make([]float64, sch.BTLen())
-		sch.StageB(bt, bm)
+		sch.StageB(bt, bm, 0, 0, 3*w, 3*w)
 		c := make([]float64, sch.CLen())
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			sch.ExecGrid(am.Raw(), bt, nil, c)
+		}
+		b.ReportMetric(float64(sch.MACs), "MACs")
+	})
+	// The BlockLU tile shape: the first trailing tile of an n=128, w=8
+	// solve — A the 120×8 multiplier panel, B an 8×8 U block staged
+	// transposed, and C = E the tile's 120×8 block updated in place inside
+	// the 128-column working matrix (E/C row stride 128).
+	b.Run("matmul/w=8/nbar=15", func(b *testing.B) {
+		b.ReportAllocs()
+		rng := rand.New(rand.NewSource(24))
+		const n, w = 128, 8
+		sch := schedule.MatMulFor(w, n/w-1, 1, 1, n)
+		bt := make([]float64, sch.BTLen())
+		sch.StageB(bt, matrix.RandomDense(rng, w, w, 3), 0, 0, w, w)
+		a := matrix.RandomDense(rng, n-w, w, 3).Raw()
+		c := matrix.RandomDense(rng, n, n, 3).Raw()[w*n+w:]
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			sch.ExecGrid(a, bt, c, c)
 		}
 		b.ReportMetric(float64(sch.MACs), "MACs")
 	})

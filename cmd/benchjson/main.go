@@ -462,15 +462,33 @@ func main() {
 	// The matmul row replays the grid-direct plan (ExecGrid) over the
 	// padded A grid in place and a once-staged transposed B — what the
 	// compiled matmul path executes per pass, minus the B staging.
-	schm := schedule.MatMulFor(3, 3, 3, 3)
+	schm := schedule.MatMulFor(3, 3, 3, 3, 9)
 	btm := make([]float64, schm.BTLen())
-	schm.StageB(btm, bm)
+	schm.StageB(btm, bm, 0, 0, 9, 9)
 	cm := make([]float64, schm.CLen())
 	entries = append(entries, bench("compiled-exec/matmul/w=3/pnm=27",
 		map[string]float64{"MACs": float64(schm.MACs), "plan-bytes": float64(schm.Bytes())}, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				schm.ExecGrid(am.Raw(), btm, nil, cm)
+			}
+		}))
+	// The BlockLU tile shape: the first trailing tile of an n=128, w=8
+	// solve, ExecGrid only — the 120×8 block of the working matrix updated
+	// in place (E/C row stride 128) from the multiplier panel and a staged
+	// 8×8 U block. Its own generator leaves the other rows' data unchanged.
+	const ln, lw = 128, 8
+	lrng := rand.New(rand.NewSource(24))
+	scht := schedule.MatMulFor(lw, ln/lw-1, 1, 1, ln)
+	btt := make([]float64, scht.BTLen())
+	scht.StageB(btt, matrix.RandomDense(lrng, lw, lw, 3), 0, 0, lw, lw)
+	at := matrix.RandomDense(lrng, ln-lw, lw, 3).Raw()
+	ct := matrix.RandomDense(lrng, ln, ln, 3).Raw()[lw*ln+lw:]
+	entries = append(entries, bench("compiled-exec/matmul/w=8/nbar=15",
+		map[string]float64{"MACs": float64(scht.MACs), "plan-bytes": float64(scht.Bytes())}, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				scht.ExecGrid(at, btt, ct, ct)
 			}
 		}))
 

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sync"
 
-	"repro/internal/blockpart"
 	"repro/internal/dbt"
 	"repro/internal/matrix"
 	"repro/internal/schedule"
@@ -186,26 +185,11 @@ func (ar *Arena) matvecGrid(sch *schedule.MatVec, t dbt.Transform, x, b matrix.V
 // dst must be A.Rows()×B.Cols() and must not alias a or b; it may be e
 // itself, which makes the pass an in-place update dst += A·B. Allocation
 // behavior matches MatVecPass: zero steady-state allocations on the
-// compiled engine, bit-identical results on both. The compiled pass is a
-// grid-direct replay (schedule.MatMul.ExecGrid): A, E and dst are read and
-// written in place when their dimensions are multiples of w — padded
-// through arena scratch otherwise — and only B is staged, as one
-// transposed copy.
+// compiled engine, bit-identical results on both. It is MatMulUpdate's
+// body on whole matrices: the block at (0, 0).
 func (ar *Arena) MatMulPass(dst, a, b, e *matrix.Dense, w int, eng Engine) (int, error) {
 	if dst.Rows() != a.Rows() || dst.Cols() != b.Cols() {
 		panic(fmt.Sprintf("core: MatMulPass dst %d×%d, want %d×%d", dst.Rows(), dst.Cols(), a.Rows(), b.Cols()))
-	}
-	useCompiled, err := eng.Resolve(false)
-	if err != nil {
-		return 0, err
-	}
-	if !useCompiled {
-		res, err := NewMatMulSolver(w).Solve(a, b, MatMulOptions{E: e, Engine: EngineOracle})
-		if err != nil {
-			return 0, err
-		}
-		dst.SetRect(0, 0, res.C)
-		return res.Stats.T, nil
 	}
 	if a.Cols() != b.Rows() {
 		return 0, fmt.Errorf("core: A is %d×%d but B is %d×%d", a.Rows(), a.Cols(), b.Rows(), b.Cols())
@@ -213,7 +197,53 @@ func (ar *Arena) MatMulPass(dst, a, b, e *matrix.Dense, w int, eng Engine) (int,
 	if e != nil && (e.Rows() != a.Rows() || e.Cols() != b.Cols()) {
 		return 0, fmt.Errorf("core: E is %d×%d, want %d×%d", e.Rows(), e.Cols(), a.Rows(), b.Cols())
 	}
-	sch := ar.memo.MatMulFor(w, blockpart.Ceil(a.Rows(), w), blockpart.Ceil(a.Cols(), w), blockpart.Ceil(b.Cols(), w))
-	gridPass(sch, dst, a, b, e, ar.Floats)
-	return sch.T, nil
+	return ar.matmulPass(dst, 0, 0, a, b, 0, 0, b.Cols(), e, w, eng)
+}
+
+// MatMulUpdate updates a block of a larger matrix in place with one
+// hexagonal-array pass, D ← A·B′ + D, where D is the a.Rows()×cols block
+// of dst at (r0, c0) and B′ the a.Cols()×cols block of b at (br0, bc0),
+// and returns the pass's measured step count T. dst must not alias a or
+// b, and both blocks must lie inside their matrices. Nothing of dst
+// outside D is read or written. The compiled engine replays D and B′ where
+// they are, through a plan whose E/C row stride is dst.Cols() — A is read
+// in place and B′ staged once, transposed through its row stride — when
+// D's dimensions are multiples of w, and through zero-padded arena
+// scratch otherwise; it allocates nothing in the steady state. The oracle
+// engine copies the blocks out and D back. Results are bit-identical on
+// both engines and to MatMulPass on the copied-out blocks.
+func (ar *Arena) MatMulUpdate(dst *matrix.Dense, r0, c0 int, a, b *matrix.Dense, br0, bc0, cols, w int, eng Engine) (int, error) {
+	if r0 < 0 || c0 < 0 || br0 < 0 || bc0 < 0 || cols < 0 ||
+		r0+a.Rows() > dst.Rows() || c0+cols > dst.Cols() || br0+a.Cols() > b.Rows() || bc0+cols > b.Cols() {
+		panic(fmt.Sprintf("core: MatMulUpdate of the %d×%d block at (%d,%d) of %d×%d from the %d×%d block at (%d,%d) of %d×%d",
+			a.Rows(), cols, r0, c0, dst.Rows(), dst.Cols(), a.Cols(), cols, br0, bc0, b.Rows(), b.Cols()))
+	}
+	return ar.matmulPass(dst, r0, c0, a, b, br0, bc0, cols, dst, w, eng)
+}
+
+// matmulPass is the one body behind MatMulPass and MatMulUpdate: the
+// a.Rows()×cols block of dst at (r0, c0) becomes A·B′ + E′, where B′ is
+// the a.Cols()×cols block of b at (br0, bc0) and E′ the block of e at
+// (r0, c0) — e is nil, dst itself or a matrix of dst's shape.
+func (ar *Arena) matmulPass(dst *matrix.Dense, r0, c0 int, a, b *matrix.Dense, br0, bc0, cols int, e *matrix.Dense, w int, eng Engine) (int, error) {
+	useCompiled, err := eng.Resolve(false)
+	if err != nil {
+		return 0, err
+	}
+	if useCompiled {
+		return ar.matmulGrid(dst, r0, c0, a, b, br0, bc0, cols, e, w).T, nil
+	}
+	rows, p := a.Rows(), a.Cols()
+	if br0 != 0 || bc0 != 0 || p != b.Rows() || cols != b.Cols() {
+		b = matrix.SliceInto(ar.Dense(p, cols), b, br0, br0+p, bc0, bc0+cols)
+	}
+	if e != nil && (r0 != 0 || c0 != 0 || rows != e.Rows() || cols != e.Cols()) {
+		e = matrix.SliceInto(ar.Dense(rows, cols), e, r0, r0+rows, c0, c0+cols)
+	}
+	res, err := NewMatMulSolver(w).Solve(a, b, MatMulOptions{E: e, Engine: EngineOracle})
+	if err != nil {
+		return 0, err
+	}
+	dst.SetRect(r0, c0, res.C)
+	return res.Stats.T, nil
 }

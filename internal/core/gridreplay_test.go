@@ -107,7 +107,10 @@ func TestMatMulGridReplayBitIdentical(t *testing.T) {
 // compiler: any shape — w ∈ 1..8, n̄, p̄, m̄ ∈ 1..4, each of n, p, m ragged
 // or a block multiple per a bit of ragged, E nil or not — must replay bit
 // for bit (math.Float64bits) to the structural hexagonal oracle, with equal
-// MatMulStats.
+// MatMulStats. The in-place block form must too: Arena.MatMulUpdate on
+// both engines, with E/C embedded at a random (r0, c0) of a wider matrix
+// and B at a random (br0, bc0) of another, must produce the oracle's C in
+// the block and leave every element outside it unchanged.
 func FuzzMatMulGridReplay(f *testing.F) {
 	f.Add(int64(1), 8, 1, 1, 1, uint8(0), false) // the BlockLU tile's row block
 	f.Add(int64(2), 8, 4, 1, 1, uint8(7), true)  // ragged column of row blocks
@@ -144,6 +147,40 @@ func FuzzMatMulGridReplay(f *testing.F) {
 		}
 		if !reflect.DeepEqual(got.Stats, want.Stats) {
 			t.Fatalf("w=%d %d×%d·%d×%d: stats\ncompiled %+v\noracle   %+v", w, n, p, p, m, got.Stats, want.Stats)
+		}
+
+		r0, c0, br0, bc0 := rng.Intn(w+1), rng.Intn(w+1), rng.Intn(w+1), rng.Intn(w+1)
+		wide := randomFloats(rng, r0+n+rng.Intn(w+1), c0+m+rng.Intn(w+1))
+		if e != nil {
+			wide.SetRect(r0, c0, e)
+		} else {
+			wide.SetRect(r0, c0, matrix.NewDense(n, m))
+		}
+		bWide := randomFloats(rng, br0+p+rng.Intn(w+1), bc0+m+rng.Intn(w+1))
+		bWide.SetRect(br0, bc0, b)
+		ar := GetArena()
+		defer PutArena(ar)
+		for _, eng := range []Engine{EngineCompiled, EngineOracle} {
+			dst := wide.Clone()
+			steps, err := ar.MatMulUpdate(dst, r0, c0, a, bWide, br0, bc0, m, w, eng)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if steps != want.Stats.T {
+				t.Fatalf("w=%d %d×%d·%d×%d %v: MatMulUpdate T=%d, oracle %d", w, n, p, p, m, eng, steps, want.Stats.T)
+			}
+			for i := 0; i < dst.Rows(); i++ {
+				for j := 0; j < dst.Cols(); j++ {
+					ref := wide.At(i, j)
+					if i >= r0 && i < r0+n && j >= c0 && j < c0+m {
+						ref = want.C.At(i-r0, j-c0)
+					}
+					if math.Float64bits(dst.At(i, j)) != math.Float64bits(ref) {
+						t.Fatalf("w=%d %d×%d·%d×%d E=%v %v: MatMulUpdate at (%d,%d) of %d×%d, B at (%d,%d): [%d][%d] = %v, want %v",
+							w, n, p, p, m, withE, eng, r0, c0, dst.Rows(), dst.Cols(), br0, bc0, i, j, dst.At(i, j), ref)
+					}
+				}
+			}
 		}
 	})
 }

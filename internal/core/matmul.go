@@ -119,9 +119,8 @@ func (s *MatMulSolver) solveCompiled(a, b *matrix.Dense, opts MatMulOptions) (*M
 	w := s.w
 	ar := GetArena()
 	defer PutArena(ar)
-	sch := ar.Plans().MatMulFor(w, blockpart.Ceil(a.Rows(), w), blockpart.Ceil(a.Cols(), w), blockpart.Ceil(b.Cols(), w))
 	cFinal := matrix.NewDense(a.Rows(), b.Cols())
-	gridPass(sch, cFinal, a, b, opts.E, ar.Floats)
+	sch := ar.matmulGrid(cFinal, 0, 0, a, b, 0, 0, b.Cols(), opts.E, w)
 
 	regular, irregular := sch.CopyDelays()
 	stats := MatMulStats{
@@ -137,56 +136,63 @@ func (s *MatMulSolver) solveCompiled(a, b *matrix.Dense, opts MatMulOptions) (*M
 	return &MatMulResult{C: cFinal, Stats: stats}, nil
 }
 
-// gridPass runs one compiled grid-direct pass dst = A·B + E (e may be nil,
-// or dst itself) through sch, drawing scratch from take (an arena's
-// Floats). Operands already on the block grid are read and written in
-// place; ragged ones go through zero-padded scratch copies. B is always
-// staged, transposed.
-func gridPass(sch *schedule.MatMul, dst, a, b, e *matrix.Dense, take func(n int) []float64) {
-	w := sch.W
-	rows, cols := sch.NBar*w, sch.MBar*w
-	grid := func(m *matrix.Dense, rows, cols int) []float64 {
-		if m.Rows() == rows && m.Cols() == cols {
-			return m.Raw()
-		}
-		return padGrid(take(rows*cols), m, cols)
+// matmulGrid is the compiled body of every matmul pass: one grid-direct
+// replay that makes the a.Rows()×cols block of dst at (r0, c0) A·B′ + E′,
+// where B′ is the a.Cols()×cols block of b at (br0, bc0) and E′ the block
+// of e at (r0, c0) (e nil, dst itself or a matrix of dst's shape). It
+// returns the plan it replayed. When the block's dimensions are multiples
+// of w, E′ and the block are read and written in place through the plan
+// whose E/C row stride is dst.Cols(); otherwise E′ is zero-padded into
+// arena scratch, replayed in place there and the block copied back. A is
+// read in place when it is on the block grid, padded otherwise, and B′ is
+// staged once, transposed through b's row stride.
+func (ar *Arena) matmulGrid(dst *matrix.Dense, r0, c0 int, a, b *matrix.Dense, br0, bc0, cols int, e *matrix.Dense, w int) *schedule.MatMul {
+	rows, p := a.Rows(), a.Cols()
+	nbar, pbar, mbar := blockpart.Ceil(rows, w), blockpart.Ceil(p, w), blockpart.Ceil(cols, w)
+	ragged := rows != nbar*w || cols != mbar*w
+	ldc := dst.Cols()
+	if ragged {
+		ldc = mbar * w
 	}
-	bt := take(sch.BTLen())
-	sch.StageB(bt, b)
+	sch := ar.memo.MatMulFor(w, nbar, pbar, mbar, ldc)
+	bt := ar.Floats(sch.BTLen())
+	sch.StageB(bt, b, br0, bc0, p, cols)
+	ap := a.Raw()
+	if rows != nbar*w || p != pbar*w {
+		ap = padGrid(ar.Floats(sch.ALen()), a, 0, 0, rows, p, pbar*w)
+	}
+	if !ragged {
+		off := r0*ldc + c0
+		var ep []float64
+		if e != nil {
+			ep = e.Raw()[off:]
+		}
+		sch.ExecGrid(ap, bt, ep, dst.Raw()[off:])
+		return sch
+	}
+	c := ar.Floats(sch.CLen())
 	var ep []float64
 	if e != nil {
-		ep = grid(e, rows, cols)
+		ep = padGrid(c, e, r0, c0, rows, cols, ldc)
 	}
-	c := dst.Raw()
-	ragged := dst.Rows() != rows || dst.Cols() != cols
-	if ragged {
-		c = take(sch.CLen())
+	sch.ExecGrid(ap, bt, ep, c)
+	for i := 0; i < rows; i++ {
+		copy(dst.RawRow(r0 + i)[c0:c0+cols], c[i*ldc:])
 	}
-	sch.ExecGrid(grid(a, rows, sch.PBar*w), bt, ep, c)
-	if ragged {
-		unpadGrid(dst, c, cols)
-	}
+	return sch
 }
 
-// padGrid writes m zero-padded into dst, a row-major grid of the given
-// column count (len(dst) a multiple of cols, at least m's extent), and
-// returns dst.
-func padGrid(dst []float64, m *matrix.Dense, cols int) []float64 {
-	for i := 0; i < m.Rows(); i++ {
-		row := dst[i*cols : (i+1)*cols]
-		copy(row, m.RawRow(i))
-		clear(row[m.Cols():])
+// padGrid writes the rows×cols block of m at (r0, c0) zero-padded into dst,
+// a row-major grid of ld columns (len(dst) a multiple of ld, at least the
+// block's extent), and returns dst.
+func padGrid(dst []float64, m *matrix.Dense, r0, c0, rows, cols, ld int) []float64 {
+	for i := 0; i < rows; i++ {
+		row := dst[i*ld : (i+1)*ld]
+		copy(row, m.RawRow(r0 + i)[c0:c0+cols])
+		clear(row[cols:])
 	}
-	clear(dst[m.Rows()*cols:])
+	clear(dst[rows*ld:])
 	return dst
-}
-
-// unpadGrid copies the leading dst.Rows()×dst.Cols() block of the
-// row-major grid src (cols columns) into dst.
-func unpadGrid(dst *matrix.Dense, src []float64, cols int) {
-	for i := 0; i < dst.Rows(); i++ {
-		copy(dst.RawRow(i), src[i*cols:])
-	}
 }
 
 // SolveMany runs up to three independent C_i = A_i·B_i problems overlapped

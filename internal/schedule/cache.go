@@ -13,6 +13,7 @@ type matvecKey struct {
 
 type matmulKey struct {
 	w, nbar, pbar, mbar int
+	ldc                 int // row stride of E and C
 }
 
 type trisolveKey struct {
@@ -105,12 +106,14 @@ func MatVecFor(t dbt.Transform, overlap bool) (*MatVec, error) {
 }
 
 // MatMulFor returns the compiled schedule for the block shape
-// (w, n̄, p̄, m̄) — A n̄w × p̄w, B p̄w × m̄w after padding — reusing a cached
-// schedule when possible.
-func MatMulFor(w, nbar, pbar, mbar int) *MatMul {
-	key := matmulKey{w: w, nbar: nbar, pbar: pbar, mbar: mbar}
+// (w, n̄, p̄, m̄) — A n̄w × p̄w, B p̄w × m̄w after padding — with E and C
+// rows ldc ≥ m̄w apart, reusing a cached schedule when possible. ldc = m̄w
+// is the plan of a standalone padded C; a wider ldc updates a block of a
+// larger matrix in place.
+func MatMulFor(w, nbar, pbar, mbar, ldc int) *MatMul {
+	key := matmulKey{w: w, nbar: nbar, pbar: pbar, mbar: mbar, ldc: ldc}
 	s, _ := matmulCache.get(key, func() (*MatMul, error) {
-		return compileMatMul(dbt.NewMatMulShape(w, nbar, pbar, mbar)), nil
+		return compileMatMul(dbt.NewMatMulShape(w, nbar, pbar, mbar), ldc), nil
 	})
 	return s
 }

@@ -135,7 +135,7 @@ func TestPlanMemoSharesPlans(t *testing.T) {
 	if pm.TriSolveFor(7, 3) != pm.TriSolveFor(7, 3) {
 		t.Error("trisolve memo failed to hit on a repeated shape")
 	}
-	if pm.MatMulFor(2, 2, 2, 2) != pm.MatMulFor(2, 2, 2, 2) {
+	if pm.MatMulFor(2, 2, 2, 2, 4) != pm.MatMulFor(2, 2, 2, 2, 4) {
 		t.Error("matmul memo failed to hit on a repeated shape")
 	}
 }

@@ -29,13 +29,21 @@ import "os"
 // interleave *independent* rows (the quad layouts below) because rows only
 // depend on outputs at feedback distance ≥ w, which block boundaries
 // respect. The matmul plan interleaves four
-// flattened C-element chains (dotRun4), which are independent by
-// construction.
+// flattened C-element chains (dotRun4, or a rotation body), which are
+// independent by construction.
 //
-// To add a width specialization: write the unrolled grid kernels (single
-// and two-vector), add a kern constant, extend kernelFor, and extend the
-// pinning tests in kernel_test.go that prove the new kernels bit-identical
-// to the generic ones on randomized data.
+// To add a width specialization:
+//
+//  1. write the unrolled grid kernels (single and two-vector), add a kern
+//     constant and extend kernelFor;
+//  2. for the matmul plan, add the width to genrot.go's list, run
+//     go generate ./internal/schedule and extend rotKernelFor with the new
+//     rotKernels table;
+//  3. extend the pinning tests in kernel_test.go that prove the new kernels
+//     bit-identical to the generic ones on randomized data, and the
+//     rotation census test's width list.
+
+//go:generate go run genrot.go
 
 // Run is one contiguous-run descriptor of a compiled gather: Len
 // coefficients starting at ABase in the flat operand matrix, paired with Len
@@ -55,6 +63,35 @@ const (
 	kernW4                  // unrolled straight-line kernels for w = 4
 	kernW8                  // unrolled straight-line kernels for w = 8
 )
+
+// rotKernel is the pair of straight-line bodies that replay a rotation
+// group of the matmul plan (compileMatMul marks them). Every op of such a
+// group is its E element plus one w-term dot product of the padded-A row
+// at a₀−r and the transposed-B row at b₀−r, in κ order (r+t) mod w, where
+// the rotation r is the group's second-run length n₁. The bodies are
+// generated (genrot.go, kernel_rot.go), one per (w, r): constant indices,
+// four interleaved chains, every term a separate statement in κ order.
+type rotKernel struct {
+	// stripe replays a stripe whose B step is 0, B-stationary: it loads
+	// the stripe's w B̂ values into locals once, then streams its quads of
+	// A rows past them.
+	stripe func(a, bt, e, c []float64, st *matmulStripe)
+	// loose replays the whole quads of ops, loading each op's B̂ row; the
+	// caller replays the len(ops) mod 4 left over.
+	loose func(a, bt, e, c []float64, ops []matmulOp)
+}
+
+// rotKernelFor returns the rotation bodies of width w and rotation r, or
+// nil when w has none.
+func rotKernelFor(w, r int) *rotKernel {
+	switch w {
+	case 4:
+		return &rotKernels4[r]
+	case 8:
+		return &rotKernels8[r]
+	}
+	return nil
+}
 
 // genericKernelsOnly pins every plan to the generic kernels (CI's
 // kernel-generic job sets it so the fallback path cannot rot). Read once at

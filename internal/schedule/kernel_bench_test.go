@@ -111,7 +111,7 @@ func BenchmarkReplayKernels(b *testing.B) {
 // headers plus a bucket chain per distinct delay.
 func BenchmarkMatMulCopyDelays(b *testing.B) {
 	b.ReportAllocs()
-	sch := MatMulFor(3, 3, 3, 3)
+	sch := MatMulFor(3, 3, 3, 3, 9)
 	for i := 0; i < b.N; i++ {
 		reg, irr := sch.CopyDelays()
 		if len(reg) == 0 && len(irr) == 0 {

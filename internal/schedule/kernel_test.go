@@ -3,6 +3,7 @@ package schedule
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/dbt"
@@ -187,49 +188,155 @@ func TestMatVecPlanKernelsPinned(t *testing.T) {
 	}
 }
 
-// TestMatMulPlanKernelsPinned: the four-chain stripe replay is
-// bit-identical to the one-chain loop over the same plan, in place (c = e)
-// and not; stripes hold whole quads, and a tall single-column shape puts
+// TestMatMulPlanKernelsPinned: every replay path of the matmul plan — the
+// rotation bodies, the dotRun4 quads and the one-chain loop — is
+// bit-identical to the one-chain loop of the ldc = m̄w plan, in place
+// (c = e) and not, and with E and C rows ldc > m̄w apart, where the gap
+// columns between the block's rows (NaN sentinels) must come back
+// untouched. Stripes hold whole quads, and a tall single-column shape puts
 // most of its ops in them.
 func TestMatMulPlanKernelsPinned(t *testing.T) {
 	rng := rand.New(rand.NewSource(96))
+	sentinel := math.Float64frombits(0x7ff8_0000_dead_beef)
 	for _, w := range []int{2, 4, 5, 8} {
 		for _, bars := range [][3]int{{1, 1, 1}, {6, 1, 1}, {3, 2, 2}, {2, 3, 3}} {
-			s := compileMatMul(dbt.NewMatMulShape(w, bars[0], bars[1], bars[2]))
-			a, bt, e := randFloats(rng, s.ALen()), randFloats(rng, s.BTLen()), randFloats(rng, s.CLen())
-			run := func(quad bool, inPlace bool) []float64 {
-				saved := s.quad
-				s.quad = quad
-				defer func() { s.quad = saved }()
-				c := make([]float64, s.CLen())
-				ein := e
-				if inPlace {
-					copy(c, e)
-					ein = c
+			shape := dbt.NewMatMulShape(w, bars[0], bars[1], bars[2])
+			rows, mw := bars[0]*w, bars[2]*w
+			base := compileMatMul(shape, mw)
+			a, bt, eBlock := randFloats(rng, base.ALen()), randFloats(rng, base.BTLen()), randFloats(rng, base.CLen())
+			want := make([]float64, base.CLen())
+			one := *base
+			one.quad = false
+			one.ExecGrid(a, bt, eBlock, want)
+			for _, ldc := range []int{mw, mw + 3} {
+				s := compileMatMul(shape, ldc)
+				e := make([]float64, s.CLen())
+				for i := range e {
+					e[i] = sentinel
 				}
-				s.ExecGrid(a, bt, ein, c)
-				return c
-			}
-			want := run(false, false)
-			for _, inPlace := range []bool{false, true} {
-				for _, quad := range []bool{false, true} {
-					got := run(quad, inPlace)
-					for i := range want {
-						if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
-							t.Fatalf("w=%d bars=%v quad=%v inPlace=%v: C[%d] = %v, one-chain %v", w, bars, quad, inPlace, i, got[i], want[i])
+				for i := 0; i < rows; i++ {
+					copy(e[i*ldc:i*ldc+mw], eBlock[i*mw:])
+				}
+				for _, mode := range []string{"one-chain", "dotRun4", "plan"} {
+					p := *s
+					switch mode {
+					case "one-chain":
+						p.quad = false
+					case "dotRun4":
+						p.groups = slices.Clone(s.groups)
+						for i := range p.groups {
+							p.groups[i].rot = nil
+						}
+					}
+					for _, inPlace := range []bool{false, true} {
+						c := make([]float64, s.CLen())
+						for i := range c {
+							c[i] = sentinel
+						}
+						ein := e
+						if inPlace {
+							copy(c, e)
+							ein = c
+						}
+						p.ExecGrid(a, bt, ein, c)
+						for i, v := range c {
+							r, j := i/ldc, i%ldc
+							ref := sentinel
+							if j < mw {
+								ref = want[r*mw+j]
+							}
+							if math.Float64bits(v) != math.Float64bits(ref) {
+								t.Fatalf("w=%d bars=%v ldc=%d %s inPlace=%v: C[%d][%d] = %v, want %v", w, bars, ldc, mode, inPlace, r, j, v, ref)
+							}
 						}
 					}
 				}
 			}
 			striped := 0
-			for _, st := range s.stripes {
+			for _, st := range base.stripes {
 				if st.count%4 != 0 {
 					t.Fatalf("w=%d bars=%v: stripe of %d ops, want whole quads", w, bars, st.count)
 				}
 				striped += int(st.count)
 			}
-			if bars == [3]int{6, 1, 1} && striped < 2*len(s.loose) {
-				t.Errorf("w=%d bars=%v: %d striped ops, %d loose — want most ops striped", w, bars, striped, len(s.loose))
+			if bars == [3]int{6, 1, 1} && striped < 2*len(base.loose) {
+				t.Errorf("w=%d bars=%v: %d striped ops, %d loose — want most ops striped", w, bars, striped, len(base.loose))
+			}
+		}
+	}
+}
+
+// TestRotationKernelsPinned: every generated (w, rotation) body, in its
+// B-stationary stripe form and its loose-quad form, is bit-identical to
+// replayOne on each of its ops, with E and without.
+func TestRotationKernelsPinned(t *testing.T) {
+	rng := rand.New(rand.NewSource(97))
+	for _, w := range []int{4, 8} {
+		for r := 0; r < w; r++ {
+			k := rotKernelFor(w, r)
+			n0, n1 := w-r, r
+			a, bt, e := randFloats(rng, 40*w), randFloats(rng, 8*w), randFloats(rng, 64)
+			// op returns the rotation-r op storing out whose rows start at
+			// padded-A offset ab and transposed-B offset bb.
+			op := func(out, ab, bb int) matmulOp {
+				o := matmulOp{out: int32(out), init: int32(out), a0: int32(ab + r), b0: int32(bb + r)}
+				if r > 0 {
+					o.a1, o.b1 = int32(ab), int32(bb)
+				}
+				return o
+			}
+			st := matmulStripe{op: op(3, 5, 2*w+1), step: op(7, 4*w+1, 0).minus(op(0, 0, 0)), count: 8}
+			var stripeOps, looseOps []matmulOp
+			for j, o := int32(0), st.op; j < st.count; j, o = j+1, o.plus(st.step) {
+				stripeOps = append(stripeOps, o)
+			}
+			for j := 0; j < 8; j++ {
+				looseOps = append(looseOps, op(1+7*j, rng.Intn(len(a)-w+1), rng.Intn(len(bt)-w+1)))
+			}
+			for _, ein := range [][]float64{e, nil} {
+				for _, form := range []string{"stripe", "loose"} {
+					got, want := make([]float64, 64), make([]float64, 64)
+					ops := looseOps
+					if form == "stripe" {
+						ops = stripeOps
+						k.stripe(a, bt, ein, got, &st)
+					} else {
+						k.loose(a, bt, ein, got, looseOps)
+					}
+					for _, o := range ops {
+						replayOne(int(o.out), int(o.init), int(o.a0), int(o.b0), int(o.a1), int(o.b1), n0, n1, a, bt, ein, want)
+					}
+					for i := range want {
+						if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+							t.Fatalf("w=%d r=%d %s E=%v: C[%d] = %v, replayOne %v", w, r, form, ein != nil, i, got[i], want[i])
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestMatMulRotationCensus: at the BlockLU tile shapes (p̄ = m̄ = 1; w = 8
+// with n̄ = 1..15, w = 4 with n̄ = 1..7), at the plan's own ldc and at a
+// wider one, every op sits in a rotation group and every stripe is
+// B-stationary, so a compiler change that sends these ops back to dotRun4
+// fails here.
+func TestMatMulRotationCensus(t *testing.T) {
+	for _, c := range []struct{ w, maxNbar int }{{8, 15}, {4, 7}} {
+		for nbar := 1; nbar <= c.maxNbar; nbar++ {
+			for _, ldc := range []int{c.w, 16 * c.w} {
+				s := compileMatMul(dbt.NewMatMulShape(c.w, nbar, 1, 1), ldc)
+				s.eachOp(func(g *matmulGroup, op matmulOp) {
+					if g.rot == nil {
+						t.Fatalf("w=%d n̄=%d ldc=%d: op %+v of group n=%v is not in a rotation group", c.w, nbar, ldc, op, g.n)
+					}
+				})
+				for _, st := range s.stripes {
+					if st.step.b0 != 0 || st.step.b1 != 0 {
+						t.Fatalf("w=%d n̄=%d ldc=%d: rotation stripe with B step %+v", c.w, nbar, ldc, st.step)
+					}
+				}
 			}
 		}
 	}

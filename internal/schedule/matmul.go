@@ -94,14 +94,18 @@ type matmulStripe struct {
 	count    int32
 }
 
-// matmulGroup is a set of ops that share both run lengths (n[1] may be 0), so ExecGrid replays a group with loop-invariant trip
-// counts, several chains at a time. Its ops are the stripes [lo, hi), each
-// a whole number of quads, and the loose ops [looseLo, looseHi) that no
-// stripe of four or more covers.
+// matmulGroup is a set of ops that share both run lengths (n[1] may be 0),
+// so ExecGrid replays a group with loop-invariant trip counts, several
+// chains at a time. Its ops are the stripes [lo, hi), each a whole number
+// of quads, and the loose ops [looseLo, looseHi) that no stripe of four or
+// more covers. rot is non-nil on a rotation group: every op is one w-term
+// cyclic dot product (see rotKernel), every stripe has B step 0, and the
+// group replays on rot's bodies.
 type matmulGroup struct {
 	lo, hi           int32
 	looseLo, looseHi int32
 	n                [2]int32
+	rot              *rotKernel
 }
 
 // opRuns is an accumulation's operand runs under construction: at most two
@@ -139,6 +143,9 @@ type MatMul struct {
 	// matrix dimension.
 	W, NBar, PBar, MBar int
 	Dim                 int
+	// Ldc is the row stride of E and C (≥ m̄w): a plan with Ldc > m̄w
+	// reads and writes an n̄w × m̄w block of a wider matrix in place.
+	Ldc int
 
 	// T is the step count the array would measure; MACs the total PE
 	// operation count (the oracle's Activity total).
@@ -157,9 +164,10 @@ type MatMul struct {
 	quad bool
 }
 
-// compileMatMul builds the schedule for the shape of t. Only shape methods
-// of t are consulted (PieceAt, InitFor, CSource, PieceColOffset, AHatRow,
-// BHatCol) — never data, so a dbt.NewMatMulShape transform suffices.
+// compileMatMul builds the schedule for the shape of t, with E and C rows
+// ldc apart. Only shape methods of t are consulted (PieceAt, InitFor,
+// CSource, PieceColOffset, AHatRow, BHatCol) — never data, so a
+// dbt.NewMatMulShape transform suffices.
 //
 // The band walk: every product-band position (ρ, γ) is compiled as the
 // array runs it — its κ range, its init (E, zero or the spiral feedback of
@@ -191,21 +199,32 @@ type MatMul struct {
 // then row block, so the descriptors compress into stripes. Stripes keep
 // their whole quads; the ops left over stay as loose per-op descriptors,
 // which the replay also takes four at a time, across stripes.
-func compileMatMul(t *dbt.MatMul) *MatMul {
+//
+// Rotation groups: at p̄ = 1 a chain is one w-term dot product of a padded-A
+// row and a transposed-B row, entered at κ offset r = n₁ and wrapped — so
+// n₀ + n₁ = w, a₀ = a₁ + n₁ and b₀ = b₁ + n₁. A group whose every op
+// satisfies that identity, at a width with generated bodies, is marked
+// with its rotation's bodies (rotKernelFor); its stripes with a nonzero B
+// step become loose ops, so every stripe it keeps is B-stationary.
+func compileMatMul(t *dbt.MatMul, ldc int) *MatMul {
 	w := t.W
 	dim := t.Dim()
 	band := 2*w - 1
+	if ldc < t.MBar*w {
+		panic(fmt.Sprintf("schedule: matmul ldc %d below m̄w = %d", ldc, t.MBar*w))
+	}
 	s := &MatMul{
 		W: w, NBar: t.NBar, PBar: t.PBar, MBar: t.MBar,
 		Dim:  dim,
+		Ldc:  ldc,
 		T:    3*(dim-1) + w + 1,
 		quad: !genericKernelsOnly,
 	}
 	slots := dim * band // one per product-band position
 	if int64(max(slots, s.ALen(), s.BTLen(), s.CLen())) > math.MaxInt32 {
-		panic(fmt.Sprintf("schedule: matmul shape w=%d n̄=%d p̄=%d m̄=%d exceeds the plan's index range", w, t.NBar, t.PBar, t.MBar))
+		panic(fmt.Sprintf("schedule: matmul shape w=%d n̄=%d p̄=%d m̄=%d ldc=%d exceeds the plan's index range", w, t.NBar, t.PBar, t.MBar, ldc))
 	}
-	sA, sC := t.PBar*w, t.MBar*w // row strides: padded A and transposed B; padded E and C
+	sA, sC := t.PBar*w, ldc // row strides: padded A and transposed B; E and C
 
 	// final[slot] is the padded-C offset of the C element whose last
 	// accumulation happens at band slot `slot`, or −1.
@@ -387,16 +406,21 @@ func compileMatMul(t *dbt.MatMul) *MatMul {
 		s.groups[len(s.groups)-1].hi = int32(len(s.stripes))
 		last = p.op
 	}
-	// Keep whole quads in the stripes; the ops left over, and the short
+	// Mark the rotation groups. Keep whole quads in the stripes (B-stationary
+	// ones only in a rotation group); the ops left over, and the short
 	// stripes, become loose ops replayed four at a time across stripes.
 	stripes := s.stripes
 	s.stripes = nil
 	for gi := range s.groups {
 		g := &s.groups[gi]
 		lo, hi := g.lo, g.hi
+		g.rot = rotationOf(w, g.n, stripes[lo:hi])
 		g.lo, g.looseLo = int32(len(s.stripes)), int32(len(s.loose))
 		for _, st := range stripes[lo:hi] {
 			quads := st.count / 4 * 4
+			if g.rot != nil && st.step.b0 != 0 {
+				quads = 0
+			}
 			if quads > 0 {
 				s.stripes = append(s.stripes, matmulStripe{op: st.op, step: st.step, count: quads})
 			}
@@ -431,6 +455,24 @@ func compileMatMul(t *dbt.MatMul) *MatMul {
 	return s
 }
 
+// rotationOf returns the rotation bodies of a group with run lengths n
+// whose ops are the stripes sts, or nil unless every op is one w-term
+// cyclic dot product (see compileMatMul) at a width with generated bodies.
+func rotationOf(w int, n [2]int32, sts []matmulStripe) *rotKernel {
+	r := n[1]
+	if int(n[0]+r) != w {
+		return nil
+	}
+	for _, st := range sts {
+		for j, op := int32(0), st.op; j < st.count; j, op = j+1, op.plus(st.step) {
+			if r != 0 && (op.a1 != op.a0-r || op.b1 != op.b0-r) {
+				return nil
+			}
+		}
+	}
+	return rotKernelFor(w, int(r))
+}
+
 // eachOp calls f on every op of the plan with its group, in replay order.
 func (s *MatMul) eachOp(f func(g *matmulGroup, op matmulOp)) {
 	for gi := range s.groups {
@@ -452,23 +494,26 @@ func (s *MatMul) ALen() int { return s.NBar * s.W * s.PBar * s.W }
 // BTLen returns the length of the transposed padded B grid (m̄w × p̄w).
 func (s *MatMul) BTLen() int { return s.MBar * s.W * s.PBar * s.W }
 
-// CLen returns the length of the padded E and C grids (n̄w × m̄w).
-func (s *MatMul) CLen() int { return s.NBar * s.W * s.MBar * s.W }
+// CLen returns the extent of the E and C buffers ExecGrid addresses: n̄w
+// rows of m̄w elements, Ldc apart — n̄w × m̄w when Ldc = m̄w.
+func (s *MatMul) CLen() int { return (s.NBar*s.W-1)*s.Ldc + s.MBar*s.W }
 
 // StageB writes the transposed padded B grid ExecGrid reads into bt
-// (len ≥ BTLen()): bt[j·p̄w + i] = B[i][j], zero in the padding. b must be
-// at most p̄w × m̄w.
-func (s *MatMul) StageB(bt []float64, b *matrix.Dense) {
+// (len ≥ BTLen()) from the rows×cols block of b at (r0, c0), read through
+// b's row stride: bt[j·p̄w + i] = b[r0+i][c0+j], zero in the padding. The
+// block must be at most p̄w × m̄w and lie inside b.
+func (s *MatMul) StageB(bt []float64, b *matrix.Dense, r0, c0, rows, cols int) {
 	sB := s.PBar * s.W
-	if b.Rows() > sB || b.Cols() > s.MBar*s.W || len(bt) < s.BTLen() {
-		panic(fmt.Sprintf("schedule: StageB of %d×%d into %d for p̄w=%d m̄w=%d", b.Rows(), b.Cols(), len(bt), sB, s.MBar*s.W))
+	if rows > sB || cols > s.MBar*s.W || len(bt) < s.BTLen() || r0 < 0 || c0 < 0 || r0+rows > b.Rows() || c0+cols > b.Cols() {
+		panic(fmt.Sprintf("schedule: StageB of the %d×%d block at (%d,%d) of %d×%d into %d for p̄w=%d m̄w=%d",
+			rows, cols, r0, c0, b.Rows(), b.Cols(), len(bt), sB, s.MBar*s.W))
 	}
 	bt = bt[:s.BTLen()]
-	if b.Rows() != sB || b.Cols() != s.MBar*s.W {
+	if rows != sB || cols != s.MBar*s.W {
 		clear(bt)
 	}
-	for i := 0; i < b.Rows(); i++ {
-		for j, v := range b.RawRow(i) {
+	for i := 0; i < rows; i++ {
+		for j, v := range b.RawRow(r0 + i)[c0 : c0+cols] {
 			bt[j*sB+i] = v
 		}
 	}
@@ -476,69 +521,92 @@ func (s *MatMul) StageB(bt []float64, b *matrix.Dense) {
 
 // ExecGrid runs the compiled schedule over one problem's padded operands:
 // a the padded A grid (row-major n̄w × p̄w, len ≥ ALen), bt the transposed
-// padded B grid (StageB, len ≥ BTLen), e the padded E (row-major n̄w × m̄w,
-// len ≥ CLen; nil means E = 0) and c the padded C (row-major n̄w × m̄w,
-// len ≥ CLen), every element of which is overwritten. c may alias e: each E
+// padded B grid (StageB, len ≥ BTLen), e the padded E and c the padded C
+// (n̄w rows of m̄w elements, Ldc apart, len ≥ CLen; nil e means E = 0).
+// Every element of C's n̄w × m̄w block is overwritten and nothing between
+// its rows is touched, so with Ldc > m̄w, e and c may start inside a wider
+// matrix and the pass updates that block in place. c may alias e: each E
 // element is read once, by the chain that ends in the same C element.
 // ExecGrid needs no scratch and performs no allocation; each C element's
 // flattened chain accumulates its terms in increasing κ (cycle) order, from
 // the same initialization the array would inject and with the running sum
 // in a register where the array feeds it back, so results are bit-identical
-// to the structural simulator.
+// to the structural simulator. Rotation groups replay on their generated
+// bodies (stripes B-stationary), the other groups four chains at a time
+// through dotRun4, and everything on the one-chain loop under
+// REPRO_GENERIC_KERNELS.
 func (s *MatMul) ExecGrid(a, bt, e, c []float64) {
 	if len(a) < s.ALen() || len(bt) < s.BTLen() || (e != nil && len(e) < s.CLen()) || len(c) < s.CLen() {
-		panic(fmt.Sprintf("schedule: ExecGrid buffer sizes a=%d bt=%d e=%d c=%d for dim=%d w=%d n̄=%d p̄=%d m̄=%d",
-			len(a), len(bt), len(e), len(c), s.Dim, s.W, s.NBar, s.PBar, s.MBar))
+		panic(fmt.Sprintf("schedule: ExecGrid buffer sizes a=%d bt=%d e=%d c=%d for dim=%d w=%d n̄=%d p̄=%d m̄=%d ldc=%d",
+			len(a), len(bt), len(e), len(c), s.Dim, s.W, s.NBar, s.PBar, s.MBar, s.Ldc))
 	}
-	for _, g := range s.groups {
+	for gi := range s.groups {
+		g := &s.groups[gi]
 		n0, n1 := int(g.n[0]), int(g.n[1])
-		for i := g.lo; i < g.hi; i++ {
-			// One stripe of whole quads: its ops' offsets advance in
-			// registers.
-			st := &s.stripes[i]
-			out, init := int(st.op.out), int(st.op.init)
-			a0, b0, a1, b1 := int(st.op.a0), int(st.op.b0), int(st.op.a1), int(st.op.b1)
-			dOut, dInit := int(st.step.out), int(st.step.init)
-			da0, db0, da1, db1 := int(st.step.a0), int(st.step.b0), int(st.step.a1), int(st.step.b1)
-			for count := int(st.count); count > 0; count -= 4 {
-				if !s.quad {
-					for j := 0; j < 4; j++ {
-						replayOne(out+j*dOut, init+j*dInit, a0+j*da0, b0+j*db0, a1+j*da1, b1+j*db1, n0, n1, a, bt, e, c)
-					}
-				} else {
-					var v0, v1, v2, v3 float64
-					if e != nil {
-						v0, v1, v2, v3 = e[init], e[init+dInit], e[init+2*dInit], e[init+3*dInit]
-					}
-					v0, v1, v2, v3 = dotRun4(v0, v1, v2, v3, a, bt, n0, a0, a0+da0, a0+2*da0, a0+3*da0, b0, b0+db0, b0+2*db0, b0+3*db0)
-					if n1 != 0 {
-						v0, v1, v2, v3 = dotRun4(v0, v1, v2, v3, a, bt, n1, a1, a1+da1, a1+2*da1, a1+3*da1, b1, b1+db1, b1+2*db1, b1+3*db1)
-					}
-					c[out], c[out+dOut], c[out+2*dOut], c[out+3*dOut] = v0, v1, v2, v3
-				}
-				out, init = out+4*dOut, init+4*dInit
-				a0, b0, a1, b1 = a0+4*da0, b0+4*db0, a1+4*da1, b1+4*db1
-			}
-		}
 		ops := s.loose[g.looseLo:g.looseHi]
-		for ; s.quad && len(ops) >= 4; ops = ops[4:] {
-			p := ops[:4:4]
-			var v0, v1, v2, v3 float64
-			if e != nil {
-				v0, v1, v2, v3 = e[p[0].init], e[p[1].init], e[p[2].init], e[p[3].init]
+		if s.quad && g.rot != nil {
+			for i := g.lo; i < g.hi; i++ {
+				g.rot.stripe(a, bt, e, c, &s.stripes[i])
 			}
-			v0, v1, v2, v3 = dotRun4(v0, v1, v2, v3, a, bt, n0,
-				int(p[0].a0), int(p[1].a0), int(p[2].a0), int(p[3].a0), int(p[0].b0), int(p[1].b0), int(p[2].b0), int(p[3].b0))
-			if n1 != 0 {
-				v0, v1, v2, v3 = dotRun4(v0, v1, v2, v3, a, bt, n1,
-					int(p[0].a1), int(p[1].a1), int(p[2].a1), int(p[3].a1), int(p[0].b1), int(p[1].b1), int(p[2].b1), int(p[3].b1))
-			}
-			c[p[0].out], c[p[1].out], c[p[2].out], c[p[3].out] = v0, v1, v2, v3
+			g.rot.loose(a, bt, e, c, ops)
+			ops = ops[len(ops)&^3:]
+		} else {
+			ops = s.execDot(g, ops, a, bt, e, c)
 		}
 		for _, op := range ops {
 			replayOne(int(op.out), int(op.init), int(op.a0), int(op.b0), int(op.a1), int(op.b1), n0, n1, a, bt, e, c)
 		}
 	}
+}
+
+// execDot replays group g's stripes and the whole quads of its loose ops
+// four chains at a time through dotRun4 — or the stripes one chain at a
+// time when s.quad is off — and returns the loose ops left over.
+func (s *MatMul) execDot(g *matmulGroup, ops []matmulOp, a, bt, e, c []float64) []matmulOp {
+	n0, n1 := int(g.n[0]), int(g.n[1])
+	for i := g.lo; i < g.hi; i++ {
+		// One stripe of whole quads: its ops' offsets advance in
+		// registers.
+		st := &s.stripes[i]
+		out, init := int(st.op.out), int(st.op.init)
+		a0, b0, a1, b1 := int(st.op.a0), int(st.op.b0), int(st.op.a1), int(st.op.b1)
+		dOut, dInit := int(st.step.out), int(st.step.init)
+		da0, db0, da1, db1 := int(st.step.a0), int(st.step.b0), int(st.step.a1), int(st.step.b1)
+		for count := int(st.count); count > 0; count -= 4 {
+			if !s.quad {
+				for j := 0; j < 4; j++ {
+					replayOne(out+j*dOut, init+j*dInit, a0+j*da0, b0+j*db0, a1+j*da1, b1+j*db1, n0, n1, a, bt, e, c)
+				}
+			} else {
+				var v0, v1, v2, v3 float64
+				if e != nil {
+					v0, v1, v2, v3 = e[init], e[init+dInit], e[init+2*dInit], e[init+3*dInit]
+				}
+				v0, v1, v2, v3 = dotRun4(v0, v1, v2, v3, a, bt, n0, a0, a0+da0, a0+2*da0, a0+3*da0, b0, b0+db0, b0+2*db0, b0+3*db0)
+				if n1 != 0 {
+					v0, v1, v2, v3 = dotRun4(v0, v1, v2, v3, a, bt, n1, a1, a1+da1, a1+2*da1, a1+3*da1, b1, b1+db1, b1+2*db1, b1+3*db1)
+				}
+				c[out], c[out+dOut], c[out+2*dOut], c[out+3*dOut] = v0, v1, v2, v3
+			}
+			out, init = out+4*dOut, init+4*dInit
+			a0, b0, a1, b1 = a0+4*da0, b0+4*db0, a1+4*da1, b1+4*db1
+		}
+	}
+	for ; s.quad && len(ops) >= 4; ops = ops[4:] {
+		p := ops[:4:4]
+		var v0, v1, v2, v3 float64
+		if e != nil {
+			v0, v1, v2, v3 = e[p[0].init], e[p[1].init], e[p[2].init], e[p[3].init]
+		}
+		v0, v1, v2, v3 = dotRun4(v0, v1, v2, v3, a, bt, n0,
+			int(p[0].a0), int(p[1].a0), int(p[2].a0), int(p[3].a0), int(p[0].b0), int(p[1].b0), int(p[2].b0), int(p[3].b0))
+		if n1 != 0 {
+			v0, v1, v2, v3 = dotRun4(v0, v1, v2, v3, a, bt, n1,
+				int(p[0].a1), int(p[1].a1), int(p[2].a1), int(p[3].a1), int(p[0].b1), int(p[1].b1), int(p[2].b1), int(p[3].b1))
+		}
+		c[p[0].out], c[p[1].out], c[p[2].out], c[p[3].out] = v0, v1, v2, v3
+	}
+	return ops
 }
 
 // replayOne replays a single op: c[out] = e[init] (0 when e is nil) plus its

@@ -45,12 +45,12 @@ func (pm *PlanMemo) MatVecFor(t *dbt.MatVec, overlap bool) (*MatVec, error) {
 }
 
 // MatMulFor is MatMulFor through the memo.
-func (pm *PlanMemo) MatMulFor(w, nbar, pbar, mbar int) *MatMul {
-	key := matmulKey{w: w, nbar: nbar, pbar: pbar, mbar: mbar}
+func (pm *PlanMemo) MatMulFor(w, nbar, pbar, mbar, ldc int) *MatMul {
+	key := matmulKey{w: w, nbar: nbar, pbar: pbar, mbar: mbar, ldc: ldc}
 	if s, ok := pm.mm[key]; ok {
 		return s
 	}
-	s := MatMulFor(w, nbar, pbar, mbar)
+	s := MatMulFor(w, nbar, pbar, mbar, ldc)
 	pm.mm[key] = s
 	return s
 }

@@ -44,12 +44,15 @@ func TestCacheReusesShapes(t *testing.T) {
 		t.Fatal("by-columns schedules must be distinct")
 	}
 
-	m1 := MatMulFor(3, 2, 3, 2)
-	if MatMulFor(3, 2, 3, 2) != m1 {
+	m1 := MatMulFor(3, 2, 3, 2, 6)
+	if MatMulFor(3, 2, 3, 2, 6) != m1 {
 		t.Fatal("same matmul shape should share one compiled schedule")
 	}
-	if MatMulFor(3, 2, 2, 3) == m1 {
+	if MatMulFor(3, 2, 2, 3, 9) == m1 {
 		t.Fatal("different matmul shapes must not share a schedule")
+	}
+	if MatMulFor(3, 2, 3, 2, 9) == m1 {
+		t.Fatal("different E/C strides must not share a schedule")
 	}
 }
 
@@ -125,13 +128,13 @@ func TestMatMulExecAgainstReferenceRun(t *testing.T) {
 			var e *matrix.Dense
 			var ep []float64
 			tr := dbt.NewMatMul(a, b, w)
-			sch := MatMulFor(w, tr.NBar, tr.PBar, tr.MBar)
+			sch := MatMulFor(w, tr.NBar, tr.PBar, tr.MBar, tr.MBar*w)
 			if trial%2 == 0 {
 				e = matrix.RandomDense(rng, n, m, 4)
 				ep = e.Pad(tr.NBar*w, tr.MBar*w).Raw()
 			}
 			bt := make([]float64, sch.BTLen())
-			sch.StageB(bt, b)
+			sch.StageB(bt, b, 0, 0, p, m)
 			c := make([]float64, sch.CLen())
 			sch.ExecGrid(tr.AT.Grid.Padded().Raw(), bt, ep, c)
 			_, want := tr.ReferenceRun(e)
@@ -159,7 +162,7 @@ func TestMatMulFlattenedPlan(t *testing.T) {
 		for nbar := 1; nbar <= 5; nbar++ {
 			for pbar := 1; pbar <= 5; pbar++ {
 				for mbar := 1; mbar <= 5; mbar++ {
-					s := compileMatMul(dbt.NewMatMulShape(w, nbar, pbar, mbar))
+					s := compileMatMul(dbt.NewMatMulShape(w, nbar, pbar, mbar), mbar*w)
 					stored := make([]int, s.CLen())
 					macs := 0
 					s.eachOp(func(g *matmulGroup, op matmulOp) {
@@ -181,7 +184,7 @@ func TestMatMulFlattenedPlan(t *testing.T) {
 			}
 		}
 	}
-	s := compileMatMul(dbt.NewMatMulShape(8, 15, 1, 1))
+	s := compileMatMul(dbt.NewMatMulShape(8, 15, 1, 1), 8)
 	ops := 0
 	s.eachOp(func(*matmulGroup, matmulOp) { ops++ })
 	if ops != 960 || len(s.groups) != 8 || s.Bytes() > 8224 {

@@ -297,20 +297,17 @@ func (ws *Workspace) submitTile(k0, k1, j0, j1, slot int, eng core.Engine) {
 }
 
 // trailingTile is one fan-out task of a BlockLU elimination step:
-// work[k1:n, j0:j1] ← (−L₂₁)·U₁₂[:, j0:j1] + work[k1:n, j0:j1] as a single
-// hexagonal-array pass on the task's arena, updating the copied-out panel
-// in place.
+// work[k1:n, j0:j1] ← (−L₂₁)·U[k0:k1, j0:j1] + work[k1:n, j0:j1] as a
+// single hexagonal-array pass on the task's arena. The pass updates the
+// block of the working matrix where it is and reads the U block through
+// its row stride (core.Arena.MatMulUpdate), so no panel is copied.
 func (ws *Workspace) trailingTile(ar *core.Arena, k0, k1, j0, j1, slot int, eng core.Engine) {
-	n := ws.work.Rows()
-	bPanel := matrix.SliceInto(ar.Dense(k1-k0, j1-j0), ws.u, k0, k1, j0, j1)
-	panel := matrix.SliceInto(ar.Dense(n-k1, j1-j0), ws.work, k1, n, j0, j1)
-	steps, err := ar.MatMulPass(panel, ws.negL, bPanel, panel, ws.w, eng)
+	steps, err := ar.MatMulUpdate(ws.work, k1, j0, ws.negL, ws.u, k0, j0, j1-j0, ws.w, eng)
 	if err != nil {
 		ws.passErrs[slot] = err
 		return
 	}
 	ws.passSteps[slot] = steps
-	ws.work.SetRect(k1, j0, panel)
 }
 
 // Solve solves A·x = d directly exactly as the package-level Solve (which
