@@ -3,7 +3,6 @@ package repro
 import (
 	"fmt"
 	"math/rand"
-	"runtime"
 	"testing"
 
 	"repro/internal/analysis"
@@ -566,12 +565,11 @@ func BenchmarkSolverEngines(b *testing.B) {
 	}
 }
 
-// BenchmarkIntraSolveParallel measures the pass executor: BlockLU and the
-// full Solve with the independent passes of each elimination step fanned
-// across a pool of simulated arrays, vs the same decomposition run inline
-// (results and stats are bit-identical either way — enforced by
-// internal/solve/parallel_test.go). On multi-core hosts the worker rows
-// scale; single-core CI shows executor overhead at parity.
+// BenchmarkIntraSolveParallel measures BlockLU and the full Solve on a
+// warm n=128, w=8 workspace, every pass run in order on the caller's
+// goroutine. The sub-benchmark names (blocklu/serial, solve/serial) are
+// kept from when the benchmark also fanned passes across worker pools, so
+// earlier profiles and results still name the same rows.
 func BenchmarkIntraSolveParallel(b *testing.B) {
 	rng := rand.New(rand.NewSource(31))
 	w, n := 8, 128
@@ -581,39 +579,31 @@ func BenchmarkIntraSolveParallel(b *testing.B) {
 	}
 	d := a.MulVec(matrix.RandomVector(rng, n, 3), nil)
 	opts := solve.Options{Engine: core.EngineCompiled}
-	run := func(name string, ex *core.Executor) {
-		ws := solve.NewWorkspaceExecutor(w, ex)
-		b.Run("blocklu/"+name, func(b *testing.B) {
-			b.ReportAllocs()
+	ws := solve.NewWorkspace(w)
+	b.Run("blocklu/serial", func(b *testing.B) {
+		b.ReportAllocs()
+		if _, _, _, err := ws.BlockLU(a, opts); err != nil {
+			b.Fatal(err)
+		}
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
 			if _, _, _, err := ws.BlockLU(a, opts); err != nil {
 				b.Fatal(err)
 			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, _, _, err := ws.BlockLU(a, opts); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-		b.Run("solve/"+name, func(b *testing.B) {
-			b.ReportAllocs()
+		}
+	})
+	b.Run("solve/serial", func(b *testing.B) {
+		b.ReportAllocs()
+		if _, _, err := ws.Solve(a, d, opts); err != nil {
+			b.Fatal(err)
+		}
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
 			if _, _, err := ws.Solve(a, d, opts); err != nil {
 				b.Fatal(err)
 			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, _, err := ws.Solve(a, d, opts); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-	run("serial", nil)
-	for _, workers := range core.PassWorkerLadder(runtime.GOMAXPROCS(0)) {
-		ex := core.NewExecutor(workers)
-		run(fmt.Sprintf("workers=%d", workers), ex)
-		ex.Close()
-	}
+		}
+	})
 }
 
 // BenchmarkCompiledExec measures the steady-state compiled-schedule
@@ -677,31 +667,4 @@ func BenchmarkCompiledExec(b *testing.B) {
 		}
 		b.ReportMetric(float64(sch.MACs), "MACs")
 	})
-}
-
-// BenchmarkSolveBatch measures multi-problem throughput across worker
-// counts: near-linear scaling up to GOMAXPROCS is the acceptance bar for
-// the batch API.
-func BenchmarkSolveBatch(b *testing.B) {
-	rng := rand.New(rand.NewSource(23))
-	w, nm := 8, 16
-	var problems []core.MatVecProblem
-	for i := 0; i < 256; i++ {
-		problems = append(problems, core.MatVecProblem{
-			A: matrix.RandomDense(rng, nm*w, w, 3),
-			X: matrix.RandomVector(rng, w, 3),
-		})
-	}
-	s := core.NewMatVecSolver(w)
-	for _, workers := range core.WorkerLadder(runtime.GOMAXPROCS(0)) {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := s.SolveBatchWorkers(problems, workers); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ReportMetric(float64(len(problems)*b.N)/b.Elapsed().Seconds(), "problems/s")
-		})
-	}
 }

@@ -3,24 +3,22 @@
 // metrics (steps, MACs, problems/s) for the two execution engines across
 // every compiled workload (matvec, matmul, trisolve, LU, full solve, and
 // the pattern-keyed sparse matvec at a repeated-stencil pattern, E16), the
-// solver workspaces (steady-state, 0 allocs/op on the compiled rows), the
-// intra-solve parallel executor at worker counts {1, 2, NumCPU} (E14), the
-// stream scheduler at shard counts {1, 2, NumCPU} (E15: single-job round
-// trip at 0 allocs/op after warmup, plus deep-pipeline jobs/s, plus the
-// pattern-routed sparse-stream rows, plus the solve-as-a-service rows of
-// E17 — a warm streamed full direct solve at 0 allocs/op and a 128-deep
-// solve-qps pipeline reporting solves/s), the batched-replay rows of E20 —
-// k right-hand sides through one pattern-keyed plan, priced against k
+// solver workspaces (steady-state, 0 allocs/op on the compiled rows, plus
+// the warm n=128 BlockLU and full-solve rows), the stream scheduler at
+// shard counts {1, 2, NumCPU} (E15: single-job round trip at 0 allocs/op
+// after warmup, plus deep-pipeline jobs/s, plus the pattern-routed
+// sparse-stream rows, plus the solve-as-a-service rows of E17 — a warm
+// streamed full direct solve at 0 allocs/op and a 128-deep solve-qps
+// pipeline reporting solves/s), the batched-replay rows of E20 — k
+// right-hand sides through one pattern-keyed plan, priced against k
 // independent solves (the speedup-vs-loop metric), plus the overlapped
 // two-program schedule row and the one-ticket batch stream rows — the
-// robustness rows of E18 — the
-// partially pivoted solve and the pivoted+refined solve on a row-scrambled
-// system, pricing what "no input returns garbage" costs over the unpivoted
-// fast path — the steady-state compiled
-// execution, and the batch throughput API. It emits
-// BENCH_<date>.json by default, extending the perf trajectory that future
-// changes are judged against; cmd/benchdiff compares two snapshots and
-// gates regressions in CI.
+// robustness rows of E18 — the partially pivoted solve and the
+// pivoted+refined solve on a row-scrambled system, pricing what "no input
+// returns garbage" costs over the unpivoted fast path — and the
+// steady-state compiled execution. It emits BENCH_<date>.json by default,
+// extending the perf trajectory that future changes are judged against;
+// cmd/benchdiff compares two snapshots and gates regressions in CI.
 //
 // Usage:
 //
@@ -275,55 +273,35 @@ func main() {
 		)
 	}
 
-	// Intra-solve parallelism (E14): BlockLU and full Solve on the pass
-	// executor at worker counts {1, 2, NumCPU}, against the identical
-	// serial decomposition. Results and stats are bit-identical across
-	// rows; only wall-clock moves. Single-core hosts show executor
-	// overhead at parity — the scaling rows need real cores.
+	// BlockLU and full Solve on a warm n=128 workspace: the workspace
+	// layer of the w=8 ladder. The rows keep their historical *-par names
+	// so they stay gated against earlier snapshots.
 	pw, pn := 8, 128
 	ap := matrix.RandomDense(rng, pn, pn, 2)
 	for i := 0; i < pn; i++ {
 		ap.Set(i, i, 40)
 	}
 	dp := ap.MulVec(matrix.RandomVector(rng, pn, 3), nil)
-	parRow := func(name string, metrics map[string]float64, ex *core.Executor) {
-		ws := solve.NewWorkspaceExecutor(pw, ex)
-		opts := solve.Options{Engine: core.EngineCompiled}
-		entries = append(entries,
-			bench(fmt.Sprintf("blocklu-par/w=%d/n=%d/%s", pw, pn, name), metrics, func(b *testing.B) {
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					if _, _, _, err := ws.BlockLU(ap, opts); err != nil {
-						b.Fatal(err)
-					}
+	pws := solve.NewWorkspace(pw)
+	popts := solve.Options{Engine: core.EngineCompiled}
+	entries = append(entries,
+		bench(fmt.Sprintf("blocklu-par/w=%d/n=%d/serial", pw, pn), nil, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, _, _, err := pws.BlockLU(ap, popts); err != nil {
+					b.Fatal(err)
 				}
-			}),
-			bench(fmt.Sprintf("solve-par/w=%d/n=%d/%s", pw, pn, name), metrics, func(b *testing.B) {
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					if _, _, err := ws.Solve(ap, dp, opts); err != nil {
-						b.Fatal(err)
-					}
+			}
+		}),
+		bench(fmt.Sprintf("solve-par/w=%d/n=%d/serial", pw, pn), nil, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, _, err := pws.Solve(ap, dp, popts); err != nil {
+					b.Fatal(err)
 				}
-			}),
-		)
-	}
-	parRow("serial", nil, nil)
-	for _, workers := range core.PassWorkerLadder(runtime.GOMAXPROCS(0)) {
-		ex := core.NewExecutor(workers)
-		// The 1- and 2-worker rungs keep numeric names; the NumCPU rung is
-		// named "workers=max" so the row name never encodes the host's core
-		// count (cmd/benchdiff matches rows by name across machines) — the
-		// actual count travels in the metrics instead.
-		name := fmt.Sprintf("workers=%d", workers)
-		var metrics map[string]float64
-		if workers > 2 {
-			name = "workers=max"
-			metrics = map[string]float64{"workers": float64(workers)}
-		}
-		parRow(name, metrics, ex)
-		ex.Close()
-	}
+			}
+		}),
+	)
 
 	// Sparse matvec (§4) on both engines at a repeated-stencil pattern
 	// (block tridiagonal): the pattern-keyed compiled plan against the
@@ -701,34 +679,6 @@ func main() {
 			metrics = map[string]float64{"shards": float64(shards)}
 		}
 		streamRows(name, shards, metrics)
-	}
-
-	// Batch throughput over the pass-worker ladder, named like the *-par
-	// rows: host-independent workers=1 and workers=2 rungs, and the
-	// NumCPU rung as "workers=max" with its count in the metrics.
-	problems := make([]core.MatVecProblem, 128)
-	for i := range problems {
-		problems[i] = core.MatVecProblem{
-			A: matrix.RandomDense(rng, 16*8, 8, 3),
-			X: matrix.RandomVector(rng, 8, 3),
-		}
-	}
-	for _, workers := range core.PassWorkerLadder(runtime.GOMAXPROCS(0)) {
-		name := fmt.Sprintf("workers=%d", workers)
-		var metrics map[string]float64
-		if workers > 2 {
-			name = "workers=max"
-			metrics = map[string]float64{"workers": float64(workers)}
-		}
-		entries = append(entries, bench("solve-batch/"+name, metrics, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := vs.SolveBatchWorkers(problems, workers); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ReportMetric(float64(len(problems)*b.N)/b.Elapsed().Seconds(), "problems/s")
-		}))
 	}
 
 	snap := Snapshot{

@@ -1,7 +1,7 @@
 // Command soak is a randomized differential tester: it drives every
 // public code path (matvec by-rows / by-columns / lower-band / overlapped /
 // sparse / multi-problem, matmul with and without E / 3-way overlapped,
-// iterative and direct solvers, batched solves) on random shapes and
+// iterative and direct solvers) on random shapes and
 // compares each result bit-for-bit against host reference arithmetic,
 // while also checking every measured step count against the paper's
 // formulas. Every matvec/matmul case — and, in the solvers category, every
@@ -16,12 +16,8 @@
 // PassManyInto, every vector DeepEqual its per-vector solve — and to the
 // overlapped two-program schedule form, which must keep Y and the per-PE
 // stats while never taking more steps. The solvers category also
-// exercises the full direct solve and the block-partitioned embedding, and
-// replays block LU, the full solve and the triangular inverse on the
-// intra-solve pass executor (independent passes fanned across simulated
-// arrays), requiring results and stats bit-identical to the serial runs;
-// the batch category additionally fans problems across the worker fleet
-// and checks it against serial solves; the stream category drives a
+// exercises the full direct solve, the block-partitioned embedding and the
+// triangular inverse, the last on both engines; the stream category drives a
 // sustained mixed-shape problem stream through the sharded stream
 // scheduler at random shard counts — the cross-runtime differential:
 // every ticket (matvec, matmul and pattern-routed sparse, full and Into
@@ -75,9 +71,6 @@ import (
 
 var failures int
 
-// exec is the shared pass executor the solvers category fans passes over.
-var exec *core.Executor
-
 func main() {
 	n := flag.Int("n", 100, "random cases per category")
 	seed := flag.Int64("seed", 1, "random seed")
@@ -86,17 +79,11 @@ func main() {
 	flag.Parse()
 	rng := rand.New(rand.NewSource(*seed))
 
-	// One pass executor for the whole run: the solvers category replays
-	// every direct solve on it and requires bit-identical results.
-	exec = core.NewExecutor(4)
-	defer exec.Close()
-
 	run("matvec", *n, func() { matvecCase(rng, *maxw) })
 	run("matmul", *n, func() { matmulCase(rng, *maxw) })
 	run("sparse", *n/2, func() { sparseCase(rng, *maxw) })
 	run("sparse-batch", *n/2, func() { sparseBatchCase(rng, *maxw) })
 	run("solvers", *n/5, func() { solverCase(rng, *maxw) })
-	run("batch", *n/10, func() { batchCase(rng, *maxw) })
 	run("stream", *n/10, func() { streamCase(rng, *maxw) })
 	run("solve-stream", *n/10, func() { solveStreamCase(rng, *maxw) })
 	run("conditioning", *n/5, func() { conditioningCase(rng, *maxw) })
@@ -243,64 +230,11 @@ func matmulCase(rng *rand.Rand, maxw int) {
 	}
 }
 
-// batchCase fans a pile of random problems across the worker pool and
-// checks every result against a serial solve of the same problem.
-func batchCase(rng *rand.Rand, maxw int) {
-	w := 1 + rng.Intn(maxw)
-	s := core.NewMatVecSolver(w)
-	count := 4 + rng.Intn(12)
-	problems := make([]core.MatVecProblem, count)
-	for i := range problems {
-		n := 1 + rng.Intn(4*w)
-		m := 1 + rng.Intn(4*w)
-		problems[i] = core.MatVecProblem{
-			A: matrix.RandomDense(rng, n, m, 5),
-			X: matrix.RandomVector(rng, m, 5),
-			B: matrix.RandomVector(rng, n, 5),
-		}
-	}
-	results, err := s.SolveBatch(problems)
-	if err != nil {
-		fail("batch solve (w=%d count=%d): %v", w, count, err)
-		return
-	}
-	for i, p := range problems {
-		serial, err := s.Solve(p.A, p.X, p.B, p.Opts)
-		if err != nil {
-			fail("batch serial check %d: %v", i, err)
-			return
-		}
-		if !results[i].Y.Equal(serial.Y, 0) {
-			fail("batch problem %d differs from serial (w=%d)", i, w)
-		}
-	}
-	ms := core.NewMatMulSolver(w)
-	mcount := 2 + rng.Intn(4)
-	mm := make([]core.MatMulProblem, mcount)
-	for i := range mm {
-		n, p, m := 1+rng.Intn(2*w), 1+rng.Intn(2*w), 1+rng.Intn(2*w)
-		mm[i] = core.MatMulProblem{
-			A: matrix.RandomDense(rng, n, p, 4),
-			B: matrix.RandomDense(rng, p, m, 4),
-		}
-	}
-	mres, err := ms.SolveBatch(mm)
-	if err != nil {
-		fail("matmul batch solve (w=%d): %v", w, err)
-		return
-	}
-	for i, p := range mm {
-		if !mres[i].C.Equal(p.A.Mul(p.B), 0) {
-			fail("matmul batch problem %d wrong (w=%d)", i, w)
-		}
-	}
-}
-
 // sparseCase is the pattern-keyed differential: every random pattern runs
 // on the structural simulator (the oracle) and the compiled pattern-keyed
 // plan — whole results DeepEqual, stats included — against host reference
 // arithmetic and the closed-form step count, with the compiled pass
-// variant replayed on the shared executor's style of arena.
+// variant replayed on an arena.
 func sparseCase(rng *rand.Rand, maxw int) {
 	w := 1 + rng.Intn(maxw)
 	nb := 1 + rng.Intn(5)
@@ -498,34 +432,16 @@ func solverCase(rng *rand.Rand, maxw int) {
 	if !lf.Equal(olf, 0) || !uf.Equal(ouf, 0) || !reflect.DeepEqual(lst, olst) {
 		fail("lu engines disagree (w=%d n=%d)", w, n)
 	}
-	// Intra-solve parallelism: the same factorization fanned across the
-	// pass executor must be bit-identical, stats included.
-	plf, puf, plst, err := solve.BlockLU(a, w, solve.Options{Engine: core.EngineCompiled, Executor: exec})
-	if err != nil {
-		fail("lu parallel: %v", err)
-		return
-	}
-	if !lf.Equal(plf, 0) || !uf.Equal(puf, 0) || !reflect.DeepEqual(lst, plst) {
-		fail("lu parallel differs from serial (w=%d n=%d)", w, n)
-	}
 	// Full direct solve and the block-partitioned embedding.
 	xb := matrix.RandomVector(rng, n, 3)
 	db := a.MulVec(xb, nil)
-	xs, sst, err := solve.Solve(a, db, w, solve.Options{})
+	xs, _, err := solve.Solve(a, db, w, solve.Options{})
 	if err != nil {
 		fail("solve: %v", err)
 		return
 	}
 	if !xs.Equal(xb, 1e-6) {
 		fail("solve wrong (w=%d n=%d): off %g", w, n, xs.MaxAbsDiff(xb))
-	}
-	pxs, psst, err := solve.Solve(a, db, w, solve.Options{Executor: exec})
-	if err != nil {
-		fail("solve parallel: %v", err)
-		return
-	}
-	if !xs.Equal(pxs, 0) || !reflect.DeepEqual(sst, psst) {
-		fail("solve parallel differs from serial (w=%d n=%d)", w, n)
 	}
 	xp, _, err := solve.BlockPartitionedSolve(a, db, w, solve.Options{})
 	if err != nil {
@@ -535,20 +451,19 @@ func solverCase(rng *rand.Rand, maxw int) {
 	if !xp.Equal(xb, 1e-6) {
 		fail("blockpart solve wrong (w=%d n=%d): off %g", w, n, xp.MaxAbsDiff(xb))
 	}
-	// Triangular inverse: per-target block-column passes fanned across the
-	// executor must be bit-identical to the serial order.
-	inv, ist, err := solve.LowerTriangularInverse(l, w, solve.Options{})
+	// Triangular inverse on both engines: bit-identical, stats included.
+	inv, ist, err := solve.LowerTriangularInverse(l, w, solve.Options{Engine: core.EngineCompiled})
 	if err != nil {
 		fail("inverse: %v", err)
 		return
 	}
-	pinv, pist, err := solve.LowerTriangularInverse(l, w, solve.Options{Executor: exec})
+	oinv, oist, err := solve.LowerTriangularInverse(l, w, solve.Options{Engine: core.EngineOracle})
 	if err != nil {
-		fail("inverse parallel: %v", err)
+		fail("inverse oracle: %v", err)
 		return
 	}
-	if !inv.Equal(pinv, 0) || !reflect.DeepEqual(ist, pist) {
-		fail("inverse parallel differs from serial (w=%d n=%d)", w, n)
+	if !inv.Equal(oinv, 0) || !reflect.DeepEqual(ist, oist) {
+		fail("inverse engines disagree (w=%d n=%d)", w, n)
 	}
 }
 
@@ -562,9 +477,9 @@ func streamCase(rng *rand.Rand, maxw int) {
 	defer s.Close()
 
 	count := 6 + rng.Intn(10)
-	mvp := make([]core.MatVecProblem, 0, count)
+	mvp := make([]stream.MatVecProblem, 0, count)
 	mvTickets := make([]stream.MatVecTicket, 0, count)
-	mmp := make([]core.MatMulProblem, 0, count)
+	mmp := make([]stream.MatMulProblem, 0, count)
 	mmTickets := make([]stream.MatMulTicket, 0, count)
 	// A couple of shapes recycled across the stream — the affinity path.
 	shapes := [][2]int{{1 + rng.Intn(3*w), 1 + rng.Intn(3*w)}, {1 + rng.Intn(3*w), 1 + rng.Intn(3*w)}}
@@ -575,7 +490,7 @@ func streamCase(rng *rand.Rand, maxw int) {
 		}
 		if rng.Intn(2) == 0 {
 			sh := shapes[i%len(shapes)]
-			p := core.MatVecProblem{
+			p := stream.MatVecProblem{
 				A:    matrix.RandomDense(rng, sh[0], sh[1], 5),
 				X:    matrix.RandomVector(rng, sh[1], 5),
 				B:    matrix.RandomVector(rng, sh[0], 5),
@@ -589,7 +504,7 @@ func streamCase(rng *rand.Rand, maxw int) {
 			mvp, mvTickets = append(mvp, p), append(mvTickets, tk)
 		} else {
 			n, pd, m := 1+rng.Intn(2*w), 1+rng.Intn(2*w), 1+rng.Intn(2*w)
-			p := core.MatMulProblem{
+			p := stream.MatMulProblem{
 				A:    matrix.RandomDense(rng, n, pd, 4),
 				B:    matrix.RandomDense(rng, pd, m, 4),
 				Opts: core.MatMulOptions{Engine: eng},
@@ -945,12 +860,12 @@ func chaosCase(rng *rand.Rand, maxw int) {
 	defer s.Close()
 
 	count := 12 + rng.Intn(12)
-	problems := make([]core.MatVecProblem, 0, count)
+	problems := make([]stream.MatVecProblem, 0, count)
 	tickets := make([]stream.MatVecTicket, 0, count)
 	var sheds, accepted int
 	for i := 0; i < count; i++ {
 		n, m := 1+rng.Intn(3*w), 1+rng.Intn(3*w)
-		p := core.MatVecProblem{
+		p := stream.MatVecProblem{
 			A: matrix.RandomDense(rng, n, m, 5),
 			X: matrix.RandomVector(rng, m, 5),
 			B: matrix.RandomVector(rng, n, 5),

@@ -1,12 +1,11 @@
 // Command sweep regenerates the paper's quantitative results (experiments
-// E1–E16 and E20 of DESIGN.md): step-count formulas, utilization
+// E1–E13, E15, E16 and E20 of DESIGN.md): step-count formulas, utilization
 // asymptotes, feedback delays, register demands, baseline comparisons, the
 // sparsity ablation, the §4 variants, the execution-engine comparisons for
-// the matrix-product and solver workloads, the intra-solve parallel
-// executor scaling, the stream scheduler, the pattern-keyed sparse plan
-// ladder, and the batched-replay depth ladder with the overlapped
-// two-program schedule form — each as a table of paper-predicted vs
-// simulator-measured values.
+// the matrix-product and solver workloads, the stream scheduler, the
+// pattern-keyed sparse plan ladder, and the batched-replay depth ladder
+// with the overlapped two-program schedule form — each as a table of
+// paper-predicted vs simulator-measured values.
 //
 // Usage:
 //
@@ -35,7 +34,7 @@ import (
 )
 
 func main() {
-	exp := flag.String("exp", "", "experiment id (E1..E16, E20); empty = all")
+	exp := flag.String("exp", "", "experiment id (E1..E13, E15, E16, E20); empty = all")
 	flag.Parse()
 	exps := []struct {
 		id  string
@@ -53,9 +52,8 @@ func main() {
 		{"E9", e9, "baseline comparison"},
 		{"E10", e10, "sparsity ablation"},
 		{"E11", e11, "transformation variants (§4): by-columns, grouping, lower band, triangular array"},
-		{"E12", e12, "execution engines: compiled-schedule speedup and batch throughput scaling"},
+		{"E12", e12, "execution engines: compiled-schedule speedup"},
 		{"E13", e13, "solver workloads on both engines: trisolve, LU, full and block-partitioned solve"},
-		{"E14", e14, "intra-solve parallelism: pass executor scaling on BlockLU and the full solve"},
 		{"E15", e15, "stream scheduler: sustained mixed-shape stream throughput across shard counts"},
 		{"E16", e16, "pattern-keyed sparse plans: compiled engine across retained-block densities"},
 		{"E20", e20, "batched replay depth ladder and the overlapped two-program schedule form"},
@@ -316,8 +314,8 @@ func e11() {
 
 // e12 is not a paper experiment but a simulator-substrate one: it measures
 // the compiled-schedule engine against the cycle-accurate oracle on
-// identical problems (results are checked bit-for-bit as a side effect)
-// and the batch API's throughput scaling across worker counts.
+// identical problems. It only times them; the engine equivalence suites
+// and cmd/soak check that the two engines agree bit for bit.
 func e12() {
 	r := rng()
 	fmt.Println("  engine comparison (identical results, wall-clock per solve):")
@@ -353,28 +351,6 @@ func e12() {
 		fmt.Printf("   %-18s %9s  %9s   %5.1fx\n", c.name, to, tc, float64(to)/float64(tc))
 	}
 
-	fmt.Printf("  batch throughput (%d problems, matvec w=8 n̄m̄=16, GOMAXPROCS=%d):\n",
-		128, runtime.GOMAXPROCS(0))
-	problems := make([]core.MatVecProblem, 128)
-	for i := range problems {
-		problems[i] = core.MatVecProblem{
-			A: matrix.RandomDense(r, 16*8, 8, 3),
-			X: matrix.RandomVector(r, 8, 3),
-		}
-	}
-	s := core.NewMatVecSolver(8)
-	var base time.Duration
-	for _, workers := range core.WorkerLadder(runtime.GOMAXPROCS(0)) {
-		start := time.Now()
-		_, err := s.SolveBatchWorkers(problems, workers)
-		check(err)
-		el := time.Since(start)
-		if workers == 1 {
-			base = el
-		}
-		fmt.Printf("   workers=%2d: %10s   %8.0f problems/s   speedup %.2fx\n",
-			workers, el, float64(len(problems))/el.Seconds(), float64(base)/float64(el))
-	}
 }
 
 // e13 measures the solver workloads across engines: every case runs on the
@@ -475,81 +451,6 @@ func e13() {
 			fmt.Fprintf(os.Stderr, "sweep: cross-engine mismatch on %s\n", c.name)
 			os.Exit(1)
 		}
-	}
-}
-
-// e14 measures intra-solve parallelism: BlockLU and the full direct solve
-// with every elimination step's independent passes fanned across the pass
-// executor, against the identical serial decomposition. Results and stats
-// are checked bit-identical on every row (the decomposition never depends
-// on the worker count); wall-clock scaling needs real cores — single-core
-// containers show executor overhead at parity.
-func e14() {
-	r := rng()
-	w, n := 8, 96
-	a := matrix.RandomDense(r, n, n, 2)
-	for i := 0; i < n; i++ {
-		a.Set(i, i, 40)
-	}
-	d := a.MulVec(matrix.RandomVector(r, n, 3), nil)
-	opts := solve.Options{Engine: core.EngineCompiled}
-
-	serialWS := solve.NewWorkspace(w)
-	lRef, uRef, stRef, err := serialWS.BlockLU(a, opts)
-	check(err)
-	lRef, uRef = lRef.Clone(), uRef.Clone()
-	stRefCopy := *stRef
-	xRef, sstRef, err := serialWS.Solve(a, d, opts)
-	check(err)
-	xRef = xRef.Clone()
-	sstRefCopy := *sstRef
-
-	fmt.Printf("  blocklu/solve w=%d n=%d, compiled engine, GOMAXPROCS=%d:\n", w, n, runtime.GOMAXPROCS(0))
-	fmt.Println("   arrays      blocklu      solve   vs serial (blocklu)   identical")
-	timeOf := func(ws *solve.Workspace, fn func(*solve.Workspace) error) time.Duration {
-		const reps = 10
-		check(fn(ws)) // warm
-		start := time.Now()
-		for i := 0; i < reps; i++ {
-			check(fn(ws))
-		}
-		return time.Since(start) / reps
-	}
-	var serialLU time.Duration
-	row := func(name string, ex *core.Executor) {
-		ws := solve.NewWorkspaceExecutor(w, ex)
-		lu := timeOf(ws, func(ws *solve.Workspace) error {
-			l, u, st, err := ws.BlockLU(a, opts)
-			if err != nil {
-				return err
-			}
-			if !l.Equal(lRef, 0) || !u.Equal(uRef, 0) || !reflect.DeepEqual(*st, stRefCopy) {
-				fmt.Fprintln(os.Stderr, "sweep: parallel BlockLU diverged from serial")
-				os.Exit(1)
-			}
-			return nil
-		})
-		sv := timeOf(ws, func(ws *solve.Workspace) error {
-			x, st, err := ws.Solve(a, d, opts)
-			if err != nil {
-				return err
-			}
-			if !x.Equal(xRef, 0) || !reflect.DeepEqual(*st, sstRefCopy) {
-				fmt.Fprintln(os.Stderr, "sweep: parallel Solve diverged from serial")
-				os.Exit(1)
-			}
-			return nil
-		})
-		if name == "serial" {
-			serialLU = lu
-		}
-		fmt.Printf("   %-10s %9s  %9s   %17.2fx   bit-identical\n", name, lu, sv, float64(serialLU)/float64(lu))
-	}
-	row("serial", nil)
-	for _, workers := range core.PassWorkerLadder(runtime.GOMAXPROCS(0)) {
-		ex := core.NewExecutor(workers)
-		row(fmt.Sprintf("workers=%d", workers), ex)
-		ex.Close()
 	}
 }
 

@@ -9,7 +9,7 @@ import (
 	"repro/internal/schedule"
 )
 
-// Arena is the per-array scratch state of the pass executor: reusable
+// Arena is the per-array scratch state of one simulated array: reusable
 // float/matrix buffers, privately retained DBT transforms, and a plan memo,
 // all owned by a single goroutine. Passes replayed on one arena reuse the
 // same storage, so the steady state of the compiled pass path allocates
@@ -17,14 +17,14 @@ import (
 //
 // Ownership rules (see DESIGN.md §5):
 //
-//   - An arena belongs to one goroutine at a time. The Executor gives each
-//     simulated array its own arena; serial workspaces own one directly;
+//   - An arena belongs to one goroutine at a time. Each fleet shard owns
+//     one; serial workspaces own one directly or borrow their shard's;
 //     the one-shot compiled calls (MatVecSolver.Solve, MatMulSolver.Solve,
 //     the sparse and band-triangular solves) own a pooled arena between
 //     GetArena and PutArena. Two passes may share an arena only
 //     sequentially — never concurrently.
-//   - Reset marks the start of a unit of work (the executor resets the
-//     arena before every task it runs). Everything drawn from the arena
+//   - Reset marks the start of a unit of work (a fleet shard resets its
+//     arena before every pass it runs). Everything drawn from the arena
 //     after a Reset is valid until the next Reset; nothing drawn from an
 //     arena may outlive that window or escape to another goroutine.
 //   - Buffers come back with arbitrary contents; callers overwrite before

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
-	"strings"
 	"testing"
 
 	"repro/internal/matrix"
@@ -172,86 +171,6 @@ func TestEngineEquivMatMulRandomLarge(t *testing.T) {
 		for _, opts := range matvecOptionCombos(nbar) {
 			checkMatVecEquiv(t, w, n, m, a, x, nil, opts)
 		}
-	}
-}
-
-// TestBatchMatchesSerial checks that SolveBatch returns, for every problem,
-// exactly what a serial Solve returns — including across worker counts.
-func TestBatchMatchesSerial(t *testing.T) {
-	rng := rand.New(rand.NewSource(45))
-	w := 4
-	s := NewMatVecSolver(w)
-	var problems []MatVecProblem
-	for i := 0; i < 24; i++ {
-		n, m := 1+rng.Intn(3*w), 1+rng.Intn(3*w)
-		problems = append(problems, MatVecProblem{
-			A: matrix.RandomDense(rng, n, m, 5),
-			X: matrix.RandomVector(rng, m, 5),
-			B: matrix.RandomVector(rng, n, 5),
-		})
-	}
-	for _, workers := range []int{1, 2, 8, 64} {
-		got, err := s.SolveBatchWorkers(problems, workers)
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		for i, p := range problems {
-			want, err := s.Solve(p.A, p.X, p.B, p.Opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(got[i].Y, want.Y) {
-				t.Fatalf("workers=%d problem %d: batch Y differs", workers, i)
-			}
-		}
-	}
-
-	ms := NewMatMulSolver(3)
-	var mm []MatMulProblem
-	for i := 0; i < 12; i++ {
-		n, p, m := 1+rng.Intn(6), 1+rng.Intn(6), 1+rng.Intn(6)
-		mm = append(mm, MatMulProblem{
-			A: matrix.RandomDense(rng, n, p, 4),
-			B: matrix.RandomDense(rng, p, m, 4),
-		})
-	}
-	got, err := ms.SolveBatch(mm)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, p := range mm {
-		want, err := ms.Solve(p.A, p.B, p.Opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !got[i].C.Equal(want.C, 0) {
-			t.Fatalf("matmul batch problem %d differs", i)
-		}
-	}
-}
-
-// TestBatchError checks error propagation on a partial failure: every
-// failing problem comes back nil and is named in the joined error (not just
-// the first), while successful siblings still return results.
-func TestBatchError(t *testing.T) {
-	s := NewMatVecSolver(3)
-	a := matrix.FromRows([][]float64{{1, 2}, {3, 4}})
-	ok := MatVecProblem{A: a, X: matrix.Vector{1, 1}}
-	bad := MatVecProblem{A: a, X: matrix.Vector{1, 1, 1}} // len(x) ≠ cols
-	res, err := s.SolveBatch([]MatVecProblem{ok, bad, ok, bad, bad})
-	if err == nil {
-		t.Fatal("want an error for the failing problems")
-	}
-	for _, i := range []int{1, 3, 4} {
-		if res[i] != nil {
-			t.Errorf("failing problem %d should be nil", i)
-		}
-		if want := fmt.Sprintf("batch problem %d", i); !strings.Contains(err.Error(), want) {
-			t.Errorf("joined error misses %q: %v", want, err)
-		}
-	}
-	if res[0] == nil || res[2] == nil {
-		t.Fatal("successful problems should survive failing siblings")
 	}
 }
 

@@ -9,14 +9,12 @@ import (
 	"sync/atomic"
 )
 
-// Fleet is the single worker-pool substrate of the repository: a persistent
-// set of simulated-array shards, each a goroutine with a bounded work queue
-// and a private scratch Arena. Every parallel runtime is a view over a
-// fleet — the stream scheduler (internal/stream) routes whole problems onto
-// one by shape affinity, Executor fans intra-solve passes across one, and
-// Batch runs one-shot problem slices on a transient one — so a single fleet
-// can serve inter-problem and intra-solve work at once without
-// oversubscribing the host.
+// Fleet is the single worker pool of the repository: a persistent set of
+// simulated-array shards, each a goroutine with a bounded work queue and a
+// private scratch Arena. The stream scheduler (internal/stream) owns one
+// and routes whole problems onto it by shape affinity; every solve runs
+// serially on the shard that takes it, the way the paper's one array runs
+// a problem of any size as a sequence of fixed-size passes.
 //
 // Scheduling: SubmitTo enqueues a pass on a specific shard (the routing
 // policy — affinity, round-robin — belongs to the caller). A shard drains
@@ -26,10 +24,9 @@ import (
 // arena-agnostic by the Arena ownership contract, so stealing affects only
 // locality, never results.
 //
-// Determinism: the fleet gives no ordering guarantee between passes.
-// Callers that need bit-identical results across shard counts must follow
-// the Executor discipline: independent passes, disjoint output regions,
-// statistics in index-addressed slots reduced in submission order.
+// Determinism: the fleet gives no ordering guarantee between passes, so a
+// pass's result must depend only on its own inputs, never on the shard
+// that runs it or on what ran before it.
 type Fleet struct {
 	queues []chan Pass
 	wake   chan struct{}
@@ -63,9 +60,8 @@ var ErrPanicked = errors.New("core: job panicked")
 // the value passed to panic plus the panicking goroutine's stack captured
 // at recovery. A shard that recovers a panic keeps serving — one poisoned
 // job can never take a worker down — and the panic travels to whoever
-// waits on the job (a stream ticket, a batch error slot, an executor
-// barrier) instead of crashing the process. errors.Is matches
-// ErrPanicked; errors.As extracts the value and stack.
+// waits on the job (a stream ticket) instead of crashing the process.
+// errors.Is matches ErrPanicked; errors.As extracts the value and stack.
 type PanicError struct {
 	// Value is the value the job passed to panic (or the runtime error
 	// that raised it).
@@ -179,8 +175,7 @@ func (f *Fleet) signal() {
 }
 
 // Flush blocks until every pass submitted so far has finished. The caller
-// must ensure no concurrent submissions are in flight (same contract as
-// Executor.Barrier).
+// must ensure no concurrent submissions are in flight.
 func (f *Fleet) Flush() { f.tasks.Wait() }
 
 // Close flushes, stops the shards and releases them. The fleet must not be
@@ -263,45 +258,17 @@ func (f *Fleet) run(p Pass, worker int, ar *Arena) {
 	p.RunPass(worker, ar)
 }
 
-// batchOn fans items across f (one pass per item, routed round-robin) and
-// waits for all of them; see Batch for the result and error contract. A
-// panicking solve is recovered into that item's error slot as a
-// *PanicError; siblings and the fleet keep running.
-func batchOn[P, R any](f *Fleet, items []P, solve func(P) (R, error)) ([]R, error) {
-	results := make([]R, len(items))
-	errs := make([]error, len(items))
-	var wg sync.WaitGroup
-	for i := range items {
-		i := i
-		wg.Add(1)
-		err := f.SubmitTo(i%f.Shards(), PassFunc(func(int, *Arena) {
-			defer wg.Done()
-			defer func() {
-				if v := recover(); v != nil {
-					errs[i] = &PanicError{Value: v, Stack: debug.Stack()}
-				}
-			}()
-			results[i], errs[i] = solve(items[i])
-		}))
-		if err != nil {
-			wg.Done()
-			errs[i] = err
-		}
+// PassWorkerLadder returns the ascending, deduplicated shard counts
+// {1, 2, numCPU} the stream shard ladders (sweep E15, benchjson's stream
+// rows) measure. It keeps the 2-shard rung even on a single-core host,
+// where the oversubscribed row measures queue overhead. The 1- and 2-shard
+// rungs have host-independent bench-row names; benchjson labels the top
+// rung "shards=max" so cmd/benchdiff can match rows across hosts with
+// different core counts.
+func PassWorkerLadder(numCPU int) []int {
+	counts := []int{1, 2}
+	if numCPU > 2 {
+		counts = append(counts, numCPU)
 	}
-	wg.Wait()
-	return results, joinBatchErrors(results, errs)
-}
-
-// joinBatchErrors zeroes failed slots and joins every failing index into
-// one error (nil when the batch is clean).
-func joinBatchErrors[R any](results []R, errs []error) error {
-	var joined []error
-	for i, err := range errs {
-		if err != nil {
-			var zero R
-			results[i] = zero
-			joined = append(joined, fmt.Errorf("core: batch problem %d: %w", i, err))
-		}
-	}
-	return errors.Join(joined...)
+	return counts
 }

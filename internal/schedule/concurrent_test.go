@@ -9,8 +9,8 @@ import (
 	"repro/internal/matrix"
 )
 
-// These tests pin the plan cache's concurrency contract now that passes
-// replay in parallel inside one solve: many goroutines resolving the same
+// These tests pin the plan cache's concurrency contract, since stream
+// shards replay passes concurrently: many goroutines resolving the same
 // shape must all get usable (and eventually shared) plans, and a plan held
 // by a replaying goroutine must stay valid while the bounded cache rotates
 // underneath it. Run with -race (CI does).

@@ -1,6 +1,9 @@
 package schedule
 
-import "os"
+import (
+	"os"
+	"sync"
+)
 
 // This file holds the shared replay kernels every compiled plan dispatches
 // into (DESIGN §12). The plan compilers emit each row's gather as contiguous
@@ -94,14 +97,29 @@ func rotKernelFor(w, r int) *rotKernel {
 }
 
 // genericKernelsOnly pins every plan to the generic kernels (CI's
-// kernel-generic job sets it so the fallback path cannot rot). Read once at
-// process start: plans are cached globally, so flipping it mid-process would
-// race with cached plans compiled under the other setting.
-var genericKernelsOnly = os.Getenv("REPRO_GENERIC_KERNELS") != ""
+// kernel-generic job sets REPRO_GENERIC_KERNELS so the fallback path cannot
+// rot). genericKernels reads the variable once, on the first plan compile:
+// plans are cached globally, so flipping it mid-process would race with
+// cached plans compiled under the other setting. The read is lazy rather
+// than a package-level initializer so that it happens while a test binary
+// logs its environment reads, and go test's result cache keys on it.
+var (
+	genericKernelsOnly bool
+	genericKernelsOnce sync.Once
+)
+
+// genericKernels reports whether REPRO_GENERIC_KERNELS pins every plan to
+// the generic kernels.
+func genericKernels() bool {
+	genericKernelsOnce.Do(func() {
+		genericKernelsOnly = os.Getenv("REPRO_GENERIC_KERNELS") != ""
+	})
+	return genericKernelsOnly
+}
 
 // kernelFor picks the kernel family for an array width.
 func kernelFor(w int) kern {
-	if genericKernelsOnly {
+	if genericKernels() {
 		return kernGeneric
 	}
 	switch w {

@@ -38,7 +38,7 @@ func randDense(rng *rand.Rand, n, m int) *matrix.Dense {
 }
 
 func TestKernelForSelection(t *testing.T) {
-	if genericKernelsOnly {
+	if genericKernels() {
 		t.Skip("REPRO_GENERIC_KERNELS set: width specializations disabled")
 	}
 	if kernelFor(4) != kernW4 {

@@ -218,7 +218,7 @@ func compileMatMul(t *dbt.MatMul, ldc int) *MatMul {
 		Dim:  dim,
 		Ldc:  ldc,
 		T:    3*(dim-1) + w + 1,
-		quad: !genericKernelsOnly,
+		quad: !genericKernels(),
 	}
 	slots := dim * band // one per product-band position
 	if int64(max(slots, s.ALen(), s.BTLen(), s.CLen())) > math.MaxInt32 {

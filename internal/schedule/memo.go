@@ -10,8 +10,8 @@ import "repro/internal/dbt"
 // no boxing, no allocation on the steady-state hit path), so a scratch
 // arena replaying many same-shape passes touches the global caches once per
 // shape. Plans are immutable and shared freely, so memoizing them is safe;
-// the memo itself must not be shared between goroutines — each executor
-// array owns one.
+// the memo itself must not be shared between goroutines — each arena owns
+// one.
 type PlanMemo struct {
 	mv  map[matvecKey]*MatVec
 	mm  map[matmulKey]*MatMul

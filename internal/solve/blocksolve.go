@@ -18,5 +18,5 @@ import (
 // bit-identical to Solve's on the original rows whenever n is already a
 // block multiple, and agrees to factorization order otherwise.
 func BlockPartitionedSolve(a *matrix.Dense, d matrix.Vector, w int, opts Options) (matrix.Vector, *SolveStats, error) {
-	return NewWorkspaceExecutor(w, opts.Executor).BlockPartitionedSolve(a, d, opts)
+	return NewWorkspace(w).BlockPartitionedSolve(a, d, opts)
 }

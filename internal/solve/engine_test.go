@@ -21,7 +21,7 @@ func engines() []core.Engine { return []core.Engine{core.EngineOracle, core.Engi
 func TestBlockLUEngineEquiv(t *testing.T) {
 	rng := rand.New(rand.NewSource(301))
 	for _, w := range []int{1, 2, 3, 4} {
-		for _, n := range []int{1, w, 2*w + 1, 3 * w} {
+		for _, n := range []int{1, w, 2*w + 1, 3 * w, 17} {
 			a, _ := diagonallyDominant(rng, n)
 			l0, u0, st0, err := BlockLU(a, w, Options{Engine: core.EngineOracle})
 			if err != nil {
@@ -144,6 +144,53 @@ func TestIterativeEngineEquiv(t *testing.T) {
 		if !x0.Equal(x1, 0) || !reflect.DeepEqual(st0, st1) {
 			t.Fatalf("%s: engines disagree (sweeps %d vs %d, residual %g vs %g)",
 				method.name, st0.Sweeps, st1.Sweeps, st0.Residual, st1.Residual)
+		}
+	}
+}
+
+// TestInverseEngineEquiv: LowerTriangularInverse and the full Inverse on
+// top of it return the same inverse and stats on both engines, DeepEqual.
+func TestInverseEngineEquiv(t *testing.T) {
+	rng := rand.New(rand.NewSource(406))
+	for _, w := range []int{2, 3, 4} {
+		for _, n := range []int{1, w, 2*w + 1, 13} {
+			l := matrix.NewDense(n, n)
+			for i := 0; i < n; i++ {
+				for j := 0; j < i; j++ {
+					l.Set(i, j, float64(rng.Intn(5)-2))
+				}
+				l.Set(i, i, float64(1+rng.Intn(3)))
+			}
+			x0, st0, err := LowerTriangularInverse(l, w, Options{Engine: core.EngineCompiled})
+			if err != nil {
+				t.Fatalf("compiled inverse (w=%d n=%d): %v", w, n, err)
+			}
+			eye := matrix.NewDense(n, n)
+			for i := 0; i < n; i++ {
+				eye.Set(i, i, 1)
+			}
+			if !l.Mul(x0).Equal(eye, 1e-8) {
+				t.Fatalf("w=%d n=%d: L·X ≠ I", w, n)
+			}
+			x1, st1, err := LowerTriangularInverse(l, w, Options{Engine: core.EngineOracle})
+			if err != nil {
+				t.Fatalf("oracle inverse (w=%d n=%d): %v", w, n, err)
+			}
+			if !x0.Equal(x1, 0) || !reflect.DeepEqual(st0, st1) {
+				t.Fatalf("w=%d n=%d: engines disagree on the inverse\ncompiled %+v\noracle   %+v", w, n, st0, st1)
+			}
+			a, _ := diagonallyDominant(rng, n)
+			ai0, ast0, err := Inverse(a, w, Options{Engine: core.EngineCompiled})
+			if err != nil {
+				t.Fatal(err)
+			}
+			ai1, ast1, err := Inverse(a, w, Options{Engine: core.EngineOracle})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !ai0.Equal(ai1, 0) || !reflect.DeepEqual(ast0, ast1) {
+				t.Fatalf("w=%d n=%d: engines disagree on Inverse", w, n)
+			}
 		}
 	}
 }

@@ -8,7 +8,7 @@ import "repro/internal/trisolve"
 // full Solve. It aliases
 // trisolve's sentinel so one errors.Is covers both layers of a direct
 // solve, wherever the pivot was detected and however many runtime layers
-// (executor fan-out, batch joins, stream tickets) wrapped it.
+// (stream tickets, the HTTP facade) wrapped it.
 var ErrSingular = trisolve.ErrSingular
 
 // SingularError is the typed singular-pivot error carrying the failing

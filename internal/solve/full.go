@@ -27,10 +27,8 @@ type SolveStats struct {
 }
 
 // Solve solves A·x = d directly: block LU factorization with trailing
-// updates on the hexagonal array (tile passes fanned across opts.Executor
-// when one is attached), then the two triangular systems on the
-// triangular-solver and matvec arrays (right-looking, with the same
-// per-step fan-out). A must be square; without pivoting it also needs
+// updates on the hexagonal array, then the two triangular systems on the
+// triangular-solver and matvec arrays (right-looking). A must be square; without pivoting it also needs
 // nonsingular leading minors (e.g. diagonal dominance), while
 // opts.Pivot == PivotPartial accepts any nonsingular A. opts.Refine adds
 // residual-correction cycles on the retained factors, failing with
@@ -38,5 +36,5 @@ type SolveStats struct {
 // the array size. The implementation lives on Workspace.Solve — use a
 // Workspace directly for repeated steady-state solves.
 func Solve(a *matrix.Dense, d matrix.Vector, w int, opts Options) (matrix.Vector, *SolveStats, error) {
-	return NewWorkspaceExecutor(w, opts.Executor).Solve(a, d, opts)
+	return NewWorkspace(w).Solve(a, d, opts)
 }

@@ -34,12 +34,9 @@ type LUStats struct {
 // a right-looking block algorithm whose trailing updates
 // A₂₂ ← A₂₂ − L₂₁·U₁₂ run as hexagonal-array passes, one per w-wide column
 // tile (C = (−L₂₁)·U₁₂ + E with E = A₂₂ — the array's additive input doing
-// the subtraction). The tile passes of one elimination step are
-// independent; with opts.Executor they fan out across a pool of simulated
-// arrays, bit-identical to the serial order. L is unit lower triangular, U
-// upper triangular. Without pivoting A must have nonsingular leading
-// minors (e.g. diagonally dominant); with PivotPartial any nonsingular A
-// factors.
+// the subtraction). L is unit lower triangular, U upper triangular.
+// Without pivoting A must have nonsingular leading minors (e.g. diagonally
+// dominant); with PivotPartial any nonsingular A factors.
 //
 // The paper's conclusions (§4) list L-U decomposition among the problems
 // the methodology solves; the w×w diagonal-block factorizations and panel
@@ -47,19 +44,15 @@ type LUStats struct {
 // lives on Workspace.BlockLU — use a Workspace directly for repeated
 // steady-state solves.
 func BlockLU(a *matrix.Dense, w int, opts Options) (l, u *matrix.Dense, stats *LUStats, err error) {
-	return NewWorkspaceExecutor(w, opts.Executor).BlockLU(a, opts)
+	return NewWorkspace(w).BlockLU(a, opts)
 }
 
 // LowerTriangularInverse inverts a lower triangular matrix by blocks:
 // X_kk = L_kk⁻¹ on the host (w×w), and each off-diagonal block
 // X_ik = −L_ii⁻¹·(Σ_j L_ij·X_jk) with the inner products run as
 // hexagonal-array passes. Within one block row bi the per-target-column
-// passes (bk = bi−1 … 0) are independent — each reads only blocks written
-// in earlier block rows (plus the diagonal inverse) and writes its own
-// X[bi, bk] — so with opts.Executor they fan out across the pool of
-// simulated arrays with a barrier per block row, bit-identical to the
-// serial order (per-pass steps land in slot-addressed entries reduced in
-// submission order).
+// passes run for bk = bi−1 … 0; each reads only blocks written in earlier
+// block rows (plus the diagonal inverse) and writes its own X[bi, bk].
 func LowerTriangularInverse(lo *matrix.Dense, w int, opts Options) (*matrix.Dense, *LUStats, error) {
 	n := lo.Rows()
 	if lo.Cols() != n {
@@ -89,35 +82,18 @@ func LowerTriangularInverse(lo *matrix.Dense, w int, opts Options) (*matrix.Dens
 		}
 	}
 	// Array: X_ik = −(L_ii⁻¹)·(Σ_{k≤j<i} L_ij X_jk), two passes per target
-	// column — the independent fan-out set of block row bi.
+	// column.
 	ar := core.NewArena()
-	var passSteps []int
-	var passErrs []error
 	for bi := 1; bi < nb; bi++ {
-		count := bi
-		passSteps = matrix.ReuseSlice[int](passSteps, count)
-		passErrs = matrix.ReuseSlice[error](passErrs, count)
 		for bk := bi - 1; bk >= 0; bk-- {
-			slot := bi - 1 - bk
-			if opts.Executor == nil {
-				ar.Reset()
-				inverseColumn(ar, lo, x, w, bi, bk, opts.Engine, &passSteps[slot], &passErrs[slot])
-			} else {
-				submitInverseColumn(opts.Executor, lo, x, w, bi, bk, opts.Engine, &passSteps[slot], &passErrs[slot])
-			}
-		}
-		if opts.Executor != nil {
-			opts.Executor.Barrier()
-		}
-		for _, err := range passErrs[:count] {
+			ar.Reset()
+			steps, err := inverseColumn(ar, lo, x, w, bi, bk, opts.Engine)
 			if err != nil {
 				return nil, nil, err
 			}
+			stats.ArraySteps += steps
+			stats.ArrayPasses += 2
 		}
-		for _, s := range passSteps[:count] {
-			stats.ArraySteps += s
-		}
-		stats.ArrayPasses += 2 * count
 	}
 	return x, stats, nil
 }
@@ -132,19 +108,11 @@ func blockBounds(b, w, n int) (int, int) {
 	return b * w, hi
 }
 
-// submitInverseColumn enqueues one target-column task on the executor. It
-// lives outside the fan-out loop so the closure's captures never force the
-// loop's locals onto the heap on the serial path.
-func submitInverseColumn(exec *core.Executor, lo, x *matrix.Dense, w, bi, bk int, eng core.Engine, steps *int, errSlot *error) {
-	exec.Submit(func(_ int, ar *core.Arena) {
-		inverseColumn(ar, lo, x, w, bi, bk, eng, steps, errSlot)
-	})
-}
-
-// inverseColumn is one fan-out task of block row bi: the summed product
+// inverseColumn is one target column of block row bi: the summed product
 // S = L[bi, bk..bi)·X[bk..bi, bk] as one hexagonal-array pass, then
-// X[bi, bk] = (−L_ii⁻¹)·S as a second, all on the task's arena.
-func inverseColumn(ar *core.Arena, lo, x *matrix.Dense, w, bi, bk int, eng core.Engine, steps *int, errSlot *error) {
+// X[bi, bk] = (−L_ii⁻¹)·S as a second, both on ar. It returns the two
+// passes' total step count.
+func inverseColumn(ar *core.Arena, lo, x *matrix.Dense, w, bi, bk int, eng core.Engine) (int, error) {
 	n := lo.Rows()
 	li0, li1 := blockBounds(bi, w, n)
 	lk0, lk1 := blockBounds(bk, w, n)
@@ -153,8 +121,7 @@ func inverseColumn(ar *core.Arena, lo, x *matrix.Dense, w, bi, bk int, eng core.
 	sum := ar.Dense(li1-li0, lk1-lk0)
 	t1, err := ar.MatMulPass(sum, lPanel, xPanel, nil, w, eng)
 	if err != nil {
-		*errSlot = err
-		return
+		return 0, err
 	}
 	neg := ar.Dense(li1-li0, li1-li0)
 	for i := 0; i < li1-li0; i++ {
@@ -165,11 +132,10 @@ func inverseColumn(ar *core.Arena, lo, x *matrix.Dense, w, bi, bk int, eng core.
 	dst := ar.Dense(li1-li0, lk1-lk0)
 	t2, err := ar.MatMulPass(dst, neg, sum, nil, w, eng)
 	if err != nil {
-		*errSlot = err
-		return
+		return 0, err
 	}
-	*steps = t1 + t2
 	x.SetRect(li0, lk0, dst)
+	return t1 + t2, nil
 }
 
 // Inverse inverts a dense matrix as U⁻¹·L⁻¹ from its block LU

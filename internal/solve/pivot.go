@@ -4,7 +4,7 @@ package solve
 // that widen BlockLU's solvable class beyond nonsingular leading minors.
 // Pivoting runs entirely as host-side row permutations between the
 // existing array passes (DESIGN §11) — the factor pass decomposition is
-// untouched, so serial/parallel/oracle/compiled equivalence carries over
+// untouched, so oracle/compiled equivalence carries over
 // verbatim. Refinement rides the already-compiled residual matvec and the
 // retained triangular factors, so a warm workspace refines at 0 allocs/op.
 

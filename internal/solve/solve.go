@@ -30,19 +30,11 @@ type Options struct {
 	// issues (core.EngineAuto: the compiled fast path). Both engines return
 	// bit-identical results, so Engine only changes simulation cost.
 	Engine core.Engine
-	// Executor, when non-nil, fans the independent array passes of each
-	// elimination step (BlockLU trailing-update tiles, triangular-phase
-	// panel updates) out across its pool of simulated arrays, with a
-	// barrier per step. The pass decomposition is identical with and
-	// without an executor, so results and statistics are bit-identical at
-	// every worker count; nil means serial on the caller's goroutine. The
-	// executor is shared, not owned: Close it separately.
-	Executor *core.Executor
 	// Pivot selects the row-pivoting policy of the underlying BlockLU
 	// (PivotNone: the historical no-pivoting default). PivotPartial runs
 	// host-side row permutations between the array passes, widening the
 	// solvable class to every nonsingular matrix; the pass decomposition
-	// is unchanged, so engine/worker equivalence is unaffected.
+	// is unchanged, so engine equivalence is unaffected.
 	Pivot PivotPolicy
 	// Refine opts the direct solvers into iterative refinement
 	// (residual-correction cycles on the retained factors); the zero

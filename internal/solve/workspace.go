@@ -12,34 +12,28 @@ import (
 
 // Workspace is the steady-state entry point of the blocked direct solvers:
 // it owns every long-lived buffer of a solve (working copy, factors,
-// panels, solution vectors, stats) plus a serial pass arena, and
-// optionally fans the independent passes of each elimination step out
-// across a core.Executor. Repeated solves on one workspace reuse all of it,
-// so the compiled path allocates nothing in the steady state
-// (BenchmarkSolverEngines' compiled rows run at 0 allocs/op).
+// panels, solution vectors, stats) plus a pass arena. Repeated solves on
+// one workspace reuse all of it, so the compiled path allocates nothing in
+// the steady state (BenchmarkSolverEngines' compiled rows run at 0
+// allocs/op).
 //
 // Ownership: a workspace belongs to one goroutine; the matrices, vector
 // and stats a call returns are workspace-owned and valid until the next
 // call on the same workspace (the one-shot package functions hand a fresh
 // workspace's buffers to the caller, which is why they may return them).
 //
-// Parallel decomposition: BlockLU runs each elimination step as the host
+// Pass decomposition: BlockLU runs each elimination step as the host
 // panel factorization followed by one hexagonal-array pass per w-wide
-// column tile of the trailing update — always the same pass set, fanned
-// across the executor's arrays when one is attached and run inline
-// otherwise, with a barrier per step. Per-pass statistics land in
-// index-addressed slots and are reduced in submission order, so results
-// and stats are bit-identical at every worker count and on both engines.
+// column tile of the trailing update, in column order on the workspace's
+// arena — the paper's fixed-size array running a problem of any size as a
+// sequence of passes. Results and stats are bit-identical on both engines.
 type Workspace struct {
-	w    int
-	exec *core.Executor
-	ar   *core.Arena
-	tri  *trisolve.Workspace
+	w   int
+	ar  *core.Arena
+	tri *trisolve.Workspace
 
 	work, l, u *matrix.Dense
 	negL       *matrix.Dense
-	passSteps  []int
-	passErrs   []error
 	lu         LUStats
 	stats      SolveStats
 	fwX, x     matrix.Vector
@@ -51,34 +45,20 @@ type Workspace struct {
 	resid, rp, corr matrix.Vector
 }
 
-// NewWorkspace returns a serial workspace for array size w: every pass
-// runs inline on the caller's goroutine.
-func NewWorkspace(w int) *Workspace { return NewWorkspaceExecutor(w, nil) }
+// NewWorkspace returns a workspace for array size w with a private arena:
+// every pass runs on the caller's goroutine.
+func NewWorkspace(w int) *Workspace { return NewWorkspaceArena(w, core.NewArena()) }
 
-// NewWorkspaceExecutor returns a workspace whose independent passes fan
-// out across exec's simulated arrays (nil exec = serial). The executor is
-// shared, not owned: Close it separately.
-func NewWorkspaceExecutor(w int, exec *core.Executor) *Workspace {
-	if w < 1 {
-		panic(fmt.Sprintf("solve: invalid array size %d", w))
-	}
-	return &Workspace{
-		w: w, exec: exec,
-		ar:  core.NewArena(),
-		tri: trisolve.NewWorkspaceExecutor(w, exec),
-	}
-}
-
-// NewWorkspaceArena returns a serial workspace (its trisolve substrate
-// included) that replays compiled plans and draws pass scratch through the
-// caller's arena instead of private ones, so repeated solves reuse the
+// NewWorkspaceArena returns a workspace (its trisolve substrate included)
+// that replays compiled plans and draws pass scratch through the caller's
+// arena instead of a private one, so repeated solves reuse the
 // arena's PlanMemo — the constructor behind the stream scheduler's solve
 // tickets, where each shard's arena keeps one warm workspace per array
 // size. The arena is shared, not owned; the workspace inherits its
 // goroutine-ownership contract and Resets it freely between passes, so
 // nothing else drawn from the arena may be live across a workspace call.
 // The pass decomposition is identical to NewWorkspace's, so results and
-// stats stay bit-identical to the serial one-shot path.
+// stats stay bit-identical to the one-shot path.
 func NewWorkspaceArena(w int, ar *core.Arena) *Workspace {
 	if w < 1 {
 		panic(fmt.Sprintf("solve: invalid array size %d", w))
@@ -90,11 +70,10 @@ func NewWorkspaceArena(w int, ar *core.Arena) *Workspace {
 // nonsingular leading minors; PivotPartial: P·A = L·U with host-side row
 // exchanges recorded in stats.Perm) exactly as the package-level BlockLU
 // (which delegates here), with the trailing update of each elimination
-// step decomposed into per-column-tile array passes that fan out across
-// the executor. Pivoting only changes the host panel phase between array
-// passes — the pass decomposition is identical, so results and stats stay
-// bit-identical across engines and worker counts under either policy. The
-// returned factors and stats are workspace-owned.
+// step decomposed into per-column-tile array passes. Pivoting only changes
+// the host panel phase between array passes — the pass decomposition is
+// identical, so results and stats stay bit-identical across engines under
+// either policy. The returned factors and stats are workspace-owned.
 func (ws *Workspace) BlockLU(a *matrix.Dense, opts Options) (l, u *matrix.Dense, stats *LUStats, err error) {
 	n := a.Rows()
 	if a.Cols() != n {
@@ -189,8 +168,7 @@ func (ws *Workspace) BlockLU(a *matrix.Dense, opts Options) (l, u *matrix.Dense,
 			stats.HostOps += 2 * (i - k0) * (n - k1)
 		}
 		// Array: trailing update A₂₂ ← (−L₂₁)·U₁₂ + A₂₂, one pass per
-		// w-wide column tile — the independent panel updates of this
-		// elimination step. The pass set never depends on the worker count.
+		// w-wide column tile, in column order.
 		ws.negL = matrix.Reuse(ws.negL, n-k1, k1-k0)
 		for i := k1; i < n; i++ {
 			nl := ws.negL.RawRow(i - k1)
@@ -198,35 +176,14 @@ func (ws *Workspace) BlockLU(a *matrix.Dense, opts Options) (l, u *matrix.Dense,
 				nl[j] = -v
 			}
 		}
-		count := (n - k1 + w - 1) / w
-		ws.passSteps = matrix.ReuseSlice[int](ws.passSteps, count)
-		ws.passErrs = matrix.ReuseSlice[error](ws.passErrs, count)
-		slot := 0
 		for j0 := k1; j0 < n; j0 += w {
-			j1 := j0 + w
-			if j1 > n {
-				j1 = n
-			}
-			if ws.exec == nil {
-				ws.ar.Reset()
-				ws.trailingTile(ws.ar, k0, k1, j0, j1, slot, opts.Engine)
-			} else {
-				ws.submitTile(k0, k1, j0, j1, slot, opts.Engine)
-			}
-			slot++
-		}
-		if ws.exec != nil {
-			ws.exec.Barrier()
-		}
-		for _, err := range ws.passErrs[:count] {
+			steps, err := ws.trailingTile(k0, k1, j0, min(j0+w, n), opts.Engine)
 			if err != nil {
 				return nil, nil, nil, err
 			}
+			stats.ArraySteps += steps
+			stats.ArrayPasses++
 		}
-		for _, s := range ws.passSteps[:count] {
-			stats.ArraySteps += s
-		}
-		stats.ArrayPasses += count
 	}
 	return lf, uf, stats, nil
 }
@@ -287,31 +244,18 @@ func (ws *Workspace) pivotPanel(k0, k1 int) error {
 	return nil
 }
 
-// submitTile enqueues one trailing tile on the executor. It lives outside
-// the elimination loop so the task closure's captures never force the
-// loop's locals onto the heap on the serial path.
-func (ws *Workspace) submitTile(k0, k1, j0, j1, slot int, eng core.Engine) {
-	ws.exec.Submit(func(_ int, ar *core.Arena) {
-		ws.trailingTile(ar, k0, k1, j0, j1, slot, eng)
-	})
-}
-
-// trailingTile is one fan-out task of a BlockLU elimination step:
+// trailingTile is one column tile of a BlockLU elimination step:
 // work[k1:n, j0:j1] ← (−L₂₁)·U[k0:k1, j0:j1] + work[k1:n, j0:j1] as a
-// single hexagonal-array pass on the task's arena. The pass updates the
-// block of the working matrix where it is and reads the U block through
-// its row stride (core.Arena.MatMulUpdate), so no panel is copied.
-func (ws *Workspace) trailingTile(ar *core.Arena, k0, k1, j0, j1, slot int, eng core.Engine) {
-	steps, err := ar.MatMulUpdate(ws.work, k1, j0, ws.negL, ws.u, k0, j0, j1-j0, ws.w, eng)
-	if err != nil {
-		ws.passErrs[slot] = err
-		return
-	}
-	ws.passSteps[slot] = steps
+// single hexagonal-array pass on the workspace's arena. The pass updates
+// the block of the working matrix where it is and reads the U block
+// through its row stride (core.Arena.MatMulUpdate), so no panel is copied.
+func (ws *Workspace) trailingTile(k0, k1, j0, j1 int, eng core.Engine) (int, error) {
+	ws.ar.Reset()
+	return ws.ar.MatMulUpdate(ws.work, k1, j0, ws.negL, ws.u, k0, j0, j1-j0, ws.w, eng)
 }
 
 // Solve solves A·x = d directly exactly as the package-level Solve (which
-// delegates here): parallel block LU, then the two triangular phases on
+// delegates here): block LU, then the two triangular phases on
 // the workspace's trisolve substrate. The returned vector and stats are
 // workspace-owned.
 func (ws *Workspace) Solve(a *matrix.Dense, d matrix.Vector, opts Options) (matrix.Vector, *SolveStats, error) {

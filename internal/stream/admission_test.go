@@ -12,11 +12,33 @@ import (
 )
 
 // qosProblem returns a small matvec problem with its serial reference.
-func qosProblem(t *testing.T) (core.MatVecProblem, matrix.Vector) {
+func qosProblem(t *testing.T) (MatVecProblem, matrix.Vector) {
 	t.Helper()
 	a := matrix.FromRows([][]float64{{1, 2}, {3, 4}})
-	p := core.MatVecProblem{A: a, X: matrix.Vector{1, 1}}
+	p := MatVecProblem{A: a, X: matrix.Vector{1, 1}}
 	return p, matrix.Vector{3, 7}
+}
+
+// occupyShard blocks shard 0 of s's fleet with a pass submitted straight
+// to the fleet, so jobs routed there queue behind it. The returned release
+// lets the pass finish and waits until it has.
+func occupyShard(t *testing.T, s *Scheduler) (release func()) {
+	t.Helper()
+	gate := make(chan struct{})
+	running := make(chan struct{})
+	finished := make(chan struct{})
+	if err := s.fleet.SubmitTo(0, core.PassFunc(func(int, *core.Arena) {
+		close(running)
+		<-gate
+		close(finished)
+	})); err != nil {
+		t.Fatal(err)
+	}
+	<-running
+	return func() {
+		close(gate)
+		<-finished
+	}
 }
 
 // TestExpiryWhileQueued: a job admitted in time whose deadline passes while
@@ -28,14 +50,7 @@ func TestExpiryWhileQueued(t *testing.T) {
 	p, _ := qosProblem(t)
 
 	// Occupy the only shard so the job queues behind the gate.
-	gate := make(chan struct{})
-	running := make(chan struct{})
-	ex := s.NewExecutor()
-	ex.Submit(func(int, *core.Arena) {
-		close(running)
-		<-gate
-	})
-	<-running
+	release := occupyShard(t, s)
 
 	deadline := time.Now().Add(10 * time.Millisecond)
 	tk, err := s.SubmitMatVecQoS(2, p, QoS{Deadline: deadline})
@@ -46,8 +61,7 @@ func TestExpiryWhileQueued(t *testing.T) {
 	for !time.Now().After(deadline) {
 		time.Sleep(time.Millisecond)
 	}
-	close(gate)
-	ex.Barrier()
+	release()
 
 	res, err := tk.Wait()
 	if res != nil {
@@ -147,14 +161,7 @@ func TestPriorityClasses(t *testing.T) {
 	defer s.Close()
 	p, want := qosProblem(t)
 
-	gate := make(chan struct{})
-	running := make(chan struct{})
-	ex := s.NewExecutor()
-	ex.Submit(func(int, *core.Arena) {
-		close(running)
-		<-gate
-	})
-	<-running
+	release := occupyShard(t, s)
 	// Fill the single queue slot.
 	tk0, err := s.SubmitMatVecQoS(2, p, QoS{})
 	if err != nil {
@@ -181,8 +188,7 @@ func TestPriorityClasses(t *testing.T) {
 	if highDone.Load() {
 		t.Fatal("High submit returned while the queue was still full")
 	}
-	close(gate)
-	ex.Barrier()
+	release()
 
 	if res, err := tk0.Wait(); err != nil || !res.Y.Equal(want, 0) {
 		t.Fatalf("queued job: %v %v", res, err)

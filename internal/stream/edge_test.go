@@ -22,7 +22,7 @@ func TestShardClamping(t *testing.T) {
 			t.Errorf("Shards(%d) clamps to %d, want GOMAXPROCS=%d", shards, got, want)
 		}
 		a := matrix.FromRows([][]float64{{1, 2}, {3, 4}})
-		tk, err := s.SubmitMatVecQoS(2, core.MatVecProblem{A: a, X: matrix.Vector{1, 1}}, QoS{})
+		tk, err := s.SubmitMatVecQoS(2, MatVecProblem{A: a, X: matrix.Vector{1, 1}}, QoS{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -44,10 +44,10 @@ func TestSubmitAfterClose(t *testing.T) {
 	s.Close()
 	s.Close() // idempotent
 	a := matrix.FromRows([][]float64{{1, 2}, {3, 4}})
-	if _, err := s.SubmitMatVecQoS(2, core.MatVecProblem{A: a, X: matrix.Vector{1, 1}}, QoS{}); !errors.Is(err, ErrClosed) {
+	if _, err := s.SubmitMatVecQoS(2, MatVecProblem{A: a, X: matrix.Vector{1, 1}}, QoS{}); !errors.Is(err, ErrClosed) {
 		t.Errorf("SubmitMatVecQoS after Close: %v, want ErrClosed", err)
 	}
-	if _, err := s.SubmitMatMulQoS(2, core.MatMulProblem{A: a, B: a}, QoS{}); !errors.Is(err, ErrClosed) {
+	if _, err := s.SubmitMatMulQoS(2, MatMulProblem{A: a, B: a}, QoS{}); !errors.Is(err, ErrClosed) {
 		t.Errorf("SubmitMatMulQoS after Close: %v, want ErrClosed", err)
 	}
 	dst := make(matrix.Vector, 2)
@@ -78,17 +78,10 @@ func TestSubmitAfterClose(t *testing.T) {
 func TestSaturation(t *testing.T) {
 	s := New(Config{Shards: 1, QueueBound: 1, Policy: Shed})
 	defer s.Close()
-	// Occupy the only shard through a scheduler-backed executor pass.
-	gate := make(chan struct{})
-	running := make(chan struct{})
-	ex := s.NewExecutor()
-	ex.Submit(func(int, *core.Arena) {
-		close(running)
-		<-gate
-	})
-	<-running
+	// Occupy the only shard with a blocking fleet pass.
+	release := occupyShard(t, s)
 	a := matrix.FromRows([][]float64{{1, 2}, {3, 4}})
-	p := core.MatVecProblem{A: a, X: matrix.Vector{1, 1}}
+	p := MatVecProblem{A: a, X: matrix.Vector{1, 1}}
 	// One job fits the queue; the next must shed.
 	tk1, err := s.SubmitMatVecQoS(2, p, QoS{})
 	if err != nil {
@@ -108,8 +101,7 @@ func TestSaturation(t *testing.T) {
 	if _, err := s.SubmitSparseMatVecInto(dst, tr, matrix.Vector{1, 1}, nil, core.EngineAuto); !errors.Is(err, ErrSaturated) {
 		t.Fatalf("sparse Into submit while saturated: %v, want ErrSaturated", err)
 	}
-	close(gate)
-	ex.Barrier()
+	release()
 	if res, err := tk1.Wait(); err != nil || !res.Y.Equal(matrix.Vector{3, 7}, 0) {
 		t.Fatalf("queued job after drain: %v %v", res, err)
 	}
@@ -200,13 +192,13 @@ func TestInvalidArraySize(t *testing.T) {
 	defer s.Close()
 	a := matrix.FromRows([][]float64{{1, 2}, {3, 4}})
 	x := matrix.Vector{1, 1}
-	if _, err := s.SubmitMatVecQoS(0, core.MatVecProblem{A: a, X: x}, QoS{}); err == nil {
+	if _, err := s.SubmitMatVecQoS(0, MatVecProblem{A: a, X: x}, QoS{}); err == nil {
 		t.Error("SubmitMatVecQoS with w=0 should fail at submit")
 	}
 	if _, err := s.SubmitMatVecIntoQoS(make(matrix.Vector, 2), a, x, nil, 0, core.EngineAuto, QoS{}); err == nil {
 		t.Error("SubmitMatVecIntoQoS with w=0 should fail at submit")
 	}
-	if _, err := s.SubmitMatMulQoS(-1, core.MatMulProblem{A: a, B: a}, QoS{}); err == nil {
+	if _, err := s.SubmitMatMulQoS(-1, MatMulProblem{A: a, B: a}, QoS{}); err == nil {
 		t.Error("SubmitMatMulQoS with w=-1 should fail at submit")
 	}
 	s.Flush()

@@ -54,8 +54,8 @@ type job struct {
 	xs, bs, dsts []matrix.Vector
 
 	// Full-result inputs.
-	mvp core.MatVecProblem
-	mmp core.MatMulProblem
+	mvp MatVecProblem
+	mmp MatMulProblem
 
 	// Outputs.
 	steps   int
@@ -81,11 +81,10 @@ type job struct {
 // result); sparse full jobs resolve their pattern-keyed plan through the
 // shard arena's memo (fresh result, plans identical to the serial ones);
 // solve jobs run the full BlockLU pipeline on the running shard's warm
-// arena-pooled workspace (serial pass decomposition — a stream job must
-// not block on an executor backed by its own scheduler — so results and
-// stats are bit-identical to one-shot solve.Solve); pass jobs replay
-// through the arena's memo and write into the caller's buffer, allocating
-// nothing once the shard is warm on that shape or pattern.
+// arena-pooled workspace (the same pass decomposition as one-shot
+// solve.Solve, so results and stats are bit-identical to it); pass jobs
+// replay through the arena's memo and write into the caller's buffer,
+// allocating nothing once the shard is warm on that shape or pattern.
 func (j *job) RunPass(worker int, ar *core.Arena) {
 	if !j.deadline.IsZero() && !time.Now().Before(j.deadline) {
 		j.err = &DeadlineError{Expired: true}
@@ -217,11 +216,28 @@ func checkArraySize(w int) error {
 	return nil
 }
 
+// MatVecProblem is one y = A·x + b job of SubmitMatVecQoS.
+type MatVecProblem struct {
+	A *matrix.Dense
+	X matrix.Vector
+	// B may be nil (zero).
+	B matrix.Vector
+	// Opts configure this problem's run (engine, variant, overlap…).
+	Opts core.MatVecOptions
+}
+
+// MatMulProblem is one C = A·B [+ E] job of SubmitMatMulQoS.
+type MatMulProblem struct {
+	A, B *matrix.Dense
+	// Opts configure this problem's run (E term, engine…).
+	Opts core.MatMulOptions
+}
+
 // SubmitMatVecQoS enqueues one y = A·x + b problem for a w-PE linear array
 // under q's deadline and priority class (see QoS; the zero QoS means no
 // deadline, High priority) and returns its ticket. The problem's inputs
 // must stay untouched until the ticket is redeemed.
-func (s *Scheduler) SubmitMatVecQoS(w int, p core.MatVecProblem, q QoS) (MatVecTicket, error) {
+func (s *Scheduler) SubmitMatVecQoS(w int, p MatVecProblem, q QoS) (MatVecTicket, error) {
 	if err := checkArraySize(w); err != nil {
 		return MatVecTicket{}, err
 	}
@@ -236,7 +252,7 @@ func (s *Scheduler) SubmitMatVecQoS(w int, p core.MatVecProblem, q QoS) (MatVecT
 // SubmitMatMulQoS enqueues one C = A·B [+ E] problem for a w×w hexagonal
 // array under q (see QoS) and returns its ticket. The problem's inputs
 // must stay untouched until the ticket is redeemed.
-func (s *Scheduler) SubmitMatMulQoS(w int, p core.MatMulProblem, q QoS) (MatMulTicket, error) {
+func (s *Scheduler) SubmitMatMulQoS(w int, p MatMulProblem, q QoS) (MatMulTicket, error) {
 	if err := checkArraySize(w); err != nil {
 		return MatMulTicket{}, err
 	}

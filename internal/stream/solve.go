@@ -53,9 +53,6 @@ func validateSolveOpts(a *matrix.Dense, d matrix.Vector, w int, opts solve.Optio
 	if len(d) != n {
 		return fmt.Errorf("stream: len(d)=%d, want %d", len(d), n)
 	}
-	if opts.Executor != nil {
-		return fmt.Errorf("stream: solve options must not carry an executor (a stream job cannot block on one backed by its own scheduler)")
-	}
 	if opts.Pivot != solve.PivotNone && opts.Pivot != solve.PivotPartial {
 		return fmt.Errorf("stream: unknown pivot policy %d", int(opts.Pivot))
 	}
@@ -113,9 +110,8 @@ func (t SolvePassTicket) Wait() (solve.SolveStats, error) {
 // *solve.SingularError carrying the pivot index, and the shard keeps
 // serving. A refinement that fails to converge resolves the ticket with
 // the typed *solve.IllConditionedError carrying its ConditionReport, never
-// an unconverged solution. opts.Executor must be nil — a stream job cannot
-// block on an executor backed by its own scheduler. Inputs must stay
-// untouched until the ticket is redeemed.
+// an unconverged solution. Inputs must stay untouched until the ticket is
+// redeemed.
 func (s *Scheduler) SubmitSolveOpts(a *matrix.Dense, d matrix.Vector, w int, opts solve.Options, q QoS) (SolveTicket, error) {
 	if err := validateSolveOpts(a, d, w, opts); err != nil {
 		return SolveTicket{}, err
@@ -145,8 +141,7 @@ func (s *Scheduler) SubmitSolveIntoQoS(dst matrix.Vector, a *matrix.Dense, d mat
 // the returned stats report the pivoting work as LU.RowSwaps but carry a
 // nil LU.Perm — the permutation slice is owned by the pooled shard
 // workspace and handing it out would alias the next solve; use
-// SubmitSolveOpts when the permutation itself is needed. opts.Executor
-// must be nil, as on SubmitSolveOpts.
+// SubmitSolveOpts when the permutation itself is needed.
 func (s *Scheduler) SubmitSolveIntoOpts(dst matrix.Vector, a *matrix.Dense, d matrix.Vector, w int, opts solve.Options, q QoS) (SolvePassTicket, error) {
 	if err := validateSolveOpts(a, d, w, opts); err != nil {
 		return SolvePassTicket{}, err

@@ -447,11 +447,6 @@ func TestSolveStreamValidation(t *testing.T) {
 	if _, err := s.SubmitSolveIntoQoS(matrix.Vector{1}, sq, d, 2, core.EngineCompiled, QoS{}); err == nil {
 		t.Error("short dst was accepted")
 	}
-	ex := core.NewExecutor(1)
-	if _, err := s.SubmitSolveOpts(sq, d, 2, solve.Options{Executor: ex}, QoS{}); err == nil {
-		t.Error("an executor-carrying solve was accepted")
-	}
-	ex.Close()
 	if _, err := s.SubmitSolveOpts(sq, d, 2, solve.Options{Pivot: solve.PivotPolicy(9)}, QoS{}); err == nil {
 		t.Error("an unknown pivot policy was accepted")
 	}

@@ -1,11 +1,9 @@
 // Package stream is the sharded stream-scheduler runtime: a persistent
 // fleet of simulated systolic arrays serving a continuous stream of matrix
 // problems, the way the paper's fixed arrays serve one logical problem
-// after another. It unifies the repository's two older parallel runtimes —
-// the one-shot core.Batch worker pool and the intra-solve core.Executor
-// pass pool — over a single core.Fleet, so one worker budget carries
-// inter-problem jobs and intra-solve passes at once without
-// oversubscription.
+// after another. It is the repository's only concurrent runtime: jobs run
+// concurrently across the shards of one core.Fleet, and each job — a full
+// direct solve included — runs serially on the shard that takes it.
 //
 // A Scheduler owns the fleet. Jobs are submitted asynchronously and routed
 // by shape affinity: problems of the same shape hash to the same shard,
@@ -202,24 +200,12 @@ func (s *Scheduler) Flush() { s.fleet.Flush() }
 
 // Close flushes the stream and stops the fleet. Submissions after Close
 // return ErrClosed; unredeemed tickets from before Close stay redeemable.
-// Close is idempotent. Executors created by NewExecutor must be done
-// before Close.
+// Close is idempotent.
 func (s *Scheduler) Close() {
 	if s.closed.Swap(true) {
 		return
 	}
 	s.fleet.Close()
-}
-
-// NewExecutor returns a pass executor running on this scheduler's fleet,
-// for wiring into solve.Options.Executor: one worker budget then serves
-// the problem stream and the intra-solve pass fan-out together. Use it
-// from host goroutines only — a stream job must not block on an executor
-// backed by its own scheduler (its barrier could wait on passes queued
-// behind the very shard it occupies). The executor shares the fleet, so
-// close the executor before the scheduler.
-func (s *Scheduler) NewExecutor() *core.Executor {
-	return core.NewExecutorFleet(s.fleet)
 }
 
 // get draws a recycled job, stamps its sequence number and attaches its
@@ -238,7 +224,7 @@ func (s *Scheduler) release(j *job) {
 	j.dst, j.a, j.x, j.b = nil, nil, nil, nil
 	j.sp = nil
 	j.xs, j.bs, j.dsts = nil, nil, nil
-	j.mvp, j.mmp = core.MatVecProblem{}, core.MatMulProblem{}
+	j.mvp, j.mmp = MatVecProblem{}, MatMulProblem{}
 	j.mvres, j.mmres, j.spres = nil, nil, nil
 	j.svx, j.svstats = nil, solve.SolveStats{}
 	j.pivot, j.refine = solve.PivotNone, solve.RefineOptions{}

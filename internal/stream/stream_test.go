@@ -22,8 +22,8 @@ func shardLadder() []int {
 
 // streamCase is one mixed-shape problem with its serial reference.
 type streamCase struct {
-	mv     *core.MatVecProblem
-	mm     *core.MatMulProblem
+	mv     *MatVecProblem
+	mm     *MatMulProblem
 	w      int
 	wantMV *core.MatVecResult
 	wantMM *core.MatMulResult
@@ -45,7 +45,7 @@ func randomCases(t *testing.T, rng *rand.Rand, n int) []streamCase {
 		c := streamCase{w: w}
 		if i%2 == 0 {
 			sh := shapes[i%len(shapes)]
-			p := &core.MatVecProblem{
+			p := &MatVecProblem{
 				A:    matrix.RandomDense(rng, sh[0], sh[1], 5),
 				X:    matrix.RandomVector(rng, sh[1], 5),
 				B:    matrix.RandomVector(rng, sh[0], 5),
@@ -58,7 +58,7 @@ func randomCases(t *testing.T, rng *rand.Rand, n int) []streamCase {
 			c.mv, c.wantMV = p, want
 		} else {
 			d := 2 + rng.Intn(2)*w
-			p := &core.MatMulProblem{
+			p := &MatMulProblem{
 				A:    matrix.RandomDense(rng, d, d, 4),
 				B:    matrix.RandomDense(rng, d, d, 4),
 				Opts: core.MatMulOptions{Engine: eng},
@@ -167,56 +167,5 @@ func TestStreamIntoMatchesSerial(t *testing.T) {
 			}
 		}
 		s.Close()
-	}
-}
-
-// TestSharedExecutor: a scheduler-backed executor fans intra-solve passes
-// over the same fleet that serves stream jobs, and the solver results stay
-// bit-identical to serial — the shared-worker-budget contract.
-func TestSharedExecutor(t *testing.T) {
-	rng := rand.New(rand.NewSource(89))
-	s := New(Config{Shards: 3})
-	defer s.Close()
-	ex := s.NewExecutor()
-	defer ex.Close()
-	if ex.Workers() != 3 {
-		t.Fatalf("executor workers = %d, want the scheduler's 3 shards", ex.Workers())
-	}
-	// Keep stream traffic flowing while the executor runs passes.
-	bg := core.MatVecProblem{
-		A: matrix.RandomDense(rng, 8, 8, 4),
-		X: matrix.RandomVector(rng, 8, 4),
-	}
-	var tickets []MatVecTicket
-	for i := 0; i < 8; i++ {
-		tk, err := s.SubmitMatVecQoS(3, bg, QoS{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		tickets = append(tickets, tk)
-	}
-	// The executor discipline from the workspaces: slot-addressed results.
-	n := 12
-	a := matrix.RandomDense(rng, n, n, 3)
-	x := matrix.RandomVector(rng, n, 3)
-	rows := make(matrix.Vector, n)
-	for i := 0; i < n; i++ {
-		i := i
-		ex.Submit(func(_ int, ar *core.Arena) {
-			dst := matrix.Vector(ar.Floats(1))
-			if _, err := ar.MatVecPass(dst, a.Slice(i, i+1, 0, n), x, nil, 3, core.EngineCompiled); err == nil {
-				rows[i] = dst[0]
-			}
-		})
-	}
-	ex.Barrier()
-	want := a.MulVec(x, nil)
-	if !rows.Equal(want, 0) {
-		t.Error("executor passes over the shared fleet computed the wrong product")
-	}
-	for _, tk := range tickets {
-		if _, err := tk.Wait(); err != nil {
-			t.Fatal(err)
-		}
 	}
 }

@@ -15,9 +15,9 @@ var ErrSingular = errors.New("singular matrix")
 
 // SingularError reports the exact pivot a direct solver found to be
 // zero. It is returned unchanged through every runtime layer — the
-// intra-solve executor fan-out, the batch API's joined per-index errors
-// and the stream scheduler's tickets — so errors.As extracts the pivot
-// index anywhere in a wrapped chain, and errors.Is matches ErrSingular.
+// stream scheduler's tickets and the HTTP facade — so errors.As extracts
+// the pivot index anywhere in a wrapped chain, and errors.Is matches
+// ErrSingular.
 type SingularError struct {
 	// Op names the operation that hit the pivot, e.g. "solve.BlockLU"
 	// or "trisolve.SolveLower".
@@ -63,8 +63,8 @@ type ConditionReport struct {
 var ErrIllConditioned = errors.New("ill-conditioned system: iterative refinement did not converge")
 
 // IllConditionedError is the typed refinement failure: errors.As extracts
-// it from any wrapped chain (executor fan-out, batch joins, stream
-// tickets, the HTTP facade), errors.Is matches ErrIllConditioned. No
+// it from any wrapped chain (stream tickets, the HTTP facade), errors.Is
+// matches ErrIllConditioned. No
 // solution is returned alongside it — an answer that failed refinement is
 // withheld, not handed back as garbage.
 type IllConditionedError struct {

@@ -10,34 +10,29 @@ import (
 
 // Workspace is the steady-state entry point of the dense triangular
 // solver: a reusable scratch set (rhs, packed diagonal bands, mirrors, a
-// plan memo) plus an optional pass executor. Its solves write into
+// plan memo) on one pass arena. Its solves write into
 // caller-provided buffers and allocate nothing once warmed on the compiled
 // engine.
 //
 // Unlike Solver.SolveLower (left-looking: one accumulated off-diagonal
 // pass per block row), a Workspace solve is *right-looking*: after block
 // row rb's diagonal solve on the triangular array, every later block row
-// jb > rb subtracts its panel product L[jb, rb]·x[rb] — independent
-// matrix–vector passes over disjoint rhs blocks, which fan out across the
-// executor's arrays with a barrier per elimination step. The pass set is
-// the same at every worker count (and on both engines), so results and
-// statistics are bit-identical serial or parallel.
+// jb > rb subtracts its panel product L[jb, rb]·x[rb] — one matrix–vector
+// pass per block row, in row order. The pass set is the same on both
+// engines, so results and statistics are bit-identical across them.
 //
 // A Workspace belongs to one goroutine; results written into caller
 // buffers are the caller's, everything else is reused by the next call.
 type Workspace struct {
-	w    int
-	exec *core.Executor
-	ar   *core.Arena
-	tri  *Array
+	w   int
+	ar  *core.Arena
+	tri *Array
 
-	rhs       matrix.Vector
-	lpack     []float64
-	mirror    *matrix.Dense
-	revb      matrix.Vector
-	xrev      matrix.Vector
-	passSteps []int
-	passErrs  []error
+	rhs    matrix.Vector
+	lpack  []float64
+	mirror *matrix.Dense
+	revb   matrix.Vector
+	xrev   matrix.Vector
 }
 
 // PassStats counts the array work of one workspace solve, split by array
@@ -49,25 +44,11 @@ type PassStats struct {
 	MatVecSteps, MatVecPasses int
 }
 
-// NewWorkspace returns a serial workspace for array size w: every pass
-// runs inline on the caller's goroutine.
-func NewWorkspace(w int) *Workspace { return NewWorkspaceExecutor(w, nil) }
+// NewWorkspace returns a workspace for array size w with a private arena:
+// every pass runs on the caller's goroutine.
+func NewWorkspace(w int) *Workspace { return NewWorkspaceArena(w, core.NewArena()) }
 
-// NewWorkspaceExecutor returns a workspace whose independent panel passes
-// fan out across exec's simulated arrays (nil exec = serial). The executor
-// is shared, not owned: Close it separately.
-func NewWorkspaceExecutor(w int, exec *core.Executor) *Workspace {
-	if w < 1 {
-		panic(fmt.Sprintf("trisolve: invalid array size %d", w))
-	}
-	return &Workspace{
-		w: w, exec: exec,
-		ar:  core.NewArena(),
-		tri: New(w),
-	}
-}
-
-// NewWorkspaceArena returns a serial workspace replaying its compiled
+// NewWorkspaceArena returns a workspace replaying its compiled
 // plans and drawing its pass scratch through the caller's arena instead of
 // a private one, so the workspace shares the arena's PlanMemo (a stream
 // shard keeps its solve workspaces warm on the same memo its pass jobs
@@ -111,7 +92,8 @@ func (tw *Workspace) SolveBandInto(dst matrix.Vector, l *matrix.Band, b matrix.V
 
 // SolveLowerInto solves L·x = b for a dense lower triangular L into dst
 // (len = n) with every arithmetic operation inside a fixed-size array,
-// right-looking with per-step panel fan-out. Stats are returned by value;
+// right-looking: one panel pass per later block row after each diagonal
+// block. Stats are returned by value;
 // dst must not alias b.
 func (tw *Workspace) SolveLowerInto(dst matrix.Vector, l *matrix.Dense, b matrix.Vector, eng core.Engine) (PassStats, error) {
 	var stats PassStats
@@ -152,40 +134,16 @@ func (tw *Workspace) SolveLowerInto(dst matrix.Vector, l *matrix.Dense, b matrix
 		}
 		stats.TriSteps += steps
 		stats.TriPasses++
-		// Fan the trailing panel updates of this step out: block row jb
-		// subtracts L[jb, rb]·x[rb] from its rhs block — disjoint writes,
-		// shared read-only x — then the barrier closes the step.
-		count := nb - rb - 1
-		if count == 0 {
-			continue
-		}
-		tw.passSteps = matrix.ReuseSlice[int](tw.passSteps, count)
-		tw.passErrs = matrix.ReuseSlice[error](tw.passErrs, count)
-		for jb := rb + 1; jb < nb; jb++ {
-			jlo, jhi := jb*w, (jb+1)*w
-			if jhi > n {
-				jhi = n
-			}
-			slot := jb - rb - 1
-			if tw.exec == nil {
-				tw.ar.Reset()
-				tw.updatePanel(tw.ar, l, dst, lo, hi, jlo, jhi, slot, eng)
-			} else {
-				tw.submitPanel(l, dst, lo, hi, jlo, jhi, slot, eng)
-			}
-		}
-		if tw.exec != nil {
-			tw.exec.Barrier()
-		}
-		for _, err := range tw.passErrs[:count] {
+		// Trailing panel updates of this step: block row jb subtracts
+		// L[jb, rb]·x[rb] from its rhs block.
+		for jlo := hi; jlo < n; jlo += w {
+			steps, err := tw.updatePanel(l, dst, lo, hi, jlo, min(jlo+w, n), eng)
 			if err != nil {
 				return stats, err
 			}
+			stats.MatVecSteps += steps
+			stats.MatVecPasses++
 		}
-		for _, s := range tw.passSteps[:count] {
-			stats.MatVecSteps += s
-		}
-		stats.MatVecPasses += count
 	}
 	return stats, nil
 }
@@ -232,29 +190,22 @@ func (tw *Workspace) solveDiagonal(dst matrix.Vector, l *matrix.Dense, lo, hi in
 	return sch.T, nil
 }
 
-// submitPanel enqueues one panel update on the executor. It lives outside
-// the elimination loop so the task closure's captures never force the
-// loop's locals onto the heap on the serial path.
-func (tw *Workspace) submitPanel(l *matrix.Dense, x matrix.Vector, lo, hi, jlo, jhi, slot int, eng core.Engine) {
-	tw.exec.Submit(func(_ int, ar *core.Arena) {
-		tw.updatePanel(ar, l, x, lo, hi, jlo, jhi, slot, eng)
-	})
-}
-
-// updatePanel is one fan-out task: rhs[jlo:jhi] −= L[jlo:jhi, lo:hi]·x[lo:hi].
-func (tw *Workspace) updatePanel(ar *core.Arena, l *matrix.Dense, x matrix.Vector, lo, hi, jlo, jhi, slot int, eng core.Engine) {
+// updatePanel is one panel pass, rhs[jlo:jhi] −= L[jlo:jhi, lo:hi]·x[lo:hi],
+// on the workspace's arena. It returns the pass's step count.
+func (tw *Workspace) updatePanel(l *matrix.Dense, x matrix.Vector, lo, hi, jlo, jhi int, eng core.Engine) (int, error) {
+	ar := tw.ar
+	ar.Reset()
 	panel := matrix.SliceInto(ar.Dense(jhi-jlo, hi-lo), l, jlo, jhi, lo, hi)
 	mv := matrix.Vector(ar.Floats(jhi - jlo))
 	steps, err := ar.MatVecPass(mv, panel, x[lo:hi], nil, tw.w, eng)
 	if err != nil {
-		tw.passErrs[slot] = err
-		return
+		return 0, err
 	}
-	tw.passSteps[slot] = steps
 	rhs := tw.rhs[jlo:jhi]
 	for i, v := range mv {
 		rhs[i] -= v
 	}
+	return steps, nil
 }
 
 // SolveUpperInto solves U·x = b for a dense upper triangular U into dst by

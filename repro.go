@@ -12,11 +12,11 @@
 // in O(MACs), bit-identical to the oracle — shape-keyed for the dense
 // workloads, pattern-keyed for the §4 sparse matvec), analysis the paper's
 // closed forms, baseline/sparse/solve the comparison points and §4
-// extensions, core the public solver facade with engine selection and the
-// SolveBatch worker-pool API, and stream the sharded stream-scheduler
-// runtime that keeps a persistent fleet of simulated arrays busy across a
-// continuous problem stream (NewStream below is its entry point), routing
-// jobs by shape — and, for sparse jobs, sparsity-pattern — affinity. See
+// extensions, core the public solver facade with engine selection, and
+// stream the sharded stream-scheduler runtime that keeps a persistent
+// fleet of simulated arrays busy across a continuous problem stream
+// (NewStream below is its entry point), routing jobs by shape — and, for
+// sparse jobs, sparsity-pattern — affinity. See
 // DESIGN.md for the system inventory and two-engine architecture and
 // EXPERIMENTS.md for paper-vs-measured results; the benchmarks in
 // bench_test.go regenerate every experiment's headline metrics.
@@ -74,7 +74,7 @@ type StreamSolvePassTicket = stream.SolvePassTicket
 //
 //	s := repro.NewStream(repro.StreamConfig{Shards: 4})
 //	defer s.Close()
-//	t, err := s.SubmitMatVecQoS(8, core.MatVecProblem{A: a, X: x}, repro.StreamQoS{})
+//	t, err := s.SubmitMatVecQoS(8, stream.MatVecProblem{A: a, X: x}, repro.StreamQoS{})
 //	...
 //	res, err := t.Wait()
 func NewStream(cfg StreamConfig) *Stream { return stream.New(cfg) }
