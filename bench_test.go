@@ -372,14 +372,15 @@ func BenchmarkTriSolve(b *testing.B) {
 		l.Set(i, i, float64(1+rng.Intn(3)))
 	}
 	d := l.MulVec(matrix.RandomVector(rng, n, 3), nil)
-	s := trisolve.NewSolver(w)
-	var last *trisolve.DenseResult
+	tw := trisolve.NewWorkspace(w)
+	x := make(matrix.Vector, n)
+	var last trisolve.PassStats
 	for i := 0; i < b.N; i++ {
-		res, err := s.SolveLower(l, d)
+		st, err := tw.SolveLowerInto(x, l, d, core.EngineAuto)
 		if err != nil {
 			b.Fatal(err)
 		}
-		last = res
+		last = st
 	}
 	b.ReportMetric(float64(last.TriSteps), "tri-steps")
 	b.ReportMetric(float64(last.MatVecSteps), "matvec-steps")

@@ -395,21 +395,23 @@ func solverCase(rng *rand.Rand, maxw int) {
 	}
 	want := matrix.RandomVector(rng, n, 3)
 	d := l.MulVec(want, nil)
-	res, err := trisolve.NewSolverEngine(w, core.EngineCompiled).SolveLower(l, d)
+	tw := trisolve.NewWorkspace(w)
+	x, ox := make(matrix.Vector, n), make(matrix.Vector, n)
+	st, err := tw.SolveLowerInto(x, l, d, core.EngineCompiled)
 	if err != nil {
 		fail("trisolve: %v", err)
 		return
 	}
-	if !res.X.Equal(want, 1e-8) {
-		fail("trisolve wrong (w=%d n=%d): off %g", w, n, res.X.MaxAbsDiff(want))
+	if !x.Equal(want, 1e-8) {
+		fail("trisolve wrong (w=%d n=%d): off %g", w, n, x.MaxAbsDiff(want))
 	}
-	ores, err := trisolve.NewSolverEngine(w, core.EngineOracle).SolveLower(l, d)
+	ost, err := tw.SolveLowerInto(ox, l, d, core.EngineOracle)
 	if err != nil {
 		fail("trisolve oracle: %v", err)
 		return
 	}
-	if !reflect.DeepEqual(res, ores) {
-		fail("trisolve engines disagree (w=%d n=%d):\ncompiled %+v\noracle   %+v", w, n, res, ores)
+	if !reflect.DeepEqual(x, ox) || st != ost {
+		fail("trisolve engines disagree (w=%d n=%d):\ncompiled %v %+v\noracle   %v %+v", w, n, x, st, ox, ost)
 	}
 	// LU with array trailing updates: factors bit-identical across engines.
 	a := matrix.RandomDense(rng, n, n, 2)

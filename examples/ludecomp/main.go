@@ -11,6 +11,7 @@ import (
 	"log"
 	"math/rand"
 
+	"repro/internal/core"
 	"repro/internal/matrix"
 	"repro/internal/solve"
 	"repro/internal/trisolve"
@@ -53,12 +54,13 @@ func main() {
 	// 2. Solve L·(U·x) = d with both triangular systems on arrays: the
 	// dedicated triangular-solver array handles the diagonal blocks, the
 	// matvec array the off-diagonal panels.
-	ts := trisolve.NewSolver(arrayW)
-	fw, err := ts.SolveLower(l, d)
+	ts := trisolve.NewWorkspace(arrayW)
+	y, x := make(matrix.Vector, n), make(matrix.Vector, n)
+	fw, err := ts.SolveLowerInto(y, l, d, core.EngineAuto)
 	if err != nil {
 		log.Fatal(err)
 	}
-	bw, err := ts.SolveUpper(u, fw.X)
+	bw, err := ts.SolveUpperInto(x, u, y, core.EngineAuto)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -67,7 +69,7 @@ func main() {
 		fw.TriPasses, fw.TriSteps, fw.MatVecPasses, fw.MatVecSteps)
 	fmt.Printf("  backward: %d tri passes (%d steps) + %d matvec passes (%d steps)\n",
 		bw.TriPasses, bw.TriSteps, bw.MatVecPasses, bw.MatVecSteps)
-	fmt.Printf("  solution error vs truth: %.1e\n", bw.X.MaxAbsDiff(want))
+	fmt.Printf("  solution error vs truth: %.1e\n", x.MaxAbsDiff(want))
 
 	// 3. Full inverse (U⁻¹·L⁻¹), §4's last list item.
 	inv, invStats, err := solve.Inverse(a, arrayW, solve.Options{})

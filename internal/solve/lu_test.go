@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"repro/internal/matrix"
@@ -55,6 +56,60 @@ func TestBlockLUZeroPivot(t *testing.T) {
 	if _, _, _, err := BlockLU(matrix.NewDense(2, 3), 2, Options{}); err == nil {
 		t.Error("expected non-square error")
 	}
+}
+
+// TestBlockLUUnpivotedZeroPivot pins PivotNone's zero-pivot rule: a zero
+// pivot is an error exactly when a multiplier would divide by it. A = L·U
+// is built from integer unit-L and U factors with one zero on U's
+// diagonal, so elimination reproduces U exactly and meets that zero at
+// column j, whether j is inside a diagonal block or at a block's edge.
+// Below the last row nothing divides by U[n−1][n−1]: the factors come back
+// and the solve's triangular phase reports the singularity instead.
+func TestBlockLUUnpivotedZeroPivot(t *testing.T) {
+	rng := rand.New(rand.NewSource(80))
+	n := 7
+	for _, w := range []int{1, 2, 3, 4} {
+		for j := 0; j < n; j++ {
+			a := zeroPivotProduct(rng, n, j)
+			l, u, _, err := BlockLU(a, w, Options{})
+			if j < n-1 {
+				var serr *SingularError
+				if !errors.As(err, &serr) || *serr != (SingularError{Op: "solve.BlockLU", Index: j}) {
+					t.Errorf("w=%d zero at U[%d][%d]: err = %v, want solve.BlockLU singular pivot at %d", w, j, j, err, j)
+				}
+				continue
+			}
+			if err != nil {
+				t.Fatalf("w=%d zero at U[%d][%d]: BlockLU: %v", w, j, j, err)
+			}
+			if !l.Mul(u).Equal(a, 0) || u.At(j, j) != 0 {
+				t.Errorf("w=%d: factors of a last-pivot-zero matrix are not exact", w)
+			}
+			_, _, err = Solve(a, matrix.NewVector(n), w, Options{})
+			var serr *SingularError
+			if !errors.As(err, &serr) || !strings.HasPrefix(serr.Op, "trisolve.") {
+				t.Errorf("w=%d: Solve err = %v, want a trisolve singular pivot", w, err)
+			}
+		}
+	}
+}
+
+// zeroPivotProduct returns L·U for a random integer unit-lower L and an
+// integer upper U whose diagonal is 2 except for a 0 at U[j][j].
+func zeroPivotProduct(rng *rand.Rand, n, j int) *matrix.Dense {
+	l, u := identity(n), matrix.NewDense(n, n)
+	for i := 0; i < n; i++ {
+		for k := 0; k < i; k++ {
+			l.Set(i, k, float64(rng.Intn(3)-1))
+		}
+		for k := i + 1; k < n; k++ {
+			u.Set(i, k, float64(rng.Intn(3)-1))
+		}
+		if i != j {
+			u.Set(i, i, 2)
+		}
+	}
+	return l.Mul(u)
 }
 
 func TestLowerTriangularInverse(t *testing.T) {

@@ -101,53 +101,10 @@ func (ws *Workspace) BlockLU(a *matrix.Dense, opts Options) (l, u *matrix.Dense,
 		if k1 > n {
 			k1 = n
 		}
-		if pivoted {
-			// Host: pivoted panel — diagonal block and L₂₁ in one
-			// in-place elimination with row exchanges between the
-			// array passes.
-			if err := ws.pivotPanel(k0, k1); err != nil {
-				return nil, nil, nil, err
-			}
-		} else {
-			// Host: factor the diagonal block (Doolittle, unit L).
-			for i := k0; i < k1; i++ {
-				wi, li, ui := work.RawRow(i), lf.RawRow(i), uf.RawRow(i)
-				for j := k0; j < k1; j++ {
-					s := wi[j]
-					for t := k0; t < min(i, j); t++ {
-						s -= li[t] * ur[t*n+j]
-					}
-					stats.HostOps += 2 * (min(i, j) - k0)
-					if j >= i {
-						ui[j] = s
-					} else {
-						d := ur[j*n+j]
-						if d == 0 {
-							return nil, nil, nil, &SingularError{Op: "solve.BlockLU", Index: j}
-						}
-						li[j] = s / d
-						stats.HostOps++
-					}
-				}
-				li[i] = 1
-			}
-			// Host: L₂₁ = A₂₁·U₁₁⁻¹ (back substitution per row).
-			for i := k1; i < n; i++ {
-				wi, li := work.RawRow(i), lf.RawRow(i)
-				for j := k0; j < k1; j++ {
-					s := wi[j]
-					for t := k0; t < j; t++ {
-						s -= li[t] * ur[t*n+j]
-					}
-					stats.HostOps += 2 * (j - k0)
-					d := ur[j*n+j]
-					if d == 0 {
-						return nil, nil, nil, &SingularError{Op: "solve.BlockLU", Index: j}
-					}
-					li[j] = s / d
-					stats.HostOps++
-				}
-			}
+		// Host: the panel — diagonal block and L₂₁ in one in-place
+		// elimination, with row exchanges under PivotPartial.
+		if err := ws.panel(k0, k1, pivoted); err != nil {
+			return nil, nil, nil, err
 		}
 		if k1 == n {
 			break
@@ -188,58 +145,58 @@ func (ws *Workspace) BlockLU(a *matrix.Dense, opts Options) (l, u *matrix.Dense,
 	return lf, uf, stats, nil
 }
 
-// pivotPanel is the PivotPartial host phase of one elimination step: the
-// panel work[k0:n, k0:k1) is eliminated in place, column by column, each
-// column first swapping the largest-magnitude candidate pivot row to the
-// diagonal (a full-row exchange of the working copy plus the multipliers
-// already stored in L, with the swap recorded in perm). It produces
-// exactly what the unpivoted diagonal+L₂₁ phase produces — U's panel rows,
-// unit-L's panel columns — so the U₁₂ substitution and the trailing-update
-// array passes that follow are shared between the policies untouched.
-// Exact singularity (a whole candidate column of zeros) returns
-// *SingularError with the global column index, same as the unpivoted
-// zero-pivot path.
-func (ws *Workspace) pivotPanel(k0, k1 int) error {
-	work, lf, uf := ws.work, ws.l, ws.u
-	n := work.Rows()
+// panel is the host phase of one elimination step: the panel
+// work[k0:n, k0:k1) is eliminated in place, column by column, into U's
+// panel rows and unit L's panel columns, which the U₁₂ substitution and the
+// trailing-update array passes then consume. With pivot set, each column
+// first swaps the largest-magnitude candidate pivot row to the diagonal (a
+// full-row exchange of the working copy plus the multipliers already
+// stored in L, with the swap recorded in perm). A zero pivot returns
+// *SingularError with its global column index when a multiplier would
+// divide by it; under pivoting that is every zero pivot (a whole candidate
+// column of zeros), without it every one but U[n−1][n−1], which the
+// triangular phase of a solve then reports.
+func (ws *Workspace) panel(k0, k1 int, pivot bool) error {
+	n := ws.work.Rows()
+	wr, lr, ur := ws.work.Raw(), ws.l.Raw(), ws.u.Raw()
 	stats := &ws.lu
-	wr := work.Raw()
 	for j := k0; j < k1; j++ {
 		p, best := j, math.Abs(wr[j*n+j])
-		for i := j + 1; i < n; i++ {
-			if v := math.Abs(wr[i*n+j]); v > best {
-				p, best = i, v
+		if pivot {
+			for i := j + 1; i < n; i++ {
+				if v := math.Abs(wr[i*n+j]); v > best {
+					p, best = i, v
+				}
 			}
 		}
-		if best == 0 {
+		if best == 0 && (pivot || j+1 < n) {
 			return &SingularError{Op: "solve.BlockLU", Index: j}
 		}
 		if p != j {
-			rp, rj := work.RawRow(p), work.RawRow(j)
+			rp, rj := wr[p*n:(p+1)*n], wr[j*n:(j+1)*n]
 			for t := range rp {
 				rp[t], rj[t] = rj[t], rp[t]
 			}
-			lp, lj := lf.RawRow(p), lf.RawRow(j)
-			for t := 0; t < j; t++ {
+			lp, lj := lr[p*n:p*n+j], lr[j*n:j*n+j]
+			for t := range lp {
 				lp[t], lj[t] = lj[t], lp[t]
 			}
 			ws.perm[p], ws.perm[j] = ws.perm[j], ws.perm[p]
 			stats.RowSwaps++
 		}
-		wj := work.RawRow(j)
-		piv := wj[j]
-		copy(uf.RawRow(j)[j:k1], wj[j:k1])
-		lf.RawRow(j)[j] = 1
+		wj := wr[j*n+j : j*n+k1]
+		piv := wj[0]
+		copy(ur[j*n+j:j*n+k1], wj)
+		lr[j*n+j] = 1
 		for i := j + 1; i < n; i++ {
-			wi := work.RawRow(i)
-			m := wi[j] / piv
-			stats.HostOps++
-			lf.RawRow(i)[j] = m
-			for t := j + 1; t < k1; t++ {
+			wi := wr[i*n+j : i*n+k1]
+			m := wi[0] / piv
+			lr[i*n+j] = m
+			for t := 1; t < len(wi); t++ {
 				wi[t] = wi[t] - m*wj[t]
 			}
-			stats.HostOps += 2 * (k1 - j - 1)
 		}
+		stats.HostOps += (n - j - 1) * (2*(k1-j) - 1)
 	}
 	return nil
 }

@@ -13,17 +13,19 @@
 // joins the x stream moving right — the self-feeding recurrence of the
 // systolic solver. Total steps: T = 2n + w − 2; PE duty approaches ½.
 //
-// The blocked dense solver partitions an arbitrary dense lower triangular
-// system into w-wide block rows: each diagonal block is itself a lower
-// triangular band of bandwidth w and runs directly on this array, while
-// the off-diagonal (dense rectangular) work runs as DBT matrix–vector
-// passes on the multiplication array — so every arithmetic operation
-// happens inside a fixed-size systolic array.
+// The blocked dense solver (Workspace) partitions an arbitrary dense lower
+// triangular system into w-wide block rows: each diagonal block is itself
+// a lower triangular band of bandwidth w and runs directly on this array,
+// while the off-diagonal (dense rectangular) work runs as DBT
+// matrix–vector passes on the multiplication array — so every arithmetic
+// operation happens inside a fixed-size systolic array. Upper triangular
+// systems mirror onto the lower solver, and a matrix right-hand side
+// (§4's "matrix equations") solves one column at a time.
 //
 // Like the matrix-product workloads, every solve runs on either of two
 // engines that agree bit for bit: SolveBand is the cycle-accurate
-// structural oracle, and SolveBandEngine/NewSolverEngine select the
-// compiled-schedule fast path (schedule.TriSolve: shape-cached plan,
+// structural oracle, and SolveBandEngine and the Workspace solves select
+// the compiled-schedule fast path (schedule.TriSolve: shape-cached plan,
 // packed band, O(n·w) replay) through the core.Engine mechanism.
 package trisolve
 
@@ -223,155 +225,3 @@ func (ar *Array) SolveBand(l *matrix.Band, b matrix.Vector) *Result {
 
 // StepsBand returns the closed-form step count 2n + w − 2 of a band solve.
 func StepsBand(n, w int) int { return 2*n + w - 2 }
-
-// Solver is the size-independent dense triangular solver: diagonal blocks
-// on the triangular array, off-diagonal work as DBT matrix–vector passes.
-type Solver struct {
-	w   int
-	tri *Array
-	mv  *core.MatVecSolver
-	eng core.Engine
-}
-
-// NewSolver returns a dense solver for array size w using the default
-// engine (EngineAuto: the compiled fast path for every array pass).
-func NewSolver(w int) *Solver {
-	return NewSolverEngine(w, core.EngineAuto)
-}
-
-// NewSolverEngine returns a dense solver whose every array pass — diagonal
-// blocks on the triangular array, off-diagonal panels on the matvec array —
-// runs on the selected execution engine.
-func NewSolverEngine(w int, eng core.Engine) *Solver {
-	return &Solver{w: w, tri: New(w), mv: core.NewMatVecSolver(w), eng: eng}
-}
-
-// DenseResult reports a blocked dense solve.
-type DenseResult struct {
-	X matrix.Vector
-	// TriSteps and MatVecSteps split the measured array steps by array.
-	TriSteps, MatVecSteps int
-	// TriPasses and MatVecPasses count array invocations.
-	TriPasses, MatVecPasses int
-}
-
-// SolveLower solves L·x = b for a dense lower triangular matrix of any
-// size with every arithmetic operation inside a fixed-size array.
-func (s *Solver) SolveLower(l *matrix.Dense, b matrix.Vector) (*DenseResult, error) {
-	n := l.Rows()
-	if l.Cols() != n {
-		return nil, fmt.Errorf("trisolve: matrix is %d×%d, want square", n, l.Cols())
-	}
-	if len(b) != n {
-		return nil, fmt.Errorf("trisolve: len(b)=%d, want %d", len(b), n)
-	}
-	for i := 0; i < n; i++ {
-		if l.At(i, i) == 0 {
-			return nil, &SingularError{Op: "trisolve.SolveLower", Index: i}
-		}
-		for j := i + 1; j < n; j++ {
-			if l.At(i, j) != 0 {
-				return nil, fmt.Errorf("trisolve: L[%d][%d] ≠ 0: not lower triangular", i, j)
-			}
-		}
-	}
-	w := s.w
-	res := &DenseResult{X: make(matrix.Vector, n)}
-	nb := (n + w - 1) / w
-	for rb := 0; rb < nb; rb++ {
-		lo, hi := rb*w, (rb+1)*w
-		if hi > n {
-			hi = n
-		}
-		rhs := make(matrix.Vector, hi-lo)
-		copy(rhs, b[lo:hi])
-		if lo > 0 {
-			// Off-diagonal contributions on the multiplication array.
-			mv, err := s.mv.Solve(l.Slice(lo, hi, 0, lo), res.X[:lo], nil, core.MatVecOptions{Engine: s.eng})
-			if err != nil {
-				return nil, err
-			}
-			res.MatVecSteps += mv.Stats.T
-			res.MatVecPasses++
-			for i := range rhs {
-				rhs[i] -= mv.Y[i]
-			}
-		}
-		// Diagonal block on the triangular array. A dense w×w lower
-		// triangle is exactly a lower band of bandwidth w in local indices.
-		blk := matrix.NewBand(hi-lo, hi-lo, -(w - 1), 0)
-		for i := lo; i < hi; i++ {
-			for j := lo; j <= i; j++ {
-				if v := l.At(i, j); v != 0 || i == j {
-					blk.Set(i-lo, j-lo, v)
-				}
-			}
-		}
-		tr, err := s.tri.SolveBandEngine(blk, rhs, s.eng)
-		if err != nil {
-			return nil, err
-		}
-		res.TriSteps += tr.T
-		res.TriPasses++
-		copy(res.X[lo:hi], tr.X)
-	}
-	return res, nil
-}
-
-// SolveUpper solves U·x = b for a dense upper triangular matrix by
-// mirroring it onto the lower solver.
-func (s *Solver) SolveUpper(u *matrix.Dense, b matrix.Vector) (*DenseResult, error) {
-	n := u.Rows()
-	if u.Cols() != n {
-		return nil, fmt.Errorf("trisolve: matrix is %d×%d, want square", n, u.Cols())
-	}
-	m := matrix.NewDense(n, n)
-	for i := 0; i < n; i++ {
-		for j := 0; j < n; j++ {
-			m.Set(i, j, u.At(n-1-i, n-1-j))
-		}
-	}
-	rb := make(matrix.Vector, n)
-	for i := range rb {
-		rb[i] = b[n-1-i]
-	}
-	res, err := s.SolveLower(m, rb)
-	if err != nil {
-		return nil, err
-	}
-	out := make(matrix.Vector, n)
-	for i := range out {
-		out[i] = res.X[n-1-i]
-	}
-	res.X = out
-	return res, nil
-}
-
-// SolveMatrixLower solves L·X = B for a dense lower triangular L and a
-// dense right-hand-side matrix B (the "triangular systems of matrix
-// equations" of §4), one column per solve.
-func (s *Solver) SolveMatrixLower(l *matrix.Dense, b *matrix.Dense) (*matrix.Dense, *DenseResult, error) {
-	if l.Rows() != b.Rows() {
-		return nil, nil, fmt.Errorf("trisolve: L is %d×%d but B has %d rows", l.Rows(), l.Cols(), b.Rows())
-	}
-	x := matrix.NewDense(b.Rows(), b.Cols())
-	total := &DenseResult{}
-	for c := 0; c < b.Cols(); c++ {
-		col := make(matrix.Vector, b.Rows())
-		for i := range col {
-			col[i] = b.At(i, c)
-		}
-		res, err := s.SolveLower(l, col)
-		if err != nil {
-			return nil, nil, err
-		}
-		total.TriSteps += res.TriSteps
-		total.MatVecSteps += res.MatVecSteps
-		total.TriPasses += res.TriPasses
-		total.MatVecPasses += res.MatVecPasses
-		for i, v := range res.X {
-			x.Set(i, c, v)
-		}
-	}
-	return x, total, nil
-}

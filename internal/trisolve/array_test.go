@@ -1,10 +1,10 @@
 package trisolve
 
 import (
-	"errors"
 	"math/rand"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/matrix"
 )
 
@@ -91,33 +91,30 @@ func TestSolveBandValidation(t *testing.T) {
 }
 
 // TestSolveLowerDense: the blocked size-independent solver is exact for
-// arbitrary sizes on a fixed array.
+// arbitrary sizes on a fixed array, with one triangular pass per block row
+// and one panel pass per block below the diagonal.
 func TestSolveLowerDense(t *testing.T) {
 	rng := rand.New(rand.NewSource(104))
 	for _, w := range []int{2, 3, 4} {
-		s := NewSolver(w)
+		tw := NewWorkspace(w)
 		for _, n := range []int{1, w, 2*w + 1, 4 * w} {
-			l := matrix.NewDense(n, n)
-			for i := 0; i < n; i++ {
-				for j := 0; j < i; j++ {
-					l.Set(i, j, float64(rng.Intn(5)-2))
-				}
-				l.Set(i, i, float64(1+rng.Intn(3)))
-			}
+			l := randomLower(rng, n)
 			want := matrix.RandomVector(rng, n, 3)
 			b := l.MulVec(want, nil)
-			res, err := s.SolveLower(l, b)
+			x := make(matrix.Vector, n)
+			st, err := tw.SolveLowerInto(x, l, b, core.EngineAuto)
 			if err != nil {
 				t.Fatalf("w=%d n=%d: %v", w, n, err)
 			}
-			if !res.X.Equal(want, 1e-9) {
-				t.Errorf("w=%d n=%d: wrong solution (off %g)", w, n, res.X.MaxAbsDiff(want))
+			if !x.Equal(want, 1e-9) {
+				t.Errorf("w=%d n=%d: wrong solution (off %g)", w, n, x.MaxAbsDiff(want))
 			}
-			if res.TriPasses != (n+w-1)/w {
-				t.Errorf("w=%d n=%d: %d triangular passes", w, n, res.TriPasses)
+			nb := (n + w - 1) / w
+			if st.TriPasses != nb {
+				t.Errorf("w=%d n=%d: %d triangular passes, want %d", w, n, st.TriPasses, nb)
 			}
-			if n > w && res.MatVecPasses == 0 {
-				t.Errorf("w=%d n=%d: off-diagonal work skipped the matvec array", w, n)
+			if want := nb * (nb - 1) / 2; st.MatVecPasses != want {
+				t.Errorf("w=%d n=%d: %d matvec passes, want %d", w, n, st.MatVecPasses, want)
 			}
 		}
 	}
@@ -135,12 +132,12 @@ func TestSolveUpperDense(t *testing.T) {
 	}
 	want := matrix.RandomVector(rng, n, 3)
 	b := u.MulVec(want, nil)
-	res, err := NewSolver(w).SolveUpper(u, b)
-	if err != nil {
+	x := make(matrix.Vector, n)
+	if _, err := NewWorkspace(w).SolveUpperInto(x, u, b, core.EngineAuto); err != nil {
 		t.Fatal(err)
 	}
-	if !res.X.Equal(want, 1e-9) {
-		t.Errorf("wrong solution (off %g)", res.X.MaxAbsDiff(want))
+	if !x.Equal(want, 1e-9) {
+		t.Errorf("wrong solution (off %g)", x.MaxAbsDiff(want))
 	}
 }
 
@@ -149,16 +146,10 @@ func TestSolveUpperDense(t *testing.T) {
 func TestSolveMatrixLower(t *testing.T) {
 	rng := rand.New(rand.NewSource(106))
 	w, n, m := 3, 8, 5
-	l := matrix.NewDense(n, n)
-	for i := 0; i < n; i++ {
-		for j := 0; j < i; j++ {
-			l.Set(i, j, float64(rng.Intn(5)-2))
-		}
-		l.Set(i, i, float64(1+rng.Intn(3)))
-	}
+	l := randomLower(rng, n)
 	want := matrix.RandomDense(rng, n, m, 3)
 	b := l.Mul(want)
-	x, stats, err := NewSolver(w).SolveMatrixLower(l, b)
+	x, stats, err := NewWorkspace(w).SolveMatrixLower(l, b, core.EngineAuto)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,34 +158,6 @@ func TestSolveMatrixLower(t *testing.T) {
 	}
 	if stats.TriPasses != m*((n+w-1)/w) {
 		t.Errorf("tri passes %d", stats.TriPasses)
-	}
-}
-
-func TestSolverValidation(t *testing.T) {
-	s := NewSolver(2)
-	if _, err := s.SolveLower(matrix.NewDense(2, 3), make(matrix.Vector, 2)); err == nil {
-		t.Error("expected non-square error")
-	}
-	if _, err := s.SolveLower(matrix.NewDense(2, 2), make(matrix.Vector, 2)); !errors.Is(err, ErrSingular) {
-		t.Errorf("err = %v, want ErrSingular", err)
-	} else {
-		var serr *SingularError
-		if !errors.As(err, &serr) || serr.Index != 0 {
-			t.Errorf("err = %#v, want a *SingularError at pivot 0", err)
-		}
-	}
-	notL := matrix.FromRows([][]float64{{1, 1}, {0, 1}})
-	if _, err := s.SolveLower(notL, make(matrix.Vector, 2)); err == nil {
-		t.Error("expected not-lower error")
-	}
-	if _, err := s.SolveLower(identity(2), make(matrix.Vector, 3)); err == nil {
-		t.Error("expected rhs length error")
-	}
-	if _, err := s.SolveUpper(matrix.NewDense(2, 3), make(matrix.Vector, 2)); err == nil {
-		t.Error("expected non-square error")
-	}
-	if _, _, err := s.SolveMatrixLower(identity(2), matrix.NewDense(3, 2)); err == nil {
-		t.Error("expected shape error")
 	}
 }
 

@@ -95,33 +95,36 @@ func TestBandEngineEquivEdgeCases(t *testing.T) {
 	checkBandEquiv(t, w, l, matrix.RandomVector(rng, n, 5))
 }
 
-// TestDenseSolverEngineEquiv runs the blocked dense solver on both engines
-// and DeepEquals the DenseResults (X, steps, pass counts).
+// TestDenseSolverEngineEquiv runs the blocked dense lower and upper solves
+// on both engines and DeepEquals x and the PassStats (steps, pass counts).
 func TestDenseSolverEngineEquiv(t *testing.T) {
 	rng := rand.New(rand.NewSource(203))
 	for _, w := range []int{2, 3, 5} {
+		oracle, compiled := NewWorkspace(w), NewWorkspace(w)
 		for _, n := range []int{1, w - 1, w, 2*w + 1, 4 * w} {
 			if n < 1 {
 				continue
 			}
-			l := matrix.NewDense(n, n)
-			for i := 0; i < n; i++ {
-				for j := 0; j < i; j++ {
-					l.Set(i, j, float64(rng.Intn(5)-2))
-				}
-				l.Set(i, i, float64(1+rng.Intn(3)))
-			}
+			l := randomLower(rng, n)
 			b := matrix.RandomVector(rng, n, 5)
-			want, err := NewSolverEngine(w, core.EngineOracle).SolveLower(l, b)
-			if err != nil {
-				t.Fatalf("oracle dense solve (w=%d n=%d): %v", w, n, err)
-			}
-			got, err := NewSolverEngine(w, core.EngineCompiled).SolveLower(l, b)
-			if err != nil {
-				t.Fatalf("compiled dense solve (w=%d n=%d): %v", w, n, err)
-			}
-			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("w=%d n=%d: engines disagree\ncompiled %+v\noracle   %+v", w, n, got, want)
+			for _, upper := range []bool{false, true} {
+				tri, solve := l, (*Workspace).SolveLowerInto
+				if upper {
+					tri, solve = l.Transpose(), (*Workspace).SolveUpperInto
+				}
+				want := make(matrix.Vector, n)
+				wantSt, err := solve(oracle, want, tri, b, core.EngineOracle)
+				if err != nil {
+					t.Fatalf("oracle dense solve (w=%d n=%d): %v", w, n, err)
+				}
+				got := make(matrix.Vector, n)
+				gotSt, err := solve(compiled, got, tri, b, core.EngineCompiled)
+				if err != nil {
+					t.Fatalf("compiled dense solve (w=%d n=%d): %v", w, n, err)
+				}
+				if !reflect.DeepEqual(got, want) || gotSt != wantSt {
+					t.Fatalf("w=%d n=%d: engines disagree\ncompiled %v %+v\noracle   %v %+v", w, n, got, gotSt, want, wantSt)
+				}
 			}
 		}
 	}

@@ -14,12 +14,11 @@ import (
 // caller-provided buffers and allocate nothing once warmed on the compiled
 // engine.
 //
-// Unlike Solver.SolveLower (left-looking: one accumulated off-diagonal
-// pass per block row), a Workspace solve is *right-looking*: after block
-// row rb's diagonal solve on the triangular array, every later block row
-// jb > rb subtracts its panel product L[jb, rb]·x[rb] — one matrix–vector
-// pass per block row, in row order. The pass set is the same on both
-// engines, so results and statistics are bit-identical across them.
+// A Workspace solve is *right-looking*: after block row rb's diagonal
+// solve on the triangular array, every later block row jb > rb subtracts
+// its panel product L[jb, rb]·x[rb] — one matrix–vector pass per block
+// row, in row order. The pass set is the same on both engines, so results
+// and statistics are bit-identical across them.
 //
 // A Workspace belongs to one goroutine; results written into caller
 // buffers are the caller's, everything else is reused by the next call.
@@ -209,8 +208,8 @@ func (tw *Workspace) updatePanel(l *matrix.Dense, x matrix.Vector, lo, hi, jlo, 
 }
 
 // SolveUpperInto solves U·x = b for a dense upper triangular U into dst by
-// mirroring it onto the lower solver (see Solver.SolveUpper). dst must not
-// alias b.
+// mirroring it onto the lower solver: row and column order reversed, U
+// becomes lower triangular. dst must not alias b.
 func (tw *Workspace) SolveUpperInto(dst matrix.Vector, u *matrix.Dense, b matrix.Vector, eng core.Engine) (PassStats, error) {
 	n := u.Rows()
 	if u.Cols() != n {
@@ -242,4 +241,35 @@ func (tw *Workspace) SolveUpperInto(dst matrix.Vector, u *matrix.Dense, b matrix
 		dst[i] = tw.xrev[n-1-i]
 	}
 	return stats, nil
+}
+
+// SolveMatrixLower solves L·X = B for a dense lower triangular L and a
+// dense right-hand-side matrix B (the "triangular systems of matrix
+// equations" of §4), one SolveLowerInto per column of B. X is the
+// caller's; the stats sum over the columns.
+func (tw *Workspace) SolveMatrixLower(l, b *matrix.Dense, eng core.Engine) (*matrix.Dense, PassStats, error) {
+	var total PassStats
+	n := b.Rows()
+	if l.Rows() != n {
+		return nil, total, fmt.Errorf("trisolve: L is %d×%d but B has %d rows", l.Rows(), l.Cols(), n)
+	}
+	x := matrix.NewDense(n, b.Cols())
+	col, xc := make(matrix.Vector, n), make(matrix.Vector, n)
+	for c := 0; c < b.Cols(); c++ {
+		for i := range col {
+			col[i] = b.At(i, c)
+		}
+		st, err := tw.SolveLowerInto(xc, l, col, eng)
+		if err != nil {
+			return nil, total, err
+		}
+		total.TriSteps += st.TriSteps
+		total.TriPasses += st.TriPasses
+		total.MatVecSteps += st.MatVecSteps
+		total.MatVecPasses += st.MatVecPasses
+		for i, v := range xc {
+			x.Set(i, c, v)
+		}
+	}
+	return x, total, nil
 }

@@ -109,30 +109,8 @@ func TestWorkspaceLowerUpper(t *testing.T) {
 	}
 }
 
-// TestWorkspaceMatchesLegacySolver: the workspace's values must equal the
-// left-looking Solver's (same arithmetic grouped differently would drift —
-// on exact small-integer data both must land on the same floats).
-func TestWorkspaceMatchesLegacySolver(t *testing.T) {
-	rng := rand.New(rand.NewSource(13))
-	w, n := 3, 13
-	l := randomLower(rng, n)
-	b := l.MulVec(matrix.RandomVector(rng, n, 3), nil)
-	legacy, err := NewSolver(w).SolveLower(l, b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tw := NewWorkspace(w)
-	x := make(matrix.Vector, n)
-	if _, err := tw.SolveLowerInto(x, l, b, core.EngineAuto); err != nil {
-		t.Fatal(err)
-	}
-	if !x.Equal(legacy.X, 0) {
-		t.Fatalf("workspace differs from legacy solver by %g", x.MaxAbsDiff(legacy.X))
-	}
-}
-
-// TestWorkspaceErrors: the workspace rejects the same inputs as the legacy
-// solver.
+// TestWorkspaceErrors: malformed shapes, a zero pivot and a matrix that is
+// not triangular return errors instead of panicking or returning garbage.
 func TestWorkspaceErrors(t *testing.T) {
 	tw := NewWorkspace(2)
 	x := make(matrix.Vector, 2)
@@ -153,5 +131,11 @@ func TestWorkspaceErrors(t *testing.T) {
 	notLower := matrix.FromRows([][]float64{{1, 5}, {0, 1}})
 	if _, err := tw.SolveLowerInto(x, notLower, make(matrix.Vector, 2), core.EngineAuto); err == nil {
 		t.Error("expected not-lower-triangular error")
+	}
+	if _, err := tw.SolveUpperInto(x, matrix.NewDense(2, 3), make(matrix.Vector, 2), core.EngineAuto); err == nil {
+		t.Error("expected non-square upper error")
+	}
+	if _, _, err := tw.SolveMatrixLower(identity(2), matrix.NewDense(3, 2), core.EngineAuto); err == nil {
+		t.Error("expected matrix right-hand-side shape error")
 	}
 }
