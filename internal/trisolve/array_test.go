@@ -1,6 +1,7 @@
 package trisolve
 
 import (
+	"errors"
 	"math/rand"
 	"testing"
 
@@ -158,6 +159,33 @@ func TestSolveMatrixLower(t *testing.T) {
 	}
 	if stats.TriPasses != m*((n+w-1)/w) {
 		t.Errorf("tri passes %d", stats.TriPasses)
+	}
+}
+
+// TestSolverValidation: the upper and matrix right-hand-side solves reject
+// malformed input before any array pass, and pass a zero pivot or a
+// non-triangular matrix through as the lower solver's error.
+func TestSolverValidation(t *testing.T) {
+	tw := NewWorkspace(2)
+	x := make(matrix.Vector, 2)
+	if _, err := tw.SolveUpperInto(x, matrix.NewDense(2, 3), make(matrix.Vector, 2), core.EngineAuto); err == nil {
+		t.Error("expected non-square upper error")
+	}
+	if _, err := tw.SolveUpperInto(x, identity(2), make(matrix.Vector, 3), core.EngineAuto); err == nil {
+		t.Error("expected upper rhs length error")
+	}
+	if _, err := tw.SolveUpperInto(x, matrix.NewDense(2, 2), make(matrix.Vector, 2), core.EngineAuto); !errors.Is(err, ErrSingular) {
+		t.Errorf("upper err = %v, want ErrSingular", err)
+	}
+	notU := matrix.FromRows([][]float64{{1, 0}, {1, 1}})
+	if _, err := tw.SolveUpperInto(x, notU, make(matrix.Vector, 2), core.EngineAuto); err == nil {
+		t.Error("expected not-upper error")
+	}
+	if _, _, err := tw.SolveMatrixLower(identity(2), matrix.NewDense(3, 2), core.EngineAuto); err == nil {
+		t.Error("expected matrix right-hand-side shape error")
+	}
+	if _, _, err := tw.SolveMatrixLower(matrix.NewDense(2, 2), matrix.NewDense(2, 3), core.EngineAuto); !errors.Is(err, ErrSingular) {
+		t.Errorf("matrix err = %v, want ErrSingular", err)
 	}
 }
 
