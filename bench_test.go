@@ -607,6 +607,42 @@ func BenchmarkIntraSolveParallel(b *testing.B) {
 	})
 }
 
+// BenchmarkTriSolveLU measures the triangular phases of a warm n=128,
+// w=8 solve alone: both triangles solved from one packed LU factor
+// (strict lower = L's multipliers, upper = U), the layer between the
+// replay kernels and the full Workspace.Solve.
+func BenchmarkTriSolveLU(b *testing.B) {
+	rng := rand.New(rand.NewSource(31))
+	w, n := 8, 128
+	a := matrix.RandomDense(rng, n, n, 2)
+	for i := 0; i < n; i++ {
+		a.Set(i, i, 40)
+	}
+	d := a.MulVec(matrix.RandomVector(rng, n, 3), nil)
+	l, u, _, err := solve.BlockLU(a, w, solve.Options{Engine: core.EngineCompiled})
+	if err != nil {
+		b.Fatal(err)
+	}
+	lu := u.Clone()
+	for i := 0; i < n; i++ {
+		copy(lu.RawRow(i)[:i], l.RawRow(i)[:i])
+	}
+	b.Run(fmt.Sprintf("trisolve-lu/w=%d/n=%d", w, n), func(b *testing.B) {
+		b.ReportAllocs()
+		tw := trisolve.NewWorkspace(w)
+		x := make(matrix.Vector, n)
+		if _, err := tw.SolveLUInto(x, lu, d, core.EngineCompiled); err != nil {
+			b.Fatal(err)
+		}
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, err := tw.SolveLUInto(x, lu, d, core.EngineCompiled); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+}
+
 // BenchmarkCompiledExec measures the steady-state compiled-schedule
 // execution alone — schedule cached, operands padded, buffers reused —
 // which must run at 0 allocs/op.

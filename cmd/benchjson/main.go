@@ -4,7 +4,8 @@
 // every compiled workload (matvec, matmul, trisolve, LU, full solve, and
 // the pattern-keyed sparse matvec at a repeated-stencil pattern, E16), the
 // solver workspaces (steady-state, 0 allocs/op on the compiled rows, plus
-// the warm n=128 BlockLU and full-solve rows), the stream scheduler at
+// the warm n=128 BlockLU and full-solve rows and the triangular phases of
+// that solve on its packed factor), the stream scheduler at
 // shard counts {1, 2, NumCPU} (E15: single-job round trip at 0 allocs/op
 // after warmup, plus deep-pipeline jobs/s, plus the pattern-routed
 // sparse-stream rows, plus the solve-as-a-service rows of E17 — a warm
@@ -284,6 +285,23 @@ func main() {
 	dp := ap.MulVec(matrix.RandomVector(rng, pn, 3), nil)
 	pws := solve.NewWorkspace(pw)
 	popts := solve.Options{Engine: core.EngineCompiled}
+	// The same system's factor packed into one matrix (strict lower = L's
+	// multipliers, upper = U): the triangular phases of its solve alone.
+	pl, pu, _, err := solve.BlockLU(ap, pw, popts)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "benchjson:", err)
+		os.Exit(1)
+	}
+	plu := pu.Clone()
+	for i := 0; i < pn; i++ {
+		copy(plu.RawRow(i)[:i], pl.RawRow(i)[:i])
+	}
+	tws := trisolve.NewWorkspace(pw)
+	px := make(matrix.Vector, pn)
+	if _, err := tws.SolveLUInto(px, plu, dp, core.EngineCompiled); err != nil {
+		fmt.Fprintln(os.Stderr, "benchjson:", err)
+		os.Exit(1)
+	}
 	entries = append(entries,
 		bench(fmt.Sprintf("blocklu-par/w=%d/n=%d/serial", pw, pn), nil, func(b *testing.B) {
 			b.ReportAllocs()
@@ -298,6 +316,18 @@ func main() {
 			for i := 0; i < b.N; i++ {
 				if _, _, err := pws.Solve(ap, dp, popts); err != nil {
 					b.Fatal(err)
+				}
+			}
+		}),
+		bench(fmt.Sprintf("trisolve-lu/w=%d/n=%d", pw, pn), nil, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				st, err := tws.SolveLUInto(px, plu, dp, core.EngineCompiled)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if i == 0 {
+					b.ReportMetric(float64(st.TriSteps+st.MatVecSteps), "steps")
 				}
 			}
 		}),

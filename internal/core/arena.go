@@ -203,8 +203,9 @@ func (ar *Arena) MatMulPass(dst, a, b, e *matrix.Dense, w int, eng Engine) (int,
 // MatMulUpdate updates a block of a larger matrix in place with one
 // hexagonal-array pass, D ← A·B′ + D, where D is the a.Rows()×cols block
 // of dst at (r0, c0) and B′ the a.Cols()×cols block of b at (br0, bc0),
-// and returns the pass's measured step count T. dst must not alias a or
-// b, and both blocks must lie inside their matrices. Nothing of dst
+// and returns the pass's measured step count T. dst must not alias a; b
+// may be dst itself when B′ and D do not overlap (B′ is staged before D is
+// written), and both blocks must lie inside their matrices. Nothing of dst
 // outside D is read or written. The compiled engine replays D and B′ where
 // they are, through a plan whose E/C row stride is dst.Cols() — A is read
 // in place and B′ staged once, transposed through its row stride — when

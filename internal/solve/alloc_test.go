@@ -2,6 +2,7 @@ package solve
 
 import (
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"repro/internal/core"
@@ -40,6 +41,49 @@ func TestWorkspaceZeroAlloc(t *testing.T) {
 	}); allocs != 0 {
 		t.Errorf("Solve steady state allocates %v objects/op, want 0", allocs)
 	}
+}
+
+// TestWorkspaceFootprint pins the packed factor: a warm n=128, w=8
+// workspace used only for Solve retains one n×n matrix — the working copy,
+// which holds L and U packed — and not separate L and U factors or an
+// upper-triangle mirror beside it (each another n²·8 bytes). The
+// process-wide plan cache is warmed first by a throwaway workspace, so
+// only what the measured workspace itself keeps is counted.
+func TestWorkspaceFootprint(t *testing.T) {
+	rng := rand.New(rand.NewSource(407))
+	w, n := 8, 128
+	a, _ := diagonallyDominant(rng, n)
+	d := a.MulVec(matrix.RandomVector(rng, n, 3), nil)
+	warmSolveWorkspace(t, w, a, d)
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	ws := warmSolveWorkspace(t, w, a, d)
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	// a and d stay live through both readings, so only ws differs.
+	runtime.KeepAlive(ws)
+	runtime.KeepAlive(a)
+	runtime.KeepAlive(d)
+	retained := int64(after.HeapAlloc) - int64(before.HeapAlloc)
+	if limit := int64(n * n * 8 * 5 / 4); retained >= limit {
+		t.Errorf("warm n=%d w=%d workspace retains %d B of heap, want < %d (1.25·n²·8)", n, w, retained, limit)
+	}
+}
+
+// warmSolveWorkspace returns a new workspace after three compiled solves
+// of (a, d). It is not inlined, so a workspace the caller drops is garbage
+// at the caller's next GC rather than a live object in its frame.
+//
+//go:noinline
+func warmSolveWorkspace(t *testing.T, w int, a *matrix.Dense, d matrix.Vector) *Workspace {
+	ws := NewWorkspace(w)
+	for i := 0; i < 3; i++ {
+		if _, _, err := ws.Solve(a, d, Options{Engine: core.EngineCompiled}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return ws
 }
 
 // TestArenaMatMulPassZeroAlloc: a warm arena's compiled matmul pass — the

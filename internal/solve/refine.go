@@ -9,8 +9,8 @@ import (
 // Iterative refinement: residual-correction cycles on the retained block-LU
 // factors. The residual A·x runs as one compiled matvec pass per cycle
 // (both engines return bit-identical values, so the reported norms are
-// engine-invariant); the correction solve reuses the factor matrices and
-// the trisolve substrate already living in the workspace, so a warm
+// engine-invariant); the correction solve reuses the packed factor and the
+// trisolve substrate already living in the workspace, so a warm
 // workspace refines at 0 allocs/op.
 
 // refineEps is the double-precision unit roundoff used by the scaled
@@ -69,20 +69,15 @@ func (ws *Workspace) refine(a *matrix.Dense, d matrix.Vector, opts Options) erro
 			}
 			rhs = ws.rp
 		}
-		ws.fwX = matrix.ReuseVec(ws.fwX, n)
-		fw, err := ws.tri.SolveLowerInto(ws.fwX, ws.l, rhs, opts.Engine)
-		if err != nil {
-			return err
-		}
 		ws.corr = matrix.ReuseVec(ws.corr, n)
-		bw, err := ws.tri.SolveUpperInto(ws.corr, ws.u, ws.fwX, opts.Engine)
+		tri, err := ws.tri.SolveLUInto(ws.corr, ws.work, rhs, opts.Engine)
 		if err != nil {
 			return err
 		}
-		st.TriSteps += fw.TriSteps + bw.TriSteps
-		st.TriPasses += fw.TriPasses + bw.TriPasses
-		st.MatVecSteps += fw.MatVecSteps + bw.MatVecSteps
-		st.MatVecPasses += fw.MatVecPasses + bw.MatVecPasses
+		st.TriSteps += tri.TriSteps
+		st.TriPasses += tri.TriPasses
+		st.MatVecSteps += tri.MatVecSteps
+		st.MatVecPasses += tri.MatVecPasses
 		for i := range ws.x {
 			ws.x[i] += ws.corr[i]
 		}

@@ -11,11 +11,17 @@ import (
 )
 
 // Workspace is the steady-state entry point of the blocked direct solvers:
-// it owns every long-lived buffer of a solve (working copy, factors,
-// panels, solution vectors, stats) plus a pass arena. Repeated solves on
-// one workspace reuse all of it, so the compiled path allocates nothing in
-// the steady state (BenchmarkSolverEngines' compiled rows run at 0
-// allocs/op).
+// it owns every long-lived buffer of a solve (working copy, panels,
+// solution vectors, stats) plus a pass arena. Repeated solves on one
+// workspace reuse all of it, so the compiled path allocates nothing in the
+// steady state (BenchmarkSolverEngines' compiled rows run at 0 allocs/op).
+//
+// Storage: a factorization is computed in place in the working copy, in
+// LAPACK getrf layout — the strict lower triangle holds L's multipliers
+// (unit diagonal implicit), the upper triangle U — and Solve and
+// refinement run both triangular phases from that one n×n buffer. Only
+// BlockLU, whose callers want the factors as two matrices, unpacks them
+// into l and u, allocated the first time it is called.
 //
 // Ownership: a workspace belongs to one goroutine; the matrices, vector
 // and stats a call returns are workspace-owned and valid until the next
@@ -36,7 +42,7 @@ type Workspace struct {
 	negL       *matrix.Dense
 	lu         LUStats
 	stats      SolveStats
-	fwX, x     matrix.Vector
+	x          matrix.Vector
 	padded     *matrix.Dense
 	dp, xout   matrix.Vector
 
@@ -73,20 +79,39 @@ func NewWorkspaceArena(w int, ar *core.Arena) *Workspace {
 // step decomposed into per-column-tile array passes. Pivoting only changes
 // the host panel phase between array passes — the pass decomposition is
 // identical, so results and stats stay bit-identical across engines under
-// either policy. The returned factors and stats are workspace-owned.
+// either policy. The returned factors, unpacked from the packed working
+// copy, and stats are workspace-owned.
 func (ws *Workspace) BlockLU(a *matrix.Dense, opts Options) (l, u *matrix.Dense, stats *LUStats, err error) {
+	stats, err = ws.factor(a, opts)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	n := a.Rows()
+	ws.l = matrix.Reuse(ws.l, n, n)
+	ws.u = matrix.Reuse(ws.u, n, n)
+	for i := 0; i < n; i++ {
+		wi, li, ui := ws.work.RawRow(i), ws.l.RawRow(i), ws.u.RawRow(i)
+		copy(li, wi[:i])
+		li[i] = 1
+		clear(li[i+1:])
+		clear(ui[:i])
+		copy(ui[i:], wi[i:])
+	}
+	return ws.l, ws.u, stats, nil
+}
+
+// factor is BlockLU without the unpacking: it leaves L and U packed in the
+// working copy (see Workspace) for the triangular phases of a solve.
+func (ws *Workspace) factor(a *matrix.Dense, opts Options) (*LUStats, error) {
 	n := a.Rows()
 	if a.Cols() != n {
-		return nil, nil, nil, fmt.Errorf("solve: BlockLU needs a square matrix, got %d×%d", n, a.Cols())
+		return nil, fmt.Errorf("solve: BlockLU needs a square matrix, got %d×%d", n, a.Cols())
 	}
 	w := ws.w
 	ws.work = matrix.CloneInto(ws.work, a)
-	ws.l = matrix.ReuseZero(ws.l, n, n)
-	ws.u = matrix.ReuseZero(ws.u, n, n)
 	ws.lu = LUStats{}
-	work, lf, uf := ws.work, ws.l, ws.u
-	ur := uf.Raw()
-	stats = &ws.lu
+	wr := ws.work.Raw()
+	stats := &ws.lu
 	pivoted := opts.Pivot == PivotPartial
 	if pivoted {
 		ws.perm = matrix.ReuseSlice[int](ws.perm, n)
@@ -104,19 +129,18 @@ func (ws *Workspace) BlockLU(a *matrix.Dense, opts Options) (l, u *matrix.Dense,
 		// Host: the panel — diagonal block and L₂₁ in one in-place
 		// elimination, with row exchanges under PivotPartial.
 		if err := ws.panel(k0, k1, pivoted); err != nil {
-			return nil, nil, nil, err
+			return nil, err
 		}
 		if k1 == n {
 			break
 		}
-		// Host: U₁₂ = L₁₁⁻¹·A₁₂ (forward substitution), one U row at a
-		// time: each element still subtracts its terms in increasing t, so
-		// the loop order over the independent columns changes no bit.
+		// Host: U₁₂ = L₁₁⁻¹·A₁₂ (forward substitution) in place, one U row
+		// at a time: each element still subtracts its terms in increasing
+		// t, so the loop order over the independent columns changes no bit.
 		for i := k0; i < k1; i++ {
-			li, ui := lf.RawRow(i), ur[i*n+k1:(i+1)*n]
-			copy(ui, work.RawRow(i)[k1:])
+			ui := wr[i*n+k1 : (i+1)*n]
 			for t := k0; t < i; t++ {
-				lit, ut := li[t], ur[t*n+k1:(t+1)*n]
+				lit, ut := wr[i*n+t], wr[t*n+k1:(t+1)*n]
 				ut = ut[:len(ui)]
 				for j := range ui {
 					ui[j] -= lit * ut[j]
@@ -129,36 +153,37 @@ func (ws *Workspace) BlockLU(a *matrix.Dense, opts Options) (l, u *matrix.Dense,
 		ws.negL = matrix.Reuse(ws.negL, n-k1, k1-k0)
 		for i := k1; i < n; i++ {
 			nl := ws.negL.RawRow(i - k1)
-			for j, v := range lf.RawRow(i)[k0:k1] {
+			for j, v := range wr[i*n+k0 : i*n+k1] {
 				nl[j] = -v
 			}
 		}
 		for j0 := k1; j0 < n; j0 += w {
 			steps, err := ws.trailingTile(k0, k1, j0, min(j0+w, n), opts.Engine)
 			if err != nil {
-				return nil, nil, nil, err
+				return nil, err
 			}
 			stats.ArraySteps += steps
 			stats.ArrayPasses++
 		}
 	}
-	return lf, uf, stats, nil
+	return stats, nil
 }
 
 // panel is the host phase of one elimination step: the panel
 // work[k0:n, k0:k1) is eliminated in place, column by column, into U's
-// panel rows and unit L's panel columns, which the U₁₂ substitution and the
-// trailing-update array passes then consume. With pivot set, each column
-// first swaps the largest-magnitude candidate pivot row to the diagonal (a
-// full-row exchange of the working copy plus the multipliers already
-// stored in L, with the swap recorded in perm). A zero pivot returns
-// *SingularError with its global column index when a multiplier would
-// divide by it; under pivoting that is every zero pivot (a whole candidate
-// column of zeros), without it every one but U[n−1][n−1], which the
-// triangular phase of a solve then reports.
+// panel rows and L's multipliers below the diagonal, which the U₁₂
+// substitution and the trailing-update array passes then consume. With
+// pivot set, each column first swaps the largest-magnitude candidate
+// pivot row to the diagonal (a full-row exchange of the working copy,
+// which carries the multipliers already stored in the row, with the swap
+// recorded in perm). A zero pivot returns *SingularError with its global
+// column index when a multiplier would divide by it; under pivoting that
+// is every zero pivot (a whole candidate column of zeros), without it
+// every one but U[n−1][n−1], which the triangular phase of a solve then
+// reports.
 func (ws *Workspace) panel(k0, k1 int, pivot bool) error {
 	n := ws.work.Rows()
-	wr, lr, ur := ws.work.Raw(), ws.l.Raw(), ws.u.Raw()
+	wr := ws.work.Raw()
 	stats := &ws.lu
 	for j := k0; j < k1; j++ {
 		p, best := j, math.Abs(wr[j*n+j])
@@ -177,21 +202,15 @@ func (ws *Workspace) panel(k0, k1 int, pivot bool) error {
 			for t := range rp {
 				rp[t], rj[t] = rj[t], rp[t]
 			}
-			lp, lj := lr[p*n:p*n+j], lr[j*n:j*n+j]
-			for t := range lp {
-				lp[t], lj[t] = lj[t], lp[t]
-			}
 			ws.perm[p], ws.perm[j] = ws.perm[j], ws.perm[p]
 			stats.RowSwaps++
 		}
 		wj := wr[j*n+j : j*n+k1]
 		piv := wj[0]
-		copy(ur[j*n+j:j*n+k1], wj)
-		lr[j*n+j] = 1
 		for i := j + 1; i < n; i++ {
 			wi := wr[i*n+j : i*n+k1]
 			m := wi[0] / piv
-			lr[i*n+j] = m
+			wi[0] = m
 			for t := 1; t < len(wi); t++ {
 				wi[t] = wi[t] - m*wj[t]
 			}
@@ -204,16 +223,16 @@ func (ws *Workspace) panel(k0, k1 int, pivot bool) error {
 // trailingTile is one column tile of a BlockLU elimination step:
 // work[k1:n, j0:j1] ← (−L₂₁)·U[k0:k1, j0:j1] + work[k1:n, j0:j1] as a
 // single hexagonal-array pass on the workspace's arena. The pass updates
-// the block of the working matrix where it is and reads the U block
-// through its row stride (core.Arena.MatMulUpdate), so no panel is copied.
+// the block of the working matrix where it is and reads the U block from
+// the rows above it (core.Arena.MatMulUpdate), so no panel is copied.
 func (ws *Workspace) trailingTile(k0, k1, j0, j1 int, eng core.Engine) (int, error) {
 	ws.ar.Reset()
-	return ws.ar.MatMulUpdate(ws.work, k1, j0, ws.negL, ws.u, k0, j0, j1-j0, ws.w, eng)
+	return ws.ar.MatMulUpdate(ws.work, k1, j0, ws.negL, ws.work, k0, j0, j1-j0, ws.w, eng)
 }
 
 // Solve solves A·x = d directly exactly as the package-level Solve (which
-// delegates here): block LU, then the two triangular phases on
-// the workspace's trisolve substrate. The returned vector and stats are
+// delegates here): block LU, then the two triangular phases on the
+// workspace's trisolve substrate, read from the packed factor. The returned vector and stats are
 // workspace-owned.
 func (ws *Workspace) Solve(a *matrix.Dense, d matrix.Vector, opts Options) (matrix.Vector, *SolveStats, error) {
 	n := a.Rows()
@@ -223,7 +242,7 @@ func (ws *Workspace) Solve(a *matrix.Dense, d matrix.Vector, opts Options) (matr
 	if len(d) != n {
 		return nil, nil, fmt.Errorf("solve: len(d)=%d, want %d", len(d), n)
 	}
-	lf, uf, luStats, err := ws.BlockLU(a, opts)
+	luStats, err := ws.factor(a, opts)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -237,22 +256,17 @@ func (ws *Workspace) Solve(a *matrix.Dense, d matrix.Vector, opts Options) (matr
 		}
 		rhs = ws.dperm
 	}
-	ws.fwX = matrix.ReuseVec(ws.fwX, n)
-	fw, err := ws.tri.SolveLowerInto(ws.fwX, lf, rhs, opts.Engine)
-	if err != nil {
-		return nil, nil, err
-	}
 	ws.x = matrix.ReuseVec(ws.x, n)
-	bw, err := ws.tri.SolveUpperInto(ws.x, uf, ws.fwX, opts.Engine)
+	tri, err := ws.tri.SolveLUInto(ws.x, ws.work, rhs, opts.Engine)
 	if err != nil {
 		return nil, nil, err
 	}
 	ws.stats = SolveStats{
 		LU:           *luStats,
-		TriSteps:     fw.TriSteps + bw.TriSteps,
-		TriPasses:    fw.TriPasses + bw.TriPasses,
-		MatVecSteps:  fw.MatVecSteps + bw.MatVecSteps,
-		MatVecPasses: fw.MatVecPasses + bw.MatVecPasses,
+		TriSteps:     tri.TriSteps,
+		TriPasses:    tri.TriPasses,
+		MatVecSteps:  tri.MatVecSteps,
+		MatVecPasses: tri.MatVecPasses,
 		Residual:     residual(a, ws.x, d),
 	}
 	if opts.Refine.MaxIters > 0 {

@@ -6,13 +6,16 @@ import (
 	"repro/internal/core"
 	"repro/internal/dbt"
 	"repro/internal/matrix"
+	"repro/internal/schedule"
 )
 
 // Workspace is the steady-state entry point of the dense triangular
-// solver: a reusable scratch set (rhs, packed diagonal bands, mirrors, a
-// plan memo) on one pass arena. Its solves write into
-// caller-provided buffers and allocate nothing once warmed on the compiled
-// engine.
+// solver: a reusable scratch set (rhs and solution vectors, the packed
+// diagonal band, one w×w panel replay grid) on one pass arena whose plan
+// memo it replays. Its solves read the triangle where it lies — an upper
+// triangle is mirrored onto the lower solver block by block, never copied
+// whole — write into caller-provided buffers and allocate nothing once
+// warmed on the compiled engine.
 //
 // A Workspace solve is *right-looking*: after block row rb's diagonal
 // solve on the triangular array, every later block row jb > rb subtracts
@@ -27,11 +30,14 @@ type Workspace struct {
 	ar  *core.Arena
 	tri *Array
 
-	rhs    matrix.Vector
-	lpack  []float64
-	mirror *matrix.Dense
-	revb   matrix.Vector
-	xrev   matrix.Vector
+	rhs, y, xrev matrix.Vector
+	lpack        []float64
+	// panelT is the shape-only (w, 1, 1) transform that keys the panel
+	// plan; grid holds that plan's replay operands: the w×w panel, then
+	// the padded x, the zero b̄ and ȳ, w each. It is grown on the first
+	// panel pass, so a workspace that never sees n > w never holds it.
+	panelT dbt.MatVec
+	grid   []float64
 }
 
 // PassStats counts the array work of one workspace solve, split by array
@@ -41,6 +47,14 @@ type PassStats struct {
 	TriSteps, TriPasses int
 	// MatVecSteps and MatVecPasses account the off-diagonal panel updates.
 	MatVecSteps, MatVecPasses int
+}
+
+// add accumulates o into s.
+func (s *PassStats) add(o PassStats) {
+	s.TriSteps += o.TriSteps
+	s.TriPasses += o.TriPasses
+	s.MatVecSteps += o.MatVecSteps
+	s.MatVecPasses += o.MatVecPasses
 }
 
 // NewWorkspace returns a workspace for array size w with a private arena:
@@ -58,7 +72,7 @@ func NewWorkspaceArena(w int, ar *core.Arena) *Workspace {
 	if w < 1 {
 		panic(fmt.Sprintf("trisolve: invalid array size %d", w))
 	}
-	return &Workspace{w: w, ar: ar, tri: New(w)}
+	return &Workspace{w: w, ar: ar, tri: New(w), panelT: dbt.MatVec{W: w, NBar: 1, MBar: 1, N: w, M: w}}
 }
 
 // SolveBandInto solves the band system L·x = b into dst (len = n) on the
@@ -95,48 +109,136 @@ func (tw *Workspace) SolveBandInto(dst matrix.Vector, l *matrix.Band, b matrix.V
 // block. Stats are returned by value;
 // dst must not alias b.
 func (tw *Workspace) SolveLowerInto(dst matrix.Vector, l *matrix.Dense, b matrix.Vector, eng core.Engine) (PassStats, error) {
-	var stats PassStats
-	n := l.Rows()
-	if l.Cols() != n {
-		return stats, fmt.Errorf("trisolve: matrix is %d×%d, want square", n, l.Cols())
+	f := factor{a: l}
+	if err := tw.check(dst, f, b, "SolveLowerInto"); err != nil {
+		return PassStats{}, err
 	}
-	if len(b) != n {
-		return stats, fmt.Errorf("trisolve: len(b)=%d, want %d", len(b), n)
+	if err := f.validate(); err != nil {
+		return PassStats{}, err
 	}
-	if len(dst) != n {
-		panic(fmt.Sprintf("trisolve: SolveLowerInto dst len %d, want %d", len(dst), n))
+	tw.rhs = matrix.ReuseVec(tw.rhs, len(b))
+	copy(tw.rhs, b)
+	return tw.solve(dst, f, eng)
+}
+
+// SolveUpperInto solves U·x = b for a dense upper triangular U into dst by
+// mirroring it onto the lower solver: row and column order reversed, U
+// reads as a lower triangular matrix. The mirror is never materialized —
+// each pass stages its block of U reversed — and a defect is reported in
+// the mirror's coordinates, as the lower solver sees it. dst must not
+// alias b.
+func (tw *Workspace) SolveUpperInto(dst matrix.Vector, u *matrix.Dense, b matrix.Vector, eng core.Engine) (PassStats, error) {
+	f := factor{a: u, upper: true}
+	if err := tw.check(dst, f, b, "SolveUpperInto"); err != nil {
+		return PassStats{}, err
 	}
-	for i := 0; i < n; i++ {
-		li := l.RawRow(i)
-		if li[i] == 0 {
-			return stats, &SingularError{Op: "trisolve.SolveLowerInto", Index: i}
-		}
-		for j, v := range li[i+1:] {
-			if v != 0 {
-				return stats, fmt.Errorf("trisolve: L[%d][%d] ≠ 0: not lower triangular", i, i+1+j)
-			}
-		}
+	if err := f.validate(); err != nil {
+		return PassStats{}, err
 	}
-	w := tw.w
+	return tw.solveUpper(dst, f, b, eng)
+}
+
+// SolveLUInto solves L·U·x = b into dst for a factor packed in one matrix,
+// LAPACK getrf layout without the permutation: the strict lower triangle
+// of lu holds L's multipliers under an implicit unit diagonal, the upper
+// triangle U. The forward and backward phases are exactly SolveLowerInto
+// on L and SolveUpperInto on U — the same passes, bits and stats (summed
+// over both phases), and a zero U pivot is the same *SingularError — but
+// neither triangle is unpacked and only U's diagonal is checked. dst must
+// not alias b.
+func (tw *Workspace) SolveLUInto(dst matrix.Vector, lu *matrix.Dense, b matrix.Vector, eng core.Engine) (PassStats, error) {
+	lower := factor{a: lu, unit: true}
+	if err := tw.check(dst, lower, b, "SolveLUInto"); err != nil {
+		return PassStats{}, err
+	}
+	n := len(b)
 	tw.rhs = matrix.ReuseVec(tw.rhs, n)
 	copy(tw.rhs, b)
-	nb := (n + w - 1) / w
-	for rb := 0; rb < nb; rb++ {
-		lo, hi := rb*w, (rb+1)*w
-		if hi > n {
-			hi = n
+	tw.y = matrix.ReuseVec(tw.y, n)
+	fw, err := tw.solve(tw.y, lower, eng)
+	if err != nil {
+		return fw, err
+	}
+	upper := factor{a: lu, upper: true}
+	for i := 0; i < n; i++ {
+		if upper.at(i, i) == 0 {
+			return PassStats{}, &SingularError{Op: "trisolve.SolveLowerInto", Index: i}
 		}
-		// Diagonal block on the triangular array.
-		steps, err := tw.solveDiagonal(dst, l, lo, hi, eng)
-		if err != nil {
+	}
+	bw, err := tw.solveUpper(dst, upper, tw.y, eng)
+	if err != nil {
+		return bw, err
+	}
+	fw.add(bw)
+	return fw, nil
+}
+
+// check validates the shapes of a dense solve's operands.
+func (tw *Workspace) check(dst matrix.Vector, f factor, b matrix.Vector, op string) error {
+	n := f.a.Rows()
+	if f.a.Cols() != n {
+		return fmt.Errorf("trisolve: matrix is %d×%d, want square", n, f.a.Cols())
+	}
+	if len(b) != n {
+		return fmt.Errorf("trisolve: len(b)=%d, want %d", len(b), n)
+	}
+	if len(dst) != n {
+		panic(fmt.Sprintf("trisolve: %s dst len %d, want %d", op, len(dst), n))
+	}
+	return nil
+}
+
+// solveUpper runs the mirrored solve of the upper factor f: b reversed
+// into the rhs, the lower solve, and its solution reversed into dst.
+func (tw *Workspace) solveUpper(dst matrix.Vector, f factor, b matrix.Vector, eng core.Engine) (PassStats, error) {
+	n := len(b)
+	tw.rhs = matrix.ReuseVec(tw.rhs, n)
+	for i := range tw.rhs {
+		tw.rhs[i] = b[n-1-i]
+	}
+	tw.xrev = matrix.ReuseVec(tw.xrev, n)
+	stats, err := tw.solve(tw.xrev, f, eng)
+	if err != nil {
+		return stats, err
+	}
+	for i := range dst {
+		dst[i] = tw.xrev[n-1-i]
+	}
+	return stats, nil
+}
+
+// solve is the right-looking loop every dense solve shares: the lower
+// triangular system f·x = rhs (the workspace's rhs, consumed) into x.
+func (tw *Workspace) solve(x matrix.Vector, f factor, eng core.Engine) (PassStats, error) {
+	var stats PassStats
+	n := f.a.Rows()
+	if n == 0 {
+		return stats, nil
+	}
+	useCompiled, err := eng.Resolve(false)
+	if err != nil {
+		return stats, err
+	}
+	w := tw.w
+	var panel *schedule.MatVec
+	if useCompiled && n > w {
+		// Every panel is at most w×w: one (w, 1, 1) plan serves them all.
+		if panel, err = tw.ar.Plans().MatVecFor(&tw.panelT, false); err != nil {
 			return stats, err
 		}
-		stats.TriSteps += steps
+		if tw.grid == nil {
+			tw.grid = make([]float64, w*w+3*w)
+		}
+	}
+	for lo := 0; lo < n; lo += w {
+		hi := min(lo+w, n)
+		// Diagonal block on the triangular array.
+		stats.TriSteps += tw.solveDiagonal(x, f, lo, hi, useCompiled)
 		stats.TriPasses++
-		// Trailing panel updates of this step: block row jb subtracts
-		// L[jb, rb]·x[rb] from its rhs block.
+		// Trailing panel updates of this step: block row [jlo, jhi)
+		// subtracts f[jlo:jhi, lo:hi]·x[lo:hi] from its rhs block.
 		for jlo := hi; jlo < n; jlo += w {
-			steps, err := tw.updatePanel(l, dst, lo, hi, jlo, min(jlo+w, n), eng)
+			steps, err := tw.updatePanel(panel, f, x, lo, hi, jlo, min(jlo+w, n))
 			if err != nil {
 				return stats, err
 			}
@@ -148,99 +250,147 @@ func (tw *Workspace) SolveLowerInto(dst matrix.Vector, l *matrix.Dense, b matrix
 }
 
 // solveDiagonal runs the diagonal block [lo,hi) on the triangular array,
-// reading rhs and writing dst[lo:hi].
-func (tw *Workspace) solveDiagonal(dst matrix.Vector, l *matrix.Dense, lo, hi int, eng core.Engine) (int, error) {
-	w := tw.w
-	useCompiled, err := eng.Resolve(false)
-	if err != nil {
-		return 0, err
-	}
-	d := hi - lo
+// reading rhs and writing x[lo:hi], and returns the pass's step count.
+func (tw *Workspace) solveDiagonal(x matrix.Vector, f factor, lo, hi int, useCompiled bool) int {
+	w, d := tw.w, hi-lo
+	// The triangular band straight from the dense block, in the
+	// dbt.PackTriBand layout the compiled plan replays.
+	tw.lpack = matrix.ReuseVec(tw.lpack, d*w)
+	f.packDiagonal(tw.lpack, w, lo, d)
 	if !useCompiled {
 		// A dense w×w lower triangle is exactly a lower band of bandwidth w
 		// in local indices (oracle path; allocation here is fine).
 		blk := matrix.NewBand(d, d, -(w - 1), 0)
-		for i := lo; i < hi; i++ {
-			for j := lo; j <= i; j++ {
-				if v := l.At(i, j); v != 0 || i == j {
-					blk.Set(i-lo, j-lo, v)
+		for r := 0; r < d; r++ {
+			for k := 0; k <= min(r, w-1); k++ {
+				if v := tw.lpack[r*w+k]; v != 0 || k == 0 {
+					blk.Set(r, r-k, v)
 				}
 			}
 		}
 		res := tw.tri.SolveBand(blk, tw.rhs[lo:hi])
-		copy(dst[lo:hi], res.X)
-		return res.T, nil
-	}
-	// Compiled: pack the triangular band straight from the dense block
-	// (dbt.PackTriBand layout) and replay the plan into dst.
-	tw.lpack = matrix.ReuseVec(tw.lpack, d*w)
-	for r := 0; r < d; r++ {
-		row, lr := tw.lpack[r*w:(r+1)*w], l.RawRow(lo + r)[:lo+r+1]
-		for k := range row {
-			if r-k >= 0 {
-				row[k] = lr[lo+r-k]
-			} else {
-				row[k] = 0
-			}
-		}
+		copy(x[lo:hi], res.X)
+		return res.T
 	}
 	sch := tw.ar.Plans().TriSolveFor(d, w)
-	sch.Exec(tw.lpack, tw.rhs[lo:hi], dst[lo:hi])
-	return sch.T, nil
+	sch.Exec(tw.lpack, tw.rhs[lo:hi], x[lo:hi])
+	return sch.T
 }
 
-// updatePanel is one panel pass, rhs[jlo:jhi] −= L[jlo:jhi, lo:hi]·x[lo:hi],
-// on the workspace's arena. It returns the pass's step count.
-func (tw *Workspace) updatePanel(l *matrix.Dense, x matrix.Vector, lo, hi, jlo, jhi int, eng core.Engine) (int, error) {
-	ar := tw.ar
-	ar.Reset()
-	panel := matrix.SliceInto(ar.Dense(jhi-jlo, hi-lo), l, jlo, jhi, lo, hi)
-	mv := matrix.Vector(ar.Floats(jhi - jlo))
-	steps, err := ar.MatVecPass(mv, panel, x[lo:hi], nil, tw.w, eng)
-	if err != nil {
-		return 0, err
+// updatePanel is one panel pass, rhs[jlo:jhi] −= f[jlo:jhi, lo:hi]·x[lo:hi],
+// and returns its step count. Compiled (sch non-nil), the block is staged
+// zero-padded into the workspace's w×w replay grid and the (w, 1, 1)
+// matvec plan replayed over it, exactly as a matvec pass on the copied-out
+// panel would pad and replay it; on the oracle, the block is copied out
+// into arena scratch and run as one structural matvec pass.
+func (tw *Workspace) updatePanel(sch *schedule.MatVec, f factor, x matrix.Vector, lo, hi, jlo, jhi int) (int, error) {
+	w, rows, cols := tw.w, jhi-jlo, hi-lo
+	var y []float64
+	steps := 0
+	if sch != nil {
+		grid, xp, bp := tw.grid[:w*w], tw.grid[w*w:w*w+w], tw.grid[w*w+w:w*w+2*w]
+		y = tw.grid[w*w+2*w:]
+		f.stage(grid, w, jlo, rows, lo, cols)
+		copy(xp, x[lo:hi])
+		clear(xp[cols:])
+		// bp is never written: b̄ stays zero, as for a pass with b = nil.
+		sch.ExecGrid(grid, xp, bp, y)
+		steps = sch.T
+	} else {
+		tw.ar.Reset()
+		panel := tw.ar.Dense(rows, cols)
+		f.stage(panel.Raw(), cols, jlo, rows, lo, cols)
+		y = tw.ar.Floats(rows)
+		var err error
+		if steps, err = tw.ar.MatVecPass(y, panel, x[lo:hi], nil, w, core.EngineOracle); err != nil {
+			return 0, err
+		}
 	}
 	rhs := tw.rhs[jlo:jhi]
-	for i, v := range mv {
+	for i, v := range y[:rows] {
 		rhs[i] -= v
 	}
 	return steps, nil
 }
 
-// SolveUpperInto solves U·x = b for a dense upper triangular U into dst by
-// mirroring it onto the lower solver: row and column order reversed, U
-// becomes lower triangular. dst must not alias b.
-func (tw *Workspace) SolveUpperInto(dst matrix.Vector, u *matrix.Dense, b matrix.Vector, eng core.Engine) (PassStats, error) {
-	n := u.Rows()
-	if u.Cols() != n {
-		return PassStats{}, fmt.Errorf("trisolve: matrix is %d×%d, want square", n, u.Cols())
+// factor is the lower triangular matrix a dense solve reads, in place:
+// the lower triangle of a, or (upper) a's upper triangle with row and
+// column order reversed — U mirrored onto a lower triangular matrix. unit
+// makes the diagonal an implicit 1, as for the L of a packed LU factor,
+// whose strict upper triangle (U) a solve then never reads.
+type factor struct {
+	a           *matrix.Dense
+	upper, unit bool
+}
+
+// at reads element (i, j) of f.
+func (f factor) at(i, j int) float64 {
+	if f.upper {
+		n := f.a.Rows()
+		return f.a.RawRow(n - 1 - i)[n-1-j]
 	}
-	if len(b) != n {
-		return PassStats{}, fmt.Errorf("trisolve: len(b)=%d, want %d", len(b), n)
+	if f.unit && i == j {
+		return 1
 	}
-	if len(dst) != n {
-		panic(fmt.Sprintf("trisolve: SolveUpperInto dst len %d, want %d", len(dst), n))
-	}
-	tw.mirror = matrix.Reuse(tw.mirror, n, n)
+	return f.a.RawRow(i)[j]
+}
+
+// validate returns f's first defect in row order: a zero diagonal
+// (*SingularError) or a nonzero above it.
+func (f factor) validate() error {
+	n := f.a.Rows()
 	for i := 0; i < n; i++ {
-		mi, ui := tw.mirror.RawRow(i), u.RawRow(n-1-i)
-		for j := range mi {
-			mi[j] = ui[n-1-j]
+		if f.at(i, i) == 0 {
+			return &SingularError{Op: "trisolve.SolveLowerInto", Index: i}
+		}
+		for j := i + 1; j < n; j++ {
+			if f.at(i, j) != 0 {
+				return fmt.Errorf("trisolve: L[%d][%d] ≠ 0: not lower triangular", i, j)
+			}
 		}
 	}
-	tw.revb = matrix.ReuseVec(tw.revb, n)
-	for i := range tw.revb {
-		tw.revb[i] = b[n-1-i]
+	return nil
+}
+
+// stage writes the rows×cols block of f at (r0, c0) into g, a row-major
+// grid of ld ≥ cols columns, and zeroes the rest of g.
+func (f factor) stage(g []float64, ld, r0, rows, c0, cols int) {
+	n := f.a.Rows()
+	for i := 0; i < rows; i++ {
+		row := g[i*ld : (i+1)*ld]
+		if f.upper {
+			src := f.a.RawRow(n - 1 - r0 - i)[n-c0-cols : n-c0]
+			for j := range src {
+				row[j] = src[cols-1-j]
+			}
+		} else {
+			copy(row, f.a.RawRow(r0 + i)[c0:c0+cols])
+		}
+		clear(row[cols:])
 	}
-	tw.xrev = matrix.ReuseVec(tw.xrev, n)
-	stats, err := tw.SolveLowerInto(tw.xrev, tw.mirror, tw.revb, eng)
-	if err != nil {
-		return stats, err
+	clear(g[rows*ld:])
+}
+
+// packDiagonal writes the d×d diagonal block of f at lo into g in the
+// dbt.PackTriBand layout: g[r·w+k] = f(lo+r, lo+r−k), zero where k > r.
+func (f factor) packDiagonal(g []float64, w, lo, d int) {
+	n := f.a.Rows()
+	for r := 0; r < d; r++ {
+		row, m := g[r*w:(r+1)*w], min(r+1, w)
+		if f.upper {
+			c := n - 1 - lo - r
+			copy(row, f.a.RawRow(c)[c:c+m])
+		} else {
+			lr := f.a.RawRow(lo + r)
+			for k := range row[:m] {
+				row[k] = lr[lo+r-k]
+			}
+			if f.unit {
+				row[0] = 1
+			}
+		}
+		clear(row[m:])
 	}
-	for i := range dst {
-		dst[i] = tw.xrev[n-1-i]
-	}
-	return stats, nil
 }
 
 // SolveMatrixLower solves L·X = B for a dense lower triangular L and a
@@ -263,10 +413,7 @@ func (tw *Workspace) SolveMatrixLower(l, b *matrix.Dense, eng core.Engine) (*mat
 		if err != nil {
 			return nil, total, err
 		}
-		total.TriSteps += st.TriSteps
-		total.TriPasses += st.TriPasses
-		total.MatVecSteps += st.MatVecSteps
-		total.MatVecPasses += st.MatVecPasses
+		total.add(st)
 		for i, v := range xc {
 			x.Set(i, c, v)
 		}
