@@ -1,13 +1,18 @@
-// Command doccheck is the documentation gate CI runs on every push: it
-// fails when an internal package lacks a package doc comment, when an
-// exported identifier of the engine- and runtime-facing packages
-// (internal/core, internal/schedule, internal/stream, internal/sparse,
-// the direct solvers, and the internal/solved HTTP facade) lacks a doc
-// comment, when a relative markdown link in the top-level docs points at
-// a file that does not exist, or when a backticked package-qualified name
-// (`dbt.NewMatVec`, `stream.Scheduler`) or stream Submit… name in
-// README.md, DESIGN.md or EXPERIMENTS.md names no exported identifier of
-// that internal package.
+// Command doccheck is the documentation and unused-export gate CI runs on
+// every push: it fails when an internal package lacks a package doc
+// comment, when an exported identifier of the engine- and runtime-facing
+// packages (internal/core, internal/schedule, internal/stream,
+// internal/sparse, the direct solvers, and the internal/solved HTTP
+// facade) lacks a doc comment, when a relative markdown link in the
+// top-level docs points at a file that does not exist, when a backticked
+// package-qualified name (`dbt.NewMatVec`, `stream.Scheduler`) or stream
+// Submit… name in README.md, DESIGN.md or EXPERIMENTS.md names no exported
+// identifier of that internal package, or when an exported object or
+// method under internal/ has no use in non-test code (unused.go): the
+// module and the nested perfbench module are type-checked from source,
+// a method used only through an interface it satisfies counts as used,
+// and the only exceptions are the allow-listed paper closed forms and
+// test references.
 //
 // Usage:
 //
@@ -74,12 +79,19 @@ func main() {
 	}
 	checkMarkdown(*root)
 	checkAPINames(*root)
+	report, err := unusedExports(*root, allowed)
+	if err != nil {
+		complain("unused exports: %v", err)
+	}
+	for _, r := range report {
+		complain("%s", r)
+	}
 
 	if problems > 0 {
 		fmt.Fprintf(os.Stderr, "doccheck: %d problems\n", problems)
 		os.Exit(1)
 	}
-	fmt.Println("doccheck: all package docs, exported docs, markdown links and package-qualified API names clean")
+	fmt.Println("doccheck: all package docs, exported docs, markdown links, package-qualified API names and internal exports clean")
 }
 
 // checkPackage parses one package directory and enforces the doc rules.

@@ -239,12 +239,17 @@ func e9() {
 	check(err)
 	flush := baseline.BlockFlush(a, x, nil, w)
 	direct := baseline.DirectBand(a, x, nil)
+	flushT := baseline.BlockFlushSteps(w, n/w, m/w)
+	directT, directPEs := baseline.DirectBandSteps(n, m), analysis.DirectBandPEs(n, m)
 	fmt.Printf("  scheme           PEs     T     η       external ops\n")
 	fmt.Printf("  DBT              %3d  %5d   %.4f   0\n", w, dbtRes.Stats.T, dbtRes.Stats.Utilization)
 	fmt.Printf("  DBT overlapped   %3d  %5d   %.4f   0\n", w, over.Stats.T, over.Stats.Utilization)
 	fmt.Printf("  block flush      %3d  %5d   %.4f   %d\n", flush.ArraySize, flush.T, flush.Utilization, flush.ExternalOps)
 	fmt.Printf("  direct band      %3d  %5d   %.4f   0   (array size grows with problem)\n",
 		direct.ArraySize, direct.T, direct.Utilization)
+	fmt.Printf("  block flush T = n̄m̄(4w−3) = %d: %v\n", flushT, claim(flush.T == flushT))
+	fmt.Printf("  direct band T = 2n+2(n+m−1)−3 = %d, PEs = n+m−1 = %d: %v\n",
+		directT, directPEs, claim(direct.T == directT && direct.ArraySize == directPEs))
 }
 
 func e10() {
@@ -407,6 +412,7 @@ func e13() {
 	}
 	da := a.MulVec(matrix.RandomVector(r, nd, 3), nil)
 	tws := trisolve.NewWorkspace(w)
+	bandT := map[core.Engine]int{}
 
 	fmt.Println("  every case solved on both engines, results bit-identical:")
 	fmt.Println("   workload                  oracle      compiled   speedup")
@@ -419,6 +425,7 @@ func e13() {
 			if err != nil {
 				return nil, err
 			}
+			bandT[eng] = res.T
 			return res.X, nil
 		}},
 		{fmt.Sprintf("trisolve dense n=%d", nd), func(eng core.Engine) (matrix.Vector, error) {
@@ -469,6 +476,9 @@ func e13() {
 			os.Exit(1)
 		}
 	}
+	triT := analysis.TriSolveSteps(n, w)
+	fmt.Printf("  trisolve band n=%d: T = 2n+w−2 = %d on both engines: %v\n",
+		n, triT, claim(bandT[core.EngineOracle] == triT && bandT[core.EngineCompiled] == triT))
 }
 
 // e15 measures the stream scheduler: a sustained mixed-shape stream of

@@ -74,28 +74,6 @@ func (g *Grid) Repartition(a *matrix.Dense, w int) {
 // Padded returns the zero-padded matrix (n̄w × m̄w).
 func (g *Grid) Padded() *matrix.Dense { return g.padded }
 
-// PaddedIdentity returns a copy of the padded matrix with ones on the main
-// diagonal of the padding range [min(OrigRows, OrigCols), n̄w). Zero
-// padding makes a square matrix singular; identity padding keeps a
-// nonsingular system nonsingular and leaves the first OrigRows solution
-// components unchanged — the embedding the block-partitioned solvers use
-// to run ragged problems on exact block multiples.
-func (g *Grid) PaddedIdentity() *matrix.Dense {
-	out := g.padded.Clone()
-	lo := g.OrigRows
-	if g.OrigCols < lo {
-		lo = g.OrigCols
-	}
-	hi := out.Rows()
-	if out.Cols() < hi {
-		hi = out.Cols()
-	}
-	for i := lo; i < hi; i++ {
-		out.Set(i, i, 1)
-	}
-	return out
-}
-
 // Block returns a copy of block A_rs (w×w).
 func (g *Grid) Block(r, s int) *matrix.Dense {
 	g.check(r, s)
@@ -126,28 +104,6 @@ func (g *Grid) LowerAt(r, s, a, b int) float64 {
 		return 0
 	}
 	return g.At(r, s, a, b)
-}
-
-// Upper returns U_rs as a w×w dense matrix.
-func (g *Grid) Upper(r, s int) *matrix.Dense {
-	u := matrix.NewDense(g.W, g.W)
-	for a := 0; a < g.W; a++ {
-		for b := a; b < g.W; b++ {
-			u.Set(a, b, g.At(r, s, a, b))
-		}
-	}
-	return u
-}
-
-// Lower returns L_rs as a w×w dense matrix.
-func (g *Grid) Lower(r, s int) *matrix.Dense {
-	l := matrix.NewDense(g.W, g.W)
-	for a := 1; a < g.W; a++ {
-		for b := 0; b < a; b++ {
-			l.Set(a, b, g.At(r, s, a, b))
-		}
-	}
-	return l
 }
 
 // BlockIsZero reports whether block A_rs is entirely zero. Used by the

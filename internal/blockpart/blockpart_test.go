@@ -115,32 +115,24 @@ func mustPanic(t *testing.T, f func()) {
 	f()
 }
 
-// TestPaddedIdentity: identity padding covers exactly the rows past the
-// original shape and leaves the original entries untouched.
-func TestPaddedIdentity(t *testing.T) {
-	rng := rand.New(rand.NewSource(8))
-	for _, c := range [][3]int{{5, 5, 3}, {6, 6, 3}, {4, 7, 3}, {1, 1, 4}} {
-		n, m, w := c[0], c[1], c[2]
-		a := matrix.RandomDense(rng, n, m, 5)
-		g := Partition(a, w)
-		p := g.PaddedIdentity()
-		for i := 0; i < p.Rows(); i++ {
-			for j := 0; j < p.Cols(); j++ {
-				want := 0.0
-				switch {
-				case i < n && j < m:
-					want = a.At(i, j)
-				case i == j:
-					want = 1
-				}
-				if p.At(i, j) != want {
-					t.Fatalf("n=%d m=%d w=%d: padded[%d][%d] = %g, want %g", n, m, w, i, j, p.At(i, j), want)
-				}
-			}
-		}
-		// The grid's own padded view must stay zero-padded.
-		if n%w != 0 && g.Padded().At(p.Rows()-1, p.Cols()-1) != 0 {
-			t.Fatal("PaddedIdentity mutated the grid's padded matrix")
+// Upper returns U_rs as a w×w dense matrix.
+func (g *Grid) Upper(r, s int) *matrix.Dense {
+	u := matrix.NewDense(g.W, g.W)
+	for a := 0; a < g.W; a++ {
+		for b := a; b < g.W; b++ {
+			u.Set(a, b, g.At(r, s, a, b))
 		}
 	}
+	return u
+}
+
+// Lower returns L_rs as a w×w dense matrix.
+func (g *Grid) Lower(r, s int) *matrix.Dense {
+	l := matrix.NewDense(g.W, g.W)
+	for a := 1; a < g.W; a++ {
+		for b := 0; b < a; b++ {
+			l.Set(a, b, g.At(r, s, a, b))
+		}
+	}
+	return l
 }

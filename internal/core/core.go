@@ -92,9 +92,6 @@ func NewMatVecSolver(w int) *MatVecSolver {
 	return &MatVecSolver{w: w}
 }
 
-// W returns the array size.
-func (s *MatVecSolver) W() int { return s.w }
-
 // Solve computes y = A·x + b (b may be nil) by transforming the problem with
 // DBT-by-rows and running it on the simulated array.
 func (s *MatVecSolver) Solve(a *matrix.Dense, x, b matrix.Vector, opts MatVecOptions) (*MatVecResult, error) {

@@ -66,8 +66,8 @@ func TestMatMulTrace(t *testing.T) {
 			}
 		}
 	}
-	ins := res.Stats.Trace.ByPort(systolic.PortCIn)
-	outs := res.Stats.Trace.ByPort(systolic.PortCOut)
+	ins := portEvents(res.Stats.Trace, systolic.PortCIn)
+	outs := portEvents(res.Stats.Trace, systolic.PortCOut)
 	if len(ins) != positions || len(outs) != positions {
 		t.Errorf("%d in / %d out, want %d each", len(ins), len(outs), positions)
 	}
@@ -90,4 +90,16 @@ func TestMatVecMACsExact(t *testing.T) {
 			t.Errorf("w=%d: MACs=%d, want %d", w, res.Stats.MACs, want)
 		}
 	}
+}
+
+// portEvents returns the events tr recorded at port p, in recording (cycle)
+// order.
+func portEvents(tr *systolic.Trace, p systolic.Port) []systolic.Event {
+	var out []systolic.Event
+	for _, e := range tr.Events {
+		if e.Port == p {
+			out = append(out, e)
+		}
+	}
+	return out
 }

@@ -33,7 +33,6 @@ type Fleet struct {
 	done   sync.WaitGroup // shard goroutines, for Close
 	tasks  sync.WaitGroup // in-flight passes, for Flush
 	closed atomic.Bool
-	panics atomic.Uint64 // recovered pass panics, for Panics
 }
 
 // Pass is one unit of fleet work: it runs on some shard's goroutine with
@@ -41,12 +40,6 @@ type Fleet struct {
 type Pass interface {
 	RunPass(worker int, ar *Arena)
 }
-
-// PassFunc adapts a plain function to the Pass interface.
-type PassFunc func(worker int, ar *Arena)
-
-// RunPass calls the function.
-func (f PassFunc) RunPass(worker int, ar *Arena) { f(worker, ar) }
 
 // ErrClosed is returned by submissions to a fleet (or a scheduler built on
 // one) after Close.
@@ -81,7 +74,7 @@ func (e *PanicError) Unwrap() error { return ErrPanicked }
 // and hands it to the pass, which must resolve its own completion signal
 // (ticket, barrier slot) with the structured error — and must not panic
 // itself. Passes that do not implement it still cannot kill a shard; the
-// fleet counts the recovered panic (Panics) and drops it.
+// fleet recovers the panic and drops it.
 type PanicCarrier interface {
 	Pass
 	// JobPanicked is called on the shard goroutine, after the pass's
@@ -126,10 +119,6 @@ func (f *Fleet) Shards() int { return len(f.queues) }
 // shard — the depth latency-aware admission multiplies by the shard's
 // measured service time to predict queueing delay.
 func (f *Fleet) QueueLen(shard int) int { return len(f.queues[shard]) }
-
-// Panics returns the number of pass panics the fleet has recovered since
-// it started. Every recovery leaves the shard serving.
-func (f *Fleet) Panics() uint64 { return f.panics.Load() }
 
 // SubmitTo enqueues one pass on the given shard, blocking while that
 // shard's queue is full (the shard itself — or a stealing sibling — always
@@ -241,13 +230,12 @@ func (f *Fleet) steal(self int, ar *Arena) bool {
 
 // run executes one pass on this shard's arena and retires it. A panic
 // raised by the pass is recovered here — the shard goroutine survives and
-// keeps draining its queue — counted, and handed to the pass when it is a
+// keeps draining its queue — and handed to the pass when it is a
 // PanicCarrier so the waiter sees a structured *PanicError instead of a
 // dead runtime.
 func (f *Fleet) run(p Pass, worker int, ar *Arena) {
 	defer func() {
 		if v := recover(); v != nil {
-			f.panics.Add(1)
 			if c, ok := p.(PanicCarrier); ok {
 				c.JobPanicked(&PanicError{Value: v, Stack: debug.Stack()})
 			}

@@ -67,9 +67,6 @@ func NewMatMulSolver(w int) *MatMulSolver {
 	return &MatMulSolver{w: w}
 }
 
-// W returns the array size.
-func (s *MatMulSolver) W() int { return s.w }
-
 // Solve computes C = A·B + E by transforming the operands with DBT and
 // running one pass of the hexagonal array with spiral feedback.
 func (s *MatMulSolver) Solve(a, b *matrix.Dense, opts MatMulOptions) (*MatMulResult, error) {

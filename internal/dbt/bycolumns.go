@@ -181,11 +181,6 @@ func (t *MatVecByColumns) RecoverY(ybars []matrix.Vector) matrix.Vector {
 	return out[:t.N]
 }
 
-// FeedbackDelay returns the register chain length the variant requires:
-// (2n̄−1)·w, problem-size dependent (contrast MatVecFeedbackDelay = w for
-// by-rows).
-func (t *MatVecByColumns) FeedbackDelay() int { return (2*t.NBar - 1) * t.W }
-
 // Validate checks §2's conditions for the column-major pairing: U/L of
 // every band block share the original block row, x̄ is continuous, and
 // each triangle appears exactly once.

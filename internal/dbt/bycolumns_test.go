@@ -145,7 +145,4 @@ func TestByColumnsChaining(t *testing.T) {
 			t.Errorf("YDest(%d) = %+v, want %+v", k, got, wantY[k])
 		}
 	}
-	if got, want := tr.FeedbackDelay(), (2*2-1)*3; got != want {
-		t.Errorf("FeedbackDelay = %d, want %d", got, want)
-	}
 }

@@ -205,23 +205,6 @@ func TestMatVecTransformXTail(t *testing.T) {
 	}
 }
 
-func TestTransposedIsLowerBand(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	for _, w := range []int{2, 3} {
-		a := matrix.RandomDense(rng, 2*w, 3*w, 4)
-		tr := NewTransposed(a, w)
-		band := tr.Band()
-		if band.Lo() != -(w-1) || band.Hi() != 0 {
-			t.Errorf("w=%d: diagonals [%d,%d], want [%d,0]", w, band.Lo(), band.Hi(), -(w - 1))
-		}
-		// Consistency with the definition DBT_tr(A) = DBT(Aᵀ)ᵀ.
-		inner := NewMatVec(a.Transpose(), w).Band().Dense().Transpose()
-		if !band.Dense().Equal(inner, 0) {
-			t.Errorf("w=%d: transposed band disagrees with definition", w)
-		}
-	}
-}
-
 func TestMatVecPanicsOnBadInput(t *testing.T) {
 	tr := NewMatVec(matrix.NewDense(4, 4), 2)
 	mustPanic(t, func() { tr.TransformX(make(matrix.Vector, 3)) })

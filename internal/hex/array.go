@@ -102,12 +102,6 @@ type Result struct {
 	Trace *systolic.Trace
 }
 
-// At delegates to the first program (single-program convenience).
-func (r *Result) At(rho, gamma int) float64 { return r.Progs[0].At(rho, gamma) }
-
-// EmitCycle delegates to the first program.
-func (r *Result) EmitCycle(rho, gamma int) int { return r.Progs[0].EmitCycle(rho, gamma) }
-
 // Feedback delegates to the first program.
 func (r *Result) Feedback() []systolic.FeedbackObservation { return r.Progs[0].Feedback }
 

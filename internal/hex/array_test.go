@@ -230,3 +230,9 @@ func TestRunValidation(t *testing.T) {
 		}()
 	}
 }
+
+// At delegates to the first program (single-program convenience).
+func (r *Result) At(rho, gamma int) float64 { return r.Progs[0].At(rho, gamma) }
+
+// EmitCycle delegates to the first program.
+func (r *Result) EmitCycle(rho, gamma int) int { return r.Progs[0].EmitCycle(rho, gamma) }

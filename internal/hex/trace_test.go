@@ -25,8 +25,8 @@ func TestTraceEvents(t *testing.T) {
 			}
 		}
 	}
-	ins := res.Trace.ByPort(systolic.PortCIn)
-	outs := res.Trace.ByPort(systolic.PortCOut)
+	ins := portEvents(res.Trace, systolic.PortCIn)
+	outs := portEvents(res.Trace, systolic.PortCOut)
 	if len(ins) != positions || len(outs) != positions {
 		t.Fatalf("%d in / %d out events, want %d each", len(ins), len(outs), positions)
 	}
@@ -89,4 +89,16 @@ func TestLargerArray(t *testing.T) {
 	if res.Activity.Total() > dim*w*w {
 		t.Errorf("MACs %d exceed dim·w² = %d", res.Activity.Total(), dim*w*w)
 	}
+}
+
+// portEvents returns the events tr recorded at port p, in recording (cycle)
+// order.
+func portEvents(tr *systolic.Trace, p systolic.Port) []systolic.Event {
+	var out []systolic.Event
+	for _, e := range tr.Events {
+		if e.Port == p {
+			out = append(out, e)
+		}
+	}
+	return out
 }

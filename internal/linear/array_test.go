@@ -112,7 +112,7 @@ func TestAdjacentPEParity(t *testing.T) {
 	arr.RecordTrace = true
 	res := arr.Run(bandProgram(b, x, nil, 0))
 	// Coefficient injections happen exactly at the PE's firing cycles.
-	for _, e := range res.Trace.ByPort(systolic.PortA) {
+	for _, e := range portEvents(res.Trace, systolic.PortA) {
 		i, d := e.Index/w, e.Index%w
 		k := w - 1 - d
 		if (e.Cycle-(k+w-1))%2 != 0 {
@@ -220,7 +220,7 @@ func TestTraceXStream(t *testing.T) {
 	arr := New(w)
 	arr.RecordTrace = true
 	res := arr.Run(bandProgram(b, x, nil, 0))
-	events := res.Trace.ByPort(systolic.PortX)
+	events := portEvents(res.Trace, systolic.PortX)
 	for _, e := range events {
 		if e.Cycle != 2*e.Index {
 			t.Errorf("x̄_%d entered at cycle %d, want %d", e.Index, e.Cycle, 2*e.Index)
@@ -245,4 +245,16 @@ func TestRunValidation(t *testing.T) {
 			f()
 		}()
 	}
+}
+
+// portEvents returns the events tr recorded at port p, in recording (cycle)
+// order.
+func portEvents(tr *systolic.Trace, p systolic.Port) []systolic.Event {
+	var out []systolic.Event
+	for _, e := range tr.Events {
+		if e.Port == p {
+			out = append(out, e)
+		}
+	}
+	return out
 }

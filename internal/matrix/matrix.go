@@ -8,7 +8,6 @@ package matrix
 import (
 	"fmt"
 	"math"
-	"strings"
 )
 
 // Dense is a row-major dense matrix.
@@ -58,12 +57,6 @@ func (m *Dense) Set(i, j int, v float64) {
 	m.data[i*m.cols+j] = v
 }
 
-// Add adds v to element (i, j).
-func (m *Dense) Add(i, j int, v float64) {
-	m.check(i, j)
-	m.data[i*m.cols+j] += v
-}
-
 func (m *Dense) check(i, j int) {
 	if i < 0 || i >= m.rows || j < 0 || j >= m.cols {
 		panic(fmt.Sprintf("matrix: index (%d,%d) out of range %d×%d", i, j, m.rows, m.cols))
@@ -108,13 +101,6 @@ func Reuse(dst *Dense, rows, cols int) *Dense {
 	}
 	dst.rows, dst.cols = rows, cols
 	dst.data = dst.data[:rows*cols]
-	return dst
-}
-
-// ReuseZero is Reuse with the returned matrix zeroed.
-func ReuseZero(dst *Dense, rows, cols int) *Dense {
-	dst = Reuse(dst, rows, cols)
-	clear(dst.data)
 	return dst
 }
 
@@ -273,16 +259,6 @@ func (m *Dense) Equal(other *Dense, tol float64) bool {
 	return true
 }
 
-// IsZero reports whether every element is exactly zero.
-func (m *Dense) IsZero() bool {
-	for _, v := range m.data {
-		if v != 0 {
-			return false
-		}
-	}
-	return true
-}
-
 // MaxAbsDiff returns the largest absolute element-wise difference.
 func (m *Dense) MaxAbsDiff(other *Dense) float64 {
 	if m.rows != other.rows || m.cols != other.cols {
@@ -295,16 +271,4 @@ func (m *Dense) MaxAbsDiff(other *Dense) float64 {
 		}
 	}
 	return d
-}
-
-// String renders the matrix for debugging.
-func (m *Dense) String() string {
-	var sb strings.Builder
-	for i := 0; i < m.rows; i++ {
-		for j := 0; j < m.cols; j++ {
-			fmt.Fprintf(&sb, "%8.3g", m.At(i, j))
-		}
-		sb.WriteByte('\n')
-	}
-	return sb.String()
 }

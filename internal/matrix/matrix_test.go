@@ -9,10 +9,9 @@ import (
 func TestDenseBasics(t *testing.T) {
 	m := NewDense(2, 3)
 	m.Set(0, 0, 1)
-	m.Set(1, 2, -4)
-	m.Add(1, 2, 1)
+	m.Set(1, 2, -3)
 	if m.At(0, 0) != 1 || m.At(1, 2) != -3 || m.At(0, 1) != 0 {
-		t.Error("Set/Add/At broken")
+		t.Error("Set/At broken")
 	}
 	if m.Rows() != 2 || m.Cols() != 3 {
 		t.Error("dims broken")
@@ -119,9 +118,6 @@ func TestTransposeProduct(t *testing.T) {
 
 func TestVectorOps(t *testing.T) {
 	v := Vector{1, 2, 3}
-	if v.Dot(Vector{4, 5, 6}) != 32 {
-		t.Error("Dot broken")
-	}
 	if !v.Pad(5).Equal(Vector{1, 2, 3, 0, 0}, 0) {
 		t.Error("Pad broken")
 	}
@@ -131,7 +127,6 @@ func TestVectorOps(t *testing.T) {
 	if v.MaxAbsDiff(Vector{1, 2, 5}) != 2 {
 		t.Error("MaxAbsDiff broken")
 	}
-	mustPanic(t, func() { v.Dot(Vector{1}) })
 	mustPanic(t, func() { v.Pad(1) })
 }
 
@@ -155,16 +150,10 @@ func TestEqualAndDiff(t *testing.T) {
 func TestAddMIsZero(t *testing.T) {
 	a := FromRows([][]float64{{1, -1}})
 	b := FromRows([][]float64{{-1, 1}})
-	if !a.AddM(b).IsZero() {
-		t.Error("AddM/IsZero broken")
+	if !a.AddM(b).Equal(NewDense(1, 2), 0) {
+		t.Error("AddM of opposite matrices is not zero")
 	}
 	mustPanic(t, func() { a.AddM(NewDense(2, 2)) })
-}
-
-func TestString(t *testing.T) {
-	if s := FromRows([][]float64{{1}}).String(); s == "" {
-		t.Error("String empty")
-	}
 }
 
 func mustPanic(t *testing.T, f func()) {

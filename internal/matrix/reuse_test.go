@@ -24,10 +24,6 @@ func TestReuse(t *testing.T) {
 	if grown == back {
 		t.Error("Reuse beyond capacity must allocate")
 	}
-	z := ReuseZero(grown, 4, 4)
-	if !z.IsZero() {
-		t.Error("ReuseZero left stale values")
-	}
 }
 
 // TestReuseCopiesMatchAllocating: CloneInto/PadInto/SliceInto produce the

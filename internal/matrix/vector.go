@@ -56,18 +56,6 @@ func (v Vector) MaxAbsDiff(other Vector) float64 {
 	return d
 }
 
-// Dot returns the inner product of v and other.
-func (v Vector) Dot(other Vector) float64 {
-	if len(v) != len(other) {
-		panic("matrix: Dot length mismatch")
-	}
-	s := 0.0
-	for i := range v {
-		s += v[i] * other[i]
-	}
-	return s
-}
-
 // Block returns the k-th length-w sub-vector (a copy); the final block may be
 // shorter if len(v) is not a multiple of w.
 func (v Vector) Block(k, w int) Vector {

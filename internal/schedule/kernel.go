@@ -48,16 +48,6 @@ import (
 
 //go:generate go run genrot.go
 
-// Run is one contiguous-run descriptor of a compiled gather: Len
-// coefficients starting at ABase in the flat operand matrix, paired with Len
-// stream elements starting at XBase. Plans store runs implicitly (per-block
-// column bases); RowRuns-style accessors materialize them for tests and
-// tooling.
-type Run struct {
-	ABase, XBase int32
-	Len          int32
-}
-
 // kern selects a replay kernel family at plan-compile time.
 type kern uint8
 

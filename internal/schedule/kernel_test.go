@@ -611,3 +611,40 @@ func TestSparseSingleBlockRuns(t *testing.T) {
 		}
 	}
 }
+
+// Run is one contiguous-run descriptor of a compiled gather: Len
+// coefficients starting at ABase in the flat operand matrix, paired with Len
+// stream elements starting at XBase. Plans store runs implicitly (per-block
+// column bases); RowRuns materializes them for these tests.
+type Run struct {
+	ABase, XBase int32
+	Len          int32
+}
+
+// RowRuns appends the contiguous-run descriptors of local band row l of row
+// band r to dst and returns it: a Ū run of w−a terms and, for rows with
+// a = l mod w > 0, an L̄ run of a terms — never an empty run (a = 0 rows
+// compact to a single run, including the q_r = 1 case where the Ū→L̄ wrap
+// targets the block itself). ABase indexes the padded matrix's backing
+// storage, XBase the padded x; expanding the runs term by term reproduces
+// exactly the per-MAC gather sequence the plan compiles away.
+func (s *SparseMatVec) RowRuns(r, l int, dst []Run) []Run {
+	w := s.W
+	stride := s.MBar * w
+	blk := s.blocks[int(s.boff[r])+l/w]
+	a := l % w
+	arow := int32((r*w + a) * stride)
+	dst = append(dst, Run{
+		ABase: arow + blk.uCol + int32(a),
+		XBase: blk.uCol + int32(a),
+		Len:   int32(w - a),
+	})
+	if a > 0 {
+		dst = append(dst, Run{
+			ABase: arow + blk.lCol,
+			XBase: blk.lCol,
+			Len:   int32(a),
+		})
+	}
+	return dst
+}

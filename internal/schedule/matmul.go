@@ -631,14 +631,6 @@ func (s *MatMul) Bytes() int {
 		(len(s.regDelays)+len(s.irrDelays))*16
 }
 
-// Utilization returns MACs/(w²·T) over the measured operation count.
-func (s *MatMul) Utilization() float64 {
-	if s.T == 0 {
-		return 0
-	}
-	return float64(s.MACs) / (float64(s.W*s.W) * float64(s.T))
-}
-
 // CopyDelays returns independent copies of the precomputed sorted delay
 // histograms (callers may mutate their stats; the cached schedule must stay
 // immutable). One small slice copy each — the former per-call map rebuild

@@ -24,21 +24,6 @@ import (
 // not shape), so its cache is keyed by (shape, pattern digest) with full
 // pattern verification on every hit (see sparse.go).
 
-// Workload names one systolic workload the engine knows about. It appears
-// in error messages and identifies the per-workload plan cache.
-type Workload string
-
-// The workloads of the repository. Compiled plans exist for all four:
-// MatVec, MatMul and TriSolve are shape-keyed, and SparseMatVec — whose
-// schedule depends on the block-sparsity pattern, data rather than shape —
-// is pattern-keyed (shape plus a collision-checked pattern digest).
-const (
-	WorkloadMatVec       Workload = "matvec"
-	WorkloadMatMul       Workload = "matmul"
-	WorkloadTriSolve     Workload = "trisolve"
-	WorkloadSparseMatVec Workload = "sparse-matvec"
-)
-
 // planCache is a process-wide concurrency-safe map from shape key to
 // compiled plan. Schedules depend only on problem shape, and the
 // sweep/soak/bench harnesses resolve the same shapes thousands of times —

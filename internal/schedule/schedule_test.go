@@ -335,3 +335,12 @@ func TestTriSolveExecAgainstSubstitution(t *testing.T) {
 		}
 	}
 }
+
+// Utilization returns (MACs + Divisions)/(w·T), the PE duty the array would
+// measure (approaches ½ as n grows).
+func (s *TriSolve) Utilization() float64 {
+	if s.T == 0 {
+		return 0
+	}
+	return float64(s.MACs+s.Divisions) / (float64(s.W) * float64(s.T))
+}

@@ -59,7 +59,7 @@ type SparseMatVec struct {
 	// r owns blocks[boff[r]:boff[r+1]]): the padded-column bases of the
 	// block's Ū coefficients (c_k·w) and L̄ coefficients (c_{(k+1) mod q}·w).
 	// Together with the fixed band-row stride these expand to the per-row
-	// runs (see RowRuns); Exec replays them directly.
+	// runs (RowRuns in the tests expands them); Exec replays them directly.
 	blocks []sparseBlock
 	boff   []int32
 
@@ -313,34 +313,6 @@ func (s *SparseMatVec) OverlapUtilization() float64 {
 	return float64(s.MACs) / (float64(s.W) * float64(s.TOverlap))
 }
 
-// RowRuns appends the contiguous-run descriptors of local band row l of row
-// band r to dst and returns it: a Ū run of w−a terms and, for rows with
-// a = l mod w > 0, an L̄ run of a terms — never an empty run (a = 0 rows
-// compact to a single run, including the q_r = 1 case where the Ū→L̄ wrap
-// targets the block itself). ABase indexes the padded matrix's backing
-// storage, XBase the padded x; expanding the runs term by term reproduces
-// exactly the per-MAC gather sequence the plan compiles away.
-func (s *SparseMatVec) RowRuns(r, l int, dst []Run) []Run {
-	w := s.W
-	stride := s.MBar * w
-	blk := s.blocks[int(s.boff[r])+l/w]
-	a := l % w
-	arow := int32((r*w + a) * stride)
-	dst = append(dst, Run{
-		ABase: arow + blk.uCol + int32(a),
-		XBase: blk.uCol + int32(a),
-		Len:   int32(w - a),
-	})
-	if a > 0 {
-		dst = append(dst, Run{
-			ABase: arow + blk.lCol,
-			XBase: blk.lCol,
-			Len:   int32(a),
-		})
-	}
-	return dst
-}
-
 // Bytes returns the resident size of the compiled descriptors — the memory
 // the plan cache pays per pattern. The run compaction makes this ~8 bytes
 // per retained block (plus the canonical pattern copy) instead of the former
@@ -349,25 +321,6 @@ func (s *SparseMatVec) Bytes() int {
 	n := len(s.blocks)*8 + len(s.boff)*4 + len(s.q)*4
 	for _, cols := range s.retained {
 		n += 24 + len(cols)*8
-	}
-	return n
-}
-
-// BandSteps returns the 2w·q_r compute span of row band r's program — 0 for
-// an empty band. The telescoped total is the T formula: Σ BandSteps +
-// (active−1)(2w−2) + 2w − 3, and exactly 0 when no band is active.
-func (s *SparseMatVec) BandSteps(r int) int {
-	return 2 * s.W * int(s.q[r])
-}
-
-// ActiveBands returns the number of row bands with at least one retained
-// block (the n̄₊ of the step-count formula).
-func (s *SparseMatVec) ActiveBands() int {
-	n := 0
-	for _, qr := range s.q {
-		if qr > 0 {
-			n++
-		}
 	}
 	return n
 }

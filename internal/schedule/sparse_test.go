@@ -383,3 +383,22 @@ func TestSparsePlanEvictionWhileInUse(t *testing.T) {
 		}
 	}
 }
+
+// BandSteps returns the 2w·q_r compute span of row band r's program — 0 for
+// an empty band. The telescoped total is the T formula: Σ BandSteps +
+// (active−1)(2w−2) + 2w − 3, and exactly 0 when no band is active.
+func (s *SparseMatVec) BandSteps(r int) int {
+	return 2 * s.W * int(s.q[r])
+}
+
+// ActiveBands returns the number of row bands with at least one retained
+// block (the n̄₊ of the step-count formula).
+func (s *SparseMatVec) ActiveBands() int {
+	n := 0
+	for _, qr := range s.q {
+		if qr > 0 {
+			n++
+		}
+	}
+	return n
+}

@@ -105,10 +105,6 @@ func (s *TriSolve) Exec(lband, b, x []float64) {
 	}
 }
 
-// Bytes returns the resident size of the compiled descriptors — zero beyond
-// the fixed struct: the trisolve plan is fully analytic.
-func (s *TriSolve) Bytes() int { return 0 }
-
 // Activity returns the per-PE operation counts the array would measure: PE
 // d ≥ 1 one MAC per row i ≥ d, PE 0 one division per row, Cycles = T.
 func (s *TriSolve) Activity() *systolic.Activity {
@@ -124,13 +120,4 @@ func (s *TriSolve) Activity() *systolic.Activity {
 	}
 	a.Cycles = s.T
 	return a
-}
-
-// Utilization returns (MACs + Divisions)/(w·T), the PE duty the array would
-// measure (approaches ½ as n grows).
-func (s *TriSolve) Utilization() float64 {
-	if s.T == 0 {
-		return 0
-	}
-	return float64(s.MACs+s.Divisions) / (float64(s.W) * float64(s.T))
 }

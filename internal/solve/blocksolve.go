@@ -7,9 +7,10 @@ import (
 // BlockPartitionedSolve solves A·x = d through the paper's block
 // partitioning (internal/blockpart): A is partitioned into the w×w block
 // grid of Fig. 1a and identity-padded to the exact n̄w × n̄w block multiple
-// (Grid.PaddedIdentity — zero padding would make the system singular),
-// the padded system runs the full array pipeline (block LU + triangular
-// solves, see Solve), and the first n solution components are returned.
+// (ones on the padding diagonal — zero padding would make the system
+// singular), the padded system runs the full array pipeline (block LU +
+// triangular solves, see Solve), and the first n solution components are
+// returned.
 //
 // On block-aligned shapes this is exactly Solve; off the boundaries it is
 // the block-partitioned embedding that keeps every array pass at full

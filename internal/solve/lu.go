@@ -167,10 +167,3 @@ func Inverse(a *matrix.Dense, w int, opts Options) (*matrix.Dense, *LUStats, err
 	}
 	return res.C, stats, nil
 }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"repro/internal/matrix"
+	"repro/internal/trisolve"
 )
 
 func TestBlockLUFactors(t *testing.T) {
@@ -143,7 +144,7 @@ func TestLowerTriangularInverseSingular(t *testing.T) {
 	lo := matrix.NewDense(2, 2)
 	lo.Set(1, 0, 1) // zero diagonal
 	_, _, err := LowerTriangularInverse(lo, 2, Options{})
-	if !errors.Is(err, ErrSingular) {
+	if !errors.Is(err, trisolve.ErrSingular) {
 		t.Errorf("err = %v, want ErrSingular", err)
 	}
 	var serr *SingularError

@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/matrix"
+	"repro/internal/trisolve"
 )
 
 // permutedDominant builds a well-conditioned system that *needs* pivoting:
@@ -40,7 +41,7 @@ func TestPivotedSolveZeroLeadingMinor(t *testing.T) {
 		{2, 0, 1, 6},
 	})
 	d := matrix.Vector{1, 2, 3, 4}
-	if _, _, err := Solve(a.Clone(), d, 2, Options{}); !errors.Is(err, ErrSingular) {
+	if _, _, err := Solve(a.Clone(), d, 2, Options{}); !errors.Is(err, trisolve.ErrSingular) {
 		t.Fatalf("unpivoted err = %v, want ErrSingular", err)
 	}
 	x, stats, err := Solve(a, d, 2, Options{Pivot: PivotPartial})
@@ -140,7 +141,7 @@ func TestPivotedSingular(t *testing.T) {
 	if !errors.As(err, &serr) || serr.Index != 1 {
 		t.Fatalf("err = %v, want *SingularError at column 1", err)
 	}
-	if !errors.Is(err, ErrSingular) {
+	if !errors.Is(err, trisolve.ErrSingular) {
 		t.Error("pivoted singular error does not match ErrSingular")
 	}
 }
@@ -196,7 +197,7 @@ func TestRefineIllConditionedTyped(t *testing.T) {
 	if !errors.As(err, &ice) {
 		t.Fatalf("err = %v, want *IllConditionedError", err)
 	}
-	if !errors.Is(err, ErrIllConditioned) {
+	if !errors.Is(err, trisolve.ErrIllConditioned) {
 		t.Error("error does not match ErrIllConditioned")
 	}
 	if ice.Report.Converged || ice.Report.Iters != 3 || ice.Report.ResidualNorm <= 0 {

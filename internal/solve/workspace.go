@@ -288,8 +288,8 @@ func (ws *Workspace) BlockPartitionedSolve(a *matrix.Dense, d matrix.Vector, opt
 	if len(d) != n {
 		return nil, nil, fmt.Errorf("solve: len(d)=%d, want %d", len(d), n)
 	}
-	// The Grid.PaddedIdentity embedding without the grid: zero-pad to the
-	// block multiple and put ones on the padding diagonal.
+	// Identity embedding: zero-pad to the block multiple and put ones on
+	// the padding diagonal.
 	pn := blockpart.Ceil(n, ws.w) * ws.w
 	ws.padded = matrix.PadInto(ws.padded, a, pn, pn)
 	for i := n; i < pn; i++ {

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/matrix"
+	"repro/internal/trisolve"
 )
 
 // TestWorkspaceReuse: repeated solves on one workspace — different
@@ -41,7 +42,7 @@ func TestSingularThenHealthy(t *testing.T) {
 	ws := NewWorkspace(2)
 	singular := matrix.NewDense(4, 4) // all zeros: pivot fails immediately
 	_, _, _, err := ws.BlockLU(singular, Options{})
-	if !errors.Is(err, ErrSingular) {
+	if !errors.Is(err, trisolve.ErrSingular) {
 		t.Fatalf("err = %v, want ErrSingular", err)
 	}
 	var serr *SingularError

@@ -1,7 +1,6 @@
 package stream
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"time"
@@ -49,16 +48,6 @@ type QoS struct {
 	Deadline time.Time
 	// Priority selects the admission class (default High).
 	Priority Priority
-}
-
-// QoSFromContext derives a QoS from ctx's deadline, if it has one, at
-// High priority — the bridge for context-scoped callers.
-func QoSFromContext(ctx context.Context) QoS {
-	q := QoS{}
-	if d, ok := ctx.Deadline(); ok {
-		q.Deadline = d
-	}
-	return q
 }
 
 // ErrDeadlineExceeded is the sentinel matched by errors.Is for every

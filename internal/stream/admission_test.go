@@ -1,7 +1,6 @@
 package stream
 
 import (
-	"context"
 	"errors"
 	"sync/atomic"
 	"testing"
@@ -19,6 +18,11 @@ func qosProblem(t *testing.T) (MatVecProblem, matrix.Vector) {
 	return p, matrix.Vector{3, 7}
 }
 
+// passFunc adapts a plain function to core.Pass.
+type passFunc func(worker int, ar *core.Arena)
+
+func (f passFunc) RunPass(worker int, ar *core.Arena) { f(worker, ar) }
+
 // occupyShard blocks shard 0 of s's fleet with a pass submitted straight
 // to the fleet, so jobs routed there queue behind it. The returned release
 // lets the pass finish and waits until it has.
@@ -27,7 +31,7 @@ func occupyShard(t *testing.T, s *Scheduler) (release func()) {
 	gate := make(chan struct{})
 	running := make(chan struct{})
 	finished := make(chan struct{})
-	if err := s.fleet.SubmitTo(0, core.PassFunc(func(int, *core.Arena) {
+	if err := s.fleet.SubmitTo(0, passFunc(func(int, *core.Arena) {
 		close(running)
 		<-gate
 		close(finished)
@@ -230,23 +234,5 @@ func TestStreamQoSZeroAllocSteadyState(t *testing.T) {
 	roundTrip() // warm the shard's plan memo and the job pool
 	if allocs := testing.AllocsPerRun(50, roundTrip); allocs != 0 {
 		t.Errorf("steady-state QoS stream job allocates %v objects/op, want 0", allocs)
-	}
-}
-
-// TestQoSFromContext: a context deadline becomes the QoS deadline; a
-// deadline-free context yields the zero QoS.
-func TestQoSFromContext(t *testing.T) {
-	if q := QoSFromContext(context.Background()); q != (QoS{}) {
-		t.Errorf("QoSFromContext(Background) = %+v, want zero", q)
-	}
-	d := time.Now().Add(time.Minute)
-	ctx, cancel := context.WithDeadline(context.Background(), d)
-	defer cancel()
-	q := QoSFromContext(ctx)
-	if !q.Deadline.Equal(d) {
-		t.Errorf("QoSFromContext deadline = %v, want %v", q.Deadline, d)
-	}
-	if q.Priority != High {
-		t.Errorf("QoSFromContext priority = %v, want High", q.Priority)
 	}
 }

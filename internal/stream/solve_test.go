@@ -12,6 +12,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/matrix"
 	"repro/internal/solve"
+	"repro/internal/trisolve"
 )
 
 // ddSystem builds a strictly diagonally dominant n×n system, so every
@@ -317,8 +318,8 @@ func TestSolveStreamSingular(t *testing.T) {
 			if serr.Index != 0 || serr.Op != "solve.BlockLU" {
 				t.Errorf("singular error %+v, want pivot index 0 from solve.BlockLU", serr)
 			}
-			if !errors.Is(werr, solve.ErrSingular) {
-				t.Error("singular error does not match the solve.ErrSingular sentinel")
+			if !errors.Is(werr, trisolve.ErrSingular) {
+				t.Error("singular error does not match the trisolve.ErrSingular sentinel")
 			}
 			if x != nil || stats != nil {
 				t.Error("singular ticket leaked a result")
@@ -385,8 +386,8 @@ func TestSolveStreamIllConditioned(t *testing.T) {
 	if !errors.As(werr, &cerr) {
 		t.Fatalf("unconverged refinement returned %v, want *solve.IllConditionedError", werr)
 	}
-	if !errors.Is(werr, solve.ErrIllConditioned) {
-		t.Error("ill-conditioned error does not match the solve.ErrIllConditioned sentinel")
+	if !errors.Is(werr, trisolve.ErrIllConditioned) {
+		t.Error("ill-conditioned error does not match the trisolve.ErrIllConditioned sentinel")
 	}
 	if cerr.Report.Converged || cerr.Report.Iters != 2 || cerr.Report.ResidualNorm <= 0 {
 		t.Errorf("condition report %+v, want 2 unconverged iterations with a positive residual", cerr.Report)

@@ -7,10 +7,7 @@
 // multiply–accumulate per tick.
 package systolic
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // Port identifies a boundary port class of an array.
 type Port int
@@ -77,29 +74,6 @@ func (tr *Trace) Record(e Event) {
 	tr.Events = append(tr.Events, e)
 }
 
-// AtCycle returns the events of one cycle, in recording order.
-func (tr *Trace) AtCycle(t int) []Event {
-	var out []Event
-	for _, e := range tr.Events {
-		if e.Cycle == t {
-			out = append(out, e)
-		}
-	}
-	return out
-}
-
-// ByPort returns the events of one port sorted by cycle.
-func (tr *Trace) ByPort(p Port) []Event {
-	var out []Event
-	for _, e := range tr.Events {
-		if e.Port == p {
-			out = append(out, e)
-		}
-	}
-	sort.SliceStable(out, func(i, j int) bool { return out[i].Cycle < out[j].Cycle })
-	return out
-}
-
 // Activity accumulates per-PE multiply–accumulate counts.
 type Activity struct {
 	// MACs[pe] counts useful operations executed by that PE.
@@ -156,30 +130,4 @@ func DelayHistogram(obs []FeedbackObservation) (regular, irregular map[int]int) 
 		}
 	}
 	return regular, irregular
-}
-
-// MaxDelay returns the largest observed delay, 0 when empty.
-func MaxDelay(obs []FeedbackObservation) int {
-	max := 0
-	for _, o := range obs {
-		if d := o.Delay(); d > max {
-			max = d
-		}
-	}
-	return max
-}
-
-// RegisterDemand computes the total number of external memory elements
-// needed to realize a set of feedback edges when each edge class is served
-// by a register chain of its maximum delay. Edges are grouped by the given
-// classifier.
-func RegisterDemand(obs []FeedbackObservation, class func(FeedbackObservation) string) map[string]int {
-	out := make(map[string]int)
-	for _, o := range obs {
-		c := class(o)
-		if d := o.Delay(); d > out[c] {
-			out[c] = d
-		}
-	}
-	return out
 }

@@ -19,8 +19,7 @@
 // while the off-diagonal (dense rectangular) work runs as DBT
 // matrix–vector passes on the multiplication array — so every arithmetic
 // operation happens inside a fixed-size systolic array. Upper triangular
-// systems mirror onto the lower solver, and a matrix right-hand side
-// (§4's "matrix equations") solves one column at a time.
+// systems mirror onto the lower solver.
 //
 // Like the matrix-product workloads, every solve runs on either of two
 // engines that agree bit for bit: SolveBand is the cycle-accurate
@@ -222,6 +221,3 @@ func (ar *Array) SolveBand(l *matrix.Band, b matrix.Vector) *Result {
 	res.Activity.Cycles = res.T
 	return res
 }
-
-// StepsBand returns the closed-form step count 2n + w − 2 of a band solve.
-func StepsBand(n, w int) int { return 2*n + w - 2 }

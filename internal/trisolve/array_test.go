@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/analysis"
 	"repro/internal/core"
 	"repro/internal/matrix"
 )
@@ -44,7 +45,7 @@ func TestSolveBandStepCount(t *testing.T) {
 		for _, n := range []int{1, 7, 3 * w} {
 			l := randLowerBand(rng, n, w)
 			res := New(w).SolveBand(l, matrix.NewVector(n))
-			if got, want := res.T, StepsBand(n, w); got != want {
+			if got, want := res.T, analysis.TriSolveSteps(n, w); got != want {
 				t.Errorf("w=%d n=%d: T=%d, want %d", w, n, got, want)
 			}
 		}
@@ -142,29 +143,8 @@ func TestSolveUpperDense(t *testing.T) {
 	}
 }
 
-// TestSolveMatrixLower: L·X = B with a matrix right-hand side (§4's
-// "triangular systems of matrix equations").
-func TestSolveMatrixLower(t *testing.T) {
-	rng := rand.New(rand.NewSource(106))
-	w, n, m := 3, 8, 5
-	l := randomLower(rng, n)
-	want := matrix.RandomDense(rng, n, m, 3)
-	b := l.Mul(want)
-	x, stats, err := NewWorkspace(w).SolveMatrixLower(l, b, core.EngineAuto)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !x.Equal(want, 1e-9) {
-		t.Errorf("wrong solution (off %g)", x.MaxAbsDiff(want))
-	}
-	if stats.TriPasses != m*((n+w-1)/w) {
-		t.Errorf("tri passes %d", stats.TriPasses)
-	}
-}
-
-// TestSolverValidation: the upper and matrix right-hand-side solves reject
-// malformed input before any array pass, and pass a zero pivot or a
-// non-triangular matrix through as the lower solver's error.
+// TestSolverValidation: the upper solve rejects malformed input before any
+// array pass, and a zero pivot or a non-triangular matrix with an error.
 func TestSolverValidation(t *testing.T) {
 	tw := NewWorkspace(2)
 	x := make(matrix.Vector, 2)
@@ -180,12 +160,6 @@ func TestSolverValidation(t *testing.T) {
 	notU := matrix.FromRows([][]float64{{1, 0}, {1, 1}})
 	if _, err := tw.SolveUpperInto(x, notU, make(matrix.Vector, 2), core.EngineAuto); err == nil {
 		t.Error("expected not-upper error")
-	}
-	if _, _, err := tw.SolveMatrixLower(identity(2), matrix.NewDense(3, 2), core.EngineAuto); err == nil {
-		t.Error("expected matrix right-hand-side shape error")
-	}
-	if _, _, err := tw.SolveMatrixLower(matrix.NewDense(2, 2), matrix.NewDense(2, 3), core.EngineAuto); !errors.Is(err, ErrSingular) {
-		t.Errorf("matrix err = %v, want ErrSingular", err)
 	}
 }
 

@@ -8,9 +8,8 @@ import (
 // ErrSingular is the sentinel matched by errors.Is for every
 // singular-pivot failure across the direct-solver layers: trisolve's
 // diagonal checks here, and solve's BlockLU pivots and triangular
-// inverses (package solve re-exports this sentinel and SingularError, so
-// errors.Is(err, solve.ErrSingular) covers both layers no matter which
-// one detected the pivot).
+// inverses (package solve aliases SingularError, so one errors.Is covers
+// both layers no matter which one detected the pivot).
 var ErrSingular = errors.New("singular matrix")
 
 // SingularError reports the exact pivot a direct solver found to be

@@ -38,7 +38,7 @@ func TestBandTrace(t *testing.T) {
 		if res.Trace == nil {
 			t.Fatalf("w=%d: no trace recorded", w)
 		}
-		yins := res.Trace.ByPort(systolic.PortYIn)
+		yins := portEvents(res.Trace, systolic.PortYIn)
 		if len(yins) != n {
 			t.Fatalf("w=%d: %d y injections, want %d", w, len(yins), n)
 		}
@@ -47,7 +47,7 @@ func TestBandTrace(t *testing.T) {
 				t.Errorf("w=%d: y%d injected at cycle %d (index %d), want cycle %d", w, i, e.Cycle, e.Index, 2*i)
 			}
 		}
-		outs := res.Trace.ByPort(systolic.PortYOut)
+		outs := portEvents(res.Trace, systolic.PortYOut)
 		if len(outs) != n {
 			t.Fatalf("w=%d: %d x outputs, want %d", w, len(outs), n)
 		}
@@ -59,7 +59,7 @@ func TestBandTrace(t *testing.T) {
 				t.Errorf("w=%d: x%d trace value %g ≠ solution %g", w, i, e.Value, res.X[i])
 			}
 		}
-		reenter := res.Trace.ByPort(systolic.PortX)
+		reenter := portEvents(res.Trace, systolic.PortX)
 		if w == 1 {
 			if len(reenter) != 0 {
 				t.Errorf("w=1: %d re-entries, want none (no x stream)", len(reenter))
@@ -75,7 +75,7 @@ func TestBandTrace(t *testing.T) {
 			}
 		}
 		// Coefficient consumptions: one per MAC plus one per division.
-		as := res.Trace.ByPort(systolic.PortA)
+		as := portEvents(res.Trace, systolic.PortA)
 		if want := res.Activity.Total(); len(as) != want {
 			t.Errorf("w=%d: %d coefficient events, want %d", w, len(as), want)
 		}
@@ -114,4 +114,16 @@ func TestTraceEngineRules(t *testing.T) {
 	if !plain.X.Equal(res.X, 0) {
 		t.Error("traced and untraced solutions differ")
 	}
+}
+
+// portEvents returns the events tr recorded at port p, in recording (cycle)
+// order.
+func portEvents(tr *systolic.Trace, p systolic.Port) []systolic.Event {
+	var out []systolic.Event
+	for _, e := range tr.Events {
+		if e.Port == p {
+			out = append(out, e)
+		}
+	}
+	return out
 }

@@ -392,31 +392,3 @@ func (f factor) packDiagonal(g []float64, w, lo, d int) {
 		clear(row[m:])
 	}
 }
-
-// SolveMatrixLower solves L·X = B for a dense lower triangular L and a
-// dense right-hand-side matrix B (the "triangular systems of matrix
-// equations" of §4), one SolveLowerInto per column of B. X is the
-// caller's; the stats sum over the columns.
-func (tw *Workspace) SolveMatrixLower(l, b *matrix.Dense, eng core.Engine) (*matrix.Dense, PassStats, error) {
-	var total PassStats
-	n := b.Rows()
-	if l.Rows() != n {
-		return nil, total, fmt.Errorf("trisolve: L is %d×%d but B has %d rows", l.Rows(), l.Cols(), n)
-	}
-	x := matrix.NewDense(n, b.Cols())
-	col, xc := make(matrix.Vector, n), make(matrix.Vector, n)
-	for c := 0; c < b.Cols(); c++ {
-		for i := range col {
-			col[i] = b.At(i, c)
-		}
-		st, err := tw.SolveLowerInto(xc, l, col, eng)
-		if err != nil {
-			return nil, total, err
-		}
-		total.add(st)
-		for i, v := range xc {
-			x.Set(i, c, v)
-		}
-	}
-	return x, total, nil
-}
