@@ -90,23 +90,29 @@ func TestSolveEndpoint200(t *testing.T) {
 }
 
 // TestSolveEndpoint422Singular: a singular system returns 422 carrying the
-// zero pivot's index — the *solve.SingularError surfaced as JSON.
+// zero pivot's index — the *solve.SingularError surfaced as JSON — whether
+// the factorization meets it (a zero first pivot) or the backward
+// triangular phase does (a zero last U pivot, at n−1).
 func TestSolveEndpoint422Singular(t *testing.T) {
 	ts, _ := newTestServer(t, stream.Config{Shards: 1})
-	var got ErrorResponse
-	resp := postSolve(t, ts, Request{
-		A: [][]float64{{0, 1}, {1, 1}},
-		D: []float64{1, 2},
-		W: 2,
-	}, &got)
-	if resp.StatusCode != http.StatusUnprocessableEntity {
-		t.Fatalf("status %d, want 422", resp.StatusCode)
-	}
-	if got.PivotIndex == nil || *got.PivotIndex != 0 {
-		t.Errorf("response %+v, want pivot_index 0", got)
-	}
-	if got.Error == "" {
-		t.Error("422 response carries no error message")
+	for _, c := range []struct {
+		a     [][]float64
+		pivot int
+	}{
+		{[][]float64{{0, 1}, {1, 1}}, 0},
+		{[][]float64{{2, 1, 1}, {2, 2, 1}, {2, 1, 1}}, 2},
+	} {
+		var got ErrorResponse
+		resp := postSolve(t, ts, Request{A: c.a, D: make([]float64, len(c.a)), W: 2}, &got)
+		if resp.StatusCode != http.StatusUnprocessableEntity {
+			t.Fatalf("%v: status %d, want 422", c.a, resp.StatusCode)
+		}
+		if got.PivotIndex == nil || *got.PivotIndex != c.pivot {
+			t.Errorf("%v: response %+v, want pivot_index %d", c.a, got, c.pivot)
+		}
+		if got.Error == "" {
+			t.Errorf("%v: 422 response carries no error message", c.a)
+		}
 	}
 }
 

@@ -1,6 +1,7 @@
 package trisolve
 
 import (
+	"errors"
 	"math"
 	"math/rand"
 	"reflect"
@@ -51,8 +52,7 @@ func unpack(lu *matrix.Dense) (l, u *matrix.Dense) {
 // TestSolveLUMatchesUnpacked: on both engines and a ragged (w, n) grid,
 // SolveLUInto on a packed factor is bit for bit SolveLowerInto on its
 // unpacked L followed by SolveUpperInto on its U — x, the summed
-// PassStats, and the error of a zero U pivot (reported, like
-// SolveUpperInto's, in mirrored coordinates).
+// PassStats, and the error of a zero U pivot.
 func TestSolveLUMatchesUnpacked(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	for _, w := range []int{1, 2, 3, 4, 5, 8} {
@@ -95,6 +95,33 @@ func TestSolveLUMatchesUnpacked(t *testing.T) {
 				for i := range x {
 					if math.Float64bits(x[i]) != math.Float64bits(want[i]) {
 						t.Fatalf("%v w=%d n=%d: x[%d] = %v, want %v", eng, w, n, i, x[i], want[i])
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestUpperPivotCoordinates: a zero at U[k][k] is reported by the upper
+// phase at index k — by SolveUpperInto and by SolveLUInto's backward
+// phase — for every k, w 1..4 and both engines.
+func TestUpperPivotCoordinates(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	const n = 5
+	for w := 1; w <= 4; w++ {
+		ws := NewWorkspace(w)
+		for _, eng := range []core.Engine{core.EngineCompiled, core.EngineOracle} {
+			for k := 0; k < n; k++ {
+				lu := randomPacked(rng, n, k)
+				_, u := unpack(lu)
+				b := matrix.RandomVector(rng, n, 4)
+				x := make(matrix.Vector, n)
+				_, upErr := ws.SolveUpperInto(x, u, b, eng)
+				_, luErr := ws.SolveLUInto(x, lu, b, eng)
+				for _, err := range []error{upErr, luErr} {
+					var serr *SingularError
+					if !errors.As(err, &serr) || serr.Op != "trisolve.SolveUpperInto" || serr.Index != k {
+						t.Errorf("%v w=%d, zero U[%d][%d]: err %v, want trisolve.SolveUpperInto at %d", eng, w, k, k, err, k)
 					}
 				}
 			}

@@ -125,8 +125,7 @@ func (tw *Workspace) SolveLowerInto(dst matrix.Vector, l *matrix.Dense, b matrix
 // mirroring it onto the lower solver: row and column order reversed, U
 // reads as a lower triangular matrix. The mirror is never materialized —
 // each pass stages its block of U reversed — and a defect is reported in
-// the mirror's coordinates, as the lower solver sees it. dst must not
-// alias b.
+// U's own coordinates. dst must not alias b.
 func (tw *Workspace) SolveUpperInto(dst matrix.Vector, u *matrix.Dense, b matrix.Vector, eng core.Engine) (PassStats, error) {
 	f := factor{a: u, upper: true}
 	if err := tw.check(dst, f, b, "SolveUpperInto"); err != nil {
@@ -162,7 +161,7 @@ func (tw *Workspace) SolveLUInto(dst matrix.Vector, lu *matrix.Dense, b matrix.V
 	upper := factor{a: lu, upper: true}
 	for i := 0; i < n; i++ {
 		if upper.at(i, i) == 0 {
-			return PassStats{}, &SingularError{Op: "trisolve.SolveLowerInto", Index: i}
+			return PassStats{}, upper.singular(i)
 		}
 	}
 	bw, err := tw.solveUpper(dst, upper, tw.y, eng)
@@ -335,21 +334,36 @@ func (f factor) at(i, j int) float64 {
 	return f.a.RawRow(i)[j]
 }
 
-// validate returns f's first defect in row order: a zero diagonal
-// (*SingularError) or a nonzero above it.
+// validate returns f's first defect in the order the solve meets them: a
+// zero diagonal (*SingularError) or a nonzero off the triangle, both in
+// a's coordinates.
 func (f factor) validate() error {
 	n := f.a.Rows()
 	for i := 0; i < n; i++ {
 		if f.at(i, i) == 0 {
-			return &SingularError{Op: "trisolve.SolveLowerInto", Index: i}
+			return f.singular(i)
 		}
 		for j := i + 1; j < n; j++ {
-			if f.at(i, j) != 0 {
-				return fmt.Errorf("trisolve: L[%d][%d] ≠ 0: not lower triangular", i, j)
+			if f.at(i, j) == 0 {
+				continue
 			}
+			if f.upper {
+				return fmt.Errorf("trisolve: U[%d][%d] ≠ 0: not upper triangular", n-1-i, n-1-j)
+			}
+			return fmt.Errorf("trisolve: L[%d][%d] ≠ 0: not lower triangular", i, j)
 		}
 	}
 	return nil
+}
+
+// singular returns the error for a zero at f's diagonal i, naming the
+// phase that met it and the pivot's index in a: a mirrored U's row i is
+// a's row n−1−i.
+func (f factor) singular(i int) error {
+	if f.upper {
+		return &SingularError{Op: "trisolve.SolveUpperInto", Index: f.a.Rows() - 1 - i}
+	}
+	return &SingularError{Op: "trisolve.SolveLowerInto", Index: i}
 }
 
 // stage writes the rows×cols block of f at (r0, c0) into g, a row-major
