@@ -1,18 +1,15 @@
-// Command doccheck is the documentation and unused-export gate CI runs on
-// every push: it fails when an internal package lacks a package doc
-// comment, when an exported identifier of the engine- and runtime-facing
-// packages (internal/core, internal/schedule, internal/stream,
-// internal/sparse, the direct solvers, and the internal/solved HTTP
-// facade) lacks a doc comment, when a relative markdown link in the
-// top-level docs points at a file that does not exist, when a backticked
-// package-qualified name (`dbt.NewMatVec`, `stream.Scheduler`) or stream
-// Submit… name in README.md, DESIGN.md or EXPERIMENTS.md names no exported
-// identifier of that internal package, or when an exported object or
-// method under internal/ has no use in non-test code (unused.go): the
-// module and the nested perfbench module are type-checked from source,
-// a method used only through an interface it satisfies counts as used,
-// and the only exceptions are the allow-listed paper closed forms and
-// test references.
+// Command doccheck is the documentation gate CI runs on every push: it
+// fails when an internal package lacks a package doc comment, when an
+// exported identifier of the engine- and runtime-facing packages
+// (internal/core, internal/schedule, internal/stream, internal/sparse,
+// the direct solvers, and the internal/solved HTTP facade) lacks a doc
+// comment, when a relative markdown link in the top-level docs points at
+// a file that does not exist, when a backticked package-qualified name
+// (`dbt.NewMatVec`, `stream.Scheduler`) or stream Submit… name in
+// README.md, DESIGN.md or EXPERIMENTS.md names no exported identifier of
+// that internal package, or when an exported object or method under
+// internal/ has no use in non-test code (the unused-export gate, see
+// unusedExports).
 //
 // Usage:
 //

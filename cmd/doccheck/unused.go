@@ -11,245 +11,132 @@ import (
 	"go/types"
 	"io/fs"
 	"os"
+	"path"
 	"path/filepath"
+	"regexp"
 	"sort"
 	"strings"
 )
 
-// allowKind is why an export that only tests call may stay.
-type allowKind int
-
-const (
-	// closedForm is a formula of the paper that tests check the arrays'
-	// measured cycles, sizes or operation counts against.
-	closedForm allowKind = iota + 1
-	// reference is a reference implementation that tests compare the
-	// program's results against.
-	reference
-)
-
-// allowance is one allow-list entry: its kind and the reason it stays.
-type allowance struct {
-	kind   allowKind
-	reason string
+// allowed is the allow-list: exports under internal/ that only tests
+// call, keyed pkg.Name or pkg.Type.Method. Only two kinds may stay, and
+// each reason starts with its kind: a paper closed form that tests check
+// the arrays' measured cycles, sizes or counts against, or a reference
+// implementation that tests compare the program's results with.
+var allowed = map[string]string{
+	"analysis.FlushSpeedup":      "closed form: §2's asymptotic DBT-over-flush step advantage (4w−3)/(2w); tests check its limit",
+	"analysis.MatMulComputeSpan": "closed form: §3's first-to-last-MAC span 3w·p̄n̄m̄ + 3w − 5; tests check it against MatMulSteps",
+	"analysis.MatVecOps":         "closed form: §2's padded operation count n̄m̄w² behind the utilization formulas; tests derive η from it",
+	"baseline.PRT":               "reference: the Priester et al. single-block array; tests check DBT reduces to it at n̄ = m̄ = 1",
+	"dbt.MatMul.AHatBand":        "reference: materializes §3's Ā; tests check that it is a full upper band of width w",
+	"dbt.MatMul.BHatBand":        "reference: materializes §3's B̄; tests check that it is a full lower band of width w",
+	"dbt.MatMul.ReferenceRun":    "reference: block-level §3 recurrence without systolic timing; the hexagonal array is tested against it",
+	"dbt.MatVec.Band":            "reference: materializes §2's Ā; tests check that it is a full band equal to the transform",
+	"dbt.MatVec.BlockRecurrence": "reference: block-level §2 recurrence without systolic timing; the linear array is tested against it",
+	"matrix.Band.Dense":          "reference: expands a band so tests compare band results with dense arithmetic",
+	"matrix.Band.Mul":            "reference: the band product the hexagonal array is validated against",
+	"matrix.Band.MulVec":         "reference: the band matrix–vector product the linear array is validated against",
+	"matrix.Band.NonzeroCount":   "reference: counts filled band positions; tests compare it with StoredCount for §2's full-band claim",
+	"matrix.Band.StoredCount":    "reference: counts in-matrix band positions; tests compare NonzeroCount against it",
+	"schedule.BinCount":          "reference: reads a delay histogram; core's tests compare measured feedback delays with §3's register demand through it",
 }
 
-// allowed lists the exports under internal/ that only tests call, keyed
-// pkg.Name or pkg.Type.Method. Every entry must carry a reason, and an
-// entry whose name gains a production use fails the check.
-var allowed = map[string]allowance{
-	"analysis.FlushSpeedup":      {closedForm, "§2's asymptotic DBT-over-flush step advantage (4w−3)/(2w); tests check its limit"},
-	"analysis.MatMulComputeSpan": {closedForm, "§3's first-to-last-MAC span 3w·p̄n̄m̄ + 3w − 5; tests check it against MatMulSteps"},
-	"analysis.MatVecOps":         {closedForm, "§2's padded operation count n̄m̄w² behind the utilization formulas; tests derive η from it"},
-	"baseline.PRT":               {reference, "the Priester et al. single-block array; tests check DBT reduces to it at n̄ = m̄ = 1"},
-	"dbt.MatMul.AHatBand":        {reference, "materializes §3's Ā; tests check that it is a full upper band of width w"},
-	"dbt.MatMul.BHatBand":        {reference, "materializes §3's B̄; tests check that it is a full lower band of width w"},
-	"dbt.MatMul.ReferenceRun":    {reference, "block-level §3 recurrence without systolic timing; the hexagonal array is tested against it"},
-	"dbt.MatVec.Band":            {reference, "materializes §2's Ā; tests check that it is a full band equal to the transform"},
-	"dbt.MatVec.BlockRecurrence": {reference, "block-level §2 recurrence without systolic timing; the linear array is tested against it"},
-	"matrix.Band.Dense":          {reference, "expands a band so tests compare band results with dense arithmetic"},
-	"matrix.Band.Mul":            {reference, "reference band product the hexagonal array is validated against"},
-	"matrix.Band.MulVec":         {reference, "reference band matrix–vector product the linear array is validated against"},
-	"matrix.Band.NonzeroCount":   {reference, "counts filled band positions; tests compare it with StoredCount for §2's full-band claim"},
-	"matrix.Band.StoredCount":    {reference, "counts in-matrix band positions; tests compare NonzeroCount against it"},
-	"schedule.BinCount":          {reference, "reads a delay histogram; core's tests compare measured feedback delays with §3's register demand through it"},
-}
+// moduleLine matches go.mod's module directive.
+var moduleLine = regexp.MustCompile(`(?m)^module\s+(\S+)`)
+
+// allowReason matches a reason that names its kind and then says why.
+var allowReason = regexp.MustCompile(`^(closed form|reference): \S`)
 
 // unusedExports type-checks every non-test package of the module rooted
 // at root, nested modules included, and reports each exported
 // package-level object or method declared under internal/ that no
-// production code uses outside its own declaration. A use counts only
-// from code that is itself used: a non-candidate declaration or a
-// candidate found used, so a type named only by its own dead constants
-// is reported with them. A method also counts as used when a used type's
-// method set satisfies an interface, declared in the module or in a
-// standard-library package it loads, that names the method. Names in
-// allow are not reported; an entry with no reason, with an unknown kind,
-// for a name that is not a candidate, or for a name that is used is.
-func unusedExports(root string, allow map[string]allowance) ([]string, error) {
+// production code references (a func calling itself does not count). A
+// method is also used when a package-level type of the module, or a
+// pointer to it, satisfies an interface that names the method, declared
+// in the module or in a standard-library package the module imports.
+// Names in allow are not reported; an entry without a kind and reason, or
+// for a name that is not a candidate or that is used, is. A name used
+// only by another unused name shows up once that one is deleted.
+func unusedExports(root string, allow map[string]string) ([]string, error) {
 	l, err := newLoader(root)
 	if err != nil {
 		return nil, err
 	}
-	if err := l.loadTree(); err != nil {
-		return nil, err
-	}
-
-	// Candidates: exported package-level objects and exported methods of
-	// named types declared under internal/, keyed by report name.
-	cand := map[types.Object]string{}
-	for path, p := range l.pkgs {
-		if !strings.HasPrefix(path, l.module+"/internal/") {
-			continue
-		}
-		scope := p.pkg.Scope()
-		for _, name := range scope.Names() {
-			obj := scope.Lookup(name)
-			key := p.pkg.Name() + "." + name
-			if obj.Exported() {
-				cand[obj] = key
+	cand := map[types.Object]string{} // candidate → report name
+	var named []*types.Named
+	for pkg := range l.info {
+		internal := strings.HasPrefix(pkg.Path(), l.module+"/internal/")
+		for _, name := range pkg.Scope().Names() {
+			obj := pkg.Scope().Lookup(name)
+			if internal && obj.Exported() {
+				cand[obj] = pkg.Name() + "." + name
 			}
 			if tn, ok := obj.(*types.TypeName); ok && !tn.IsAlias() {
-				named := tn.Type().(*types.Named)
-				for i := 0; i < named.NumMethods(); i++ {
-					if m := named.Method(i); m.Exported() {
-						cand[m] = key + "." + m.Name()
+				n := tn.Type().(*types.Named)
+				named = append(named, n)
+				for i := 0; i < n.NumMethods(); i++ {
+					if m := n.Method(i); internal && m.Exported() {
+						cand[m] = pkg.Name() + "." + name + "." + m.Name()
 					}
 				}
 			}
 		}
 	}
 
-	// users[c] holds, per use of candidate c, the objects declared by the
-	// top-level declaration the use sits in.
-	users := map[types.Object][][]types.Object{}
-	for _, p := range l.pkgs {
-		for _, f := range p.files {
-			for _, decl := range f.Decls {
-				for _, d := range declSites(decl, p.info) {
-					ast.Inspect(d.node, func(n ast.Node) bool {
-						if id, ok := n.(*ast.Ident); ok {
-							if obj := origin(p.info.Uses[id]); cand[obj] != "" && !containsObj(d.objs, obj) {
-								users[obj] = append(users[obj], d.objs)
-							}
-						}
-						return true
-					})
-				}
+	used := map[types.Object]bool{}
+	for _, info := range l.info {
+		for id, obj := range info.Uses {
+			fn, isFunc := obj.(*types.Func)
+			if isFunc {
+				obj = fn.Origin() // a method of an instantiated generic type
+			}
+			// A recursive call, inside the func's own body, is no use.
+			if cand[obj] != "" && !(isFunc && fn.Origin().Scope().Contains(id.Pos())) {
+				used[obj] = true
 			}
 		}
 	}
-	satisfied := l.satisfiedMethods()
-
-	// reach returns the candidates used from code outside the candidates,
-	// transitively, treating those in roots as used too.
-	reach := func(roots map[types.Object]bool) map[types.Object]bool {
-		live := map[types.Object]bool{}
-		usedBy := func(objs ...types.Object) bool {
-			for _, o := range objs {
-				if cand[o] == "" || roots[o] || live[o] {
-					return true
-				}
-			}
-			return false
+	ifaces := l.interfaces()
+	for _, n := range named {
+		if types.IsInterface(n) || n.TypeParams().Len() > 0 {
+			continue
 		}
-		for changed := true; changed; {
-			changed = false
-			for c := range cand {
-				if live[c] {
+		for _, t := range []types.Type{n, types.NewPointer(n)} {
+			for _, it := range ifaces {
+				if !types.Implements(t, it) {
 					continue
 				}
-				ok := satisfied[c] && usedBy(receiverBase(c))
-				for _, objs := range users[c] {
-					ok = ok || usedBy(objs...)
-				}
-				if ok {
-					live[c], changed = true, true
+				for i := 0; i < it.NumMethods(); i++ {
+					m, _, _ := types.LookupFieldOrMethod(t, false, it.Method(i).Pkg(), it.Method(i).Name())
+					used[m] = true
 				}
 			}
 		}
-		return live
 	}
-	live := reach(nil)
-	// Allow-listed names stay, and so does whatever they use.
-	roots := map[types.Object]bool{}
-	for c, key := range cand {
-		if _, ok := allow[key]; ok {
-			roots[c] = true
-		}
-	}
-	kept := reach(roots)
 
 	var out []string
 	known := map[string]bool{}
 	for c, key := range cand {
 		known[key] = true
-		if _, ok := allow[key]; !ok && !kept[c] {
+		_, ok := allow[key]
+		if !ok && !used[c] {
 			pos := l.fset.Position(c.Pos())
-			rel, _ := filepath.Rel(root, pos.Filename)
+			rel, _ := filepath.Rel(root, pos.Filename) // pos lies under root
 			out = append(out, fmt.Sprintf("%s:%d: exported %s has no use outside its declaration in non-test code", filepath.ToSlash(rel), pos.Line, key))
-		} else if ok && live[c] {
+		}
+		if ok && used[c] {
 			out = append(out, fmt.Sprintf("allow-list entry %s is used outside tests; remove the entry", key))
 		}
 	}
-	for key, a := range allow {
-		switch {
-		case !known[key]:
+	for key, reason := range allow {
+		if !known[key] {
 			out = append(out, fmt.Sprintf("allow-list entry %s names no exported object or method under internal/", key))
-		case strings.TrimSpace(a.reason) == "":
-			out = append(out, fmt.Sprintf("allow-list entry %s has no reason", key))
-		case a.kind != closedForm && a.kind != reference:
-			out = append(out, fmt.Sprintf("allow-list entry %s is neither a paper closed form nor a test reference", key))
+		} else if !allowReason.MatchString(reason) {
+			out = append(out, fmt.Sprintf("allow-list entry %s needs a reason that starts with its kind (closed form: or reference:)", key))
 		}
 	}
 	sort.Strings(out)
 	return out, nil
-}
-
-// declSite is one top-level declaration: its syntax and the package-level
-// objects it declares.
-type declSite struct {
-	node ast.Node
-	objs []types.Object
-}
-
-// declSites splits decl into sites: a func or method, or each spec
-// of a const, var or type declaration. Imports declare nothing.
-func declSites(decl ast.Decl, info *types.Info) []declSite {
-	var out []declSite
-	switch d := decl.(type) {
-	case *ast.FuncDecl:
-		out = append(out, declSite{d, []types.Object{info.Defs[d.Name]}})
-	case *ast.GenDecl:
-		for _, spec := range d.Specs {
-			switch s := spec.(type) {
-			case *ast.TypeSpec:
-				out = append(out, declSite{s, []types.Object{info.Defs[s.Name]}})
-			case *ast.ValueSpec:
-				c := declSite{node: s}
-				for _, name := range s.Names {
-					c.objs = append(c.objs, info.Defs[name])
-				}
-				out = append(out, c)
-			}
-		}
-	}
-	return out
-}
-
-// origin maps a method or function of an instantiated generic to its
-// declaration.
-func origin(obj types.Object) types.Object {
-	if f, ok := obj.(*types.Func); ok {
-		return f.Origin()
-	}
-	return obj
-}
-
-func containsObj(objs []types.Object, obj types.Object) bool {
-	for _, o := range objs {
-		if o == obj {
-			return true
-		}
-	}
-	return false
-}
-
-// receiverBase returns the type name a method is declared on, or nil for
-// anything else.
-func receiverBase(obj types.Object) types.Object {
-	f, ok := obj.(*types.Func)
-	if !ok || f.Type().(*types.Signature).Recv() == nil {
-		return nil
-	}
-	t := f.Type().(*types.Signature).Recv().Type()
-	if p, ok := t.(*types.Pointer); ok {
-		t = p.Elem()
-	}
-	if n, ok := t.(*types.Named); ok {
-		return n.Obj()
-	}
-	return nil
 }
 
 // loader type-checks the module's packages from source, once each, so all
@@ -257,161 +144,114 @@ func receiverBase(obj types.Object) types.Object {
 // the standard library's source importer.
 type loader struct {
 	fset         *token.FileSet
-	ctxt         build.Context
 	root, module string
-	std          types.ImporterFrom
-	pkgs         map[string]*loaded // nil while a package is being checked
+	std          types.Importer
+	pkgs         map[string]*types.Package // nil while a package is being checked
+	info         map[*types.Package]*types.Info
 }
 
-// loaded is one type-checked module package.
-type loaded struct {
-	pkg   *types.Package
-	files []*ast.File
-	info  *types.Info
-}
-
+// newLoader checks every directory under root that holds non-test Go files
+// of the build, skipping testdata and dot or underscore directories. A
+// nested module (perfbench) sits at its own path under the root module's,
+// so one directory-to-path mapping serves both.
 func newLoader(root string) (*loader, error) {
 	mod, err := os.ReadFile(filepath.Join(root, "go.mod"))
 	if err != nil {
 		return nil, err
 	}
-	module := ""
-	for _, line := range strings.Split(string(mod), "\n") {
-		if f := strings.Fields(line); len(f) == 2 && f[0] == "module" {
-			module = strings.Trim(f[1], `"`)
-		}
-	}
-	if module == "" {
+	m := moduleLine.FindSubmatch(mod)
+	if m == nil {
 		return nil, fmt.Errorf("%s/go.mod declares no module", root)
 	}
 	// The source importer builds with build.Default; without cgo it checks
 	// the pure-Go files of net and os/user instead of running the cgo tool.
 	build.Default.CgoEnabled = false
-	fset := token.NewFileSet()
-	return &loader{
-		fset:   fset,
-		ctxt:   build.Default,
-		root:   root,
-		module: module,
-		std:    importer.ForCompiler(fset, "source", nil).(types.ImporterFrom),
-		pkgs:   map[string]*loaded{},
-	}, nil
-}
-
-// loadTree checks every directory of the tree that holds non-test Go files
-// of the build, skipping testdata and dot or underscore directories. A
-// nested module (perfbench) sits at its own path under the root module's,
-// so one directory-to-path mapping serves both.
-func (l *loader) loadTree() error {
-	return filepath.WalkDir(l.root, func(dir string, d fs.DirEntry, err error) error {
+	l := &loader{fset: token.NewFileSet(), root: root, module: string(m[1]),
+		pkgs: map[string]*types.Package{}, info: map[*types.Package]*types.Info{}}
+	l.std = importer.ForCompiler(l.fset, "source", nil)
+	return l, filepath.WalkDir(root, func(dir string, d fs.DirEntry, err error) error {
 		if err != nil || !d.IsDir() {
 			return err
 		}
-		if name := d.Name(); dir != l.root && (name == "testdata" || strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_")) {
+		if name := d.Name(); dir != root && (name == "testdata" || strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_")) {
 			return filepath.SkipDir
 		}
-		if _, err := l.ctxt.ImportDir(dir, 0); err != nil {
-			var noGo *build.NoGoError
-			if errors.As(err, &noGo) {
-				return nil
-			}
-			return err
+		rel, _ := filepath.Rel(root, dir) // dir lies under root
+		_, err = l.Import(path.Join(l.module, filepath.ToSlash(rel)))
+		var noGo *build.NoGoError
+		if errors.As(err, &noGo) {
+			return nil
 		}
-		rel, err := filepath.Rel(l.root, dir)
-		if err != nil {
-			return err
-		}
-		path := l.module
-		if rel != "." {
-			path += "/" + filepath.ToSlash(rel)
-		}
-		_, err = l.load(path)
 		return err
 	})
 }
 
-func (l *loader) Import(path string) (*types.Package, error) {
-	return l.ImportFrom(path, "", 0)
-}
-
-func (l *loader) ImportFrom(path, dir string, mode types.ImportMode) (*types.Package, error) {
-	if path != l.module && !strings.HasPrefix(path, l.module+"/") {
-		return l.std.ImportFrom(path, dir, mode)
+// Import type-checks the module package at pkgPath, memoized, and hands
+// any other path to the standard library's importer.
+func (l *loader) Import(pkgPath string) (*types.Package, error) {
+	if pkgPath != l.module && !strings.HasPrefix(pkgPath, l.module+"/") {
+		return l.std.Import(pkgPath)
 	}
-	p, err := l.load(path)
-	if err != nil {
-		return nil, err
-	}
-	return p.pkg, nil
-}
-
-// load type-checks the module package at path, memoized.
-func (l *loader) load(path string) (*loaded, error) {
-	if p, ok := l.pkgs[path]; ok {
-		if p == nil {
-			return nil, fmt.Errorf("import cycle through %s", path)
+	if pkg, ok := l.pkgs[pkgPath]; ok {
+		if pkg == nil {
+			return nil, fmt.Errorf("import cycle through %s", pkgPath)
 		}
-		return p, nil
+		return pkg, nil
 	}
-	dir := filepath.Join(l.root, filepath.FromSlash(strings.TrimPrefix(strings.TrimPrefix(path, l.module), "/")))
-	bp, err := l.ctxt.ImportDir(dir, 0)
+	dir := filepath.Join(l.root, strings.TrimPrefix(pkgPath, l.module))
+	bp, err := build.Default.ImportDir(dir, 0)
 	if err != nil {
 		return nil, err
 	}
-	l.pkgs[path] = nil
-	p := &loaded{info: &types.Info{
-		Types: map[ast.Expr]types.TypeAndValue{},
-		Defs:  map[*ast.Ident]types.Object{},
-		Uses:  map[*ast.Ident]types.Object{},
-	}}
+	l.pkgs[pkgPath] = nil
+	var files []*ast.File
 	for _, name := range bp.GoFiles {
 		f, err := parser.ParseFile(l.fset, filepath.Join(dir, name), nil, parser.SkipObjectResolution)
 		if err != nil {
 			return nil, err
 		}
-		p.files = append(p.files, f)
+		files = append(files, f)
 	}
-	conf := types.Config{Importer: l}
-	if p.pkg, err = conf.Check(path, l.fset, p.files, p.info); err != nil {
+	info := &types.Info{Types: map[ast.Expr]types.TypeAndValue{}, Uses: map[*ast.Ident]types.Object{}}
+	pkg, err := (&types.Config{Importer: l}).Check(pkgPath, l.fset, files, info)
+	if err != nil {
 		return nil, err
 	}
-	l.pkgs[path] = p
-	return p, nil
+	l.pkgs[pkgPath], l.info[pkg] = pkg, info
+	return pkg, nil
 }
 
-// satisfiedMethods returns the methods that some module type's method set
-// contributes to an interface it satisfies. The interfaces are the error
-// type, every interface type the module's code mentions, and every
-// interface type written anywhere in the source of the standard-library
-// packages the module imports directly, function bodies included (errors.Is
-// looks for Unwrap through an interface literal).
-func (l *loader) satisfiedMethods() map[types.Object]bool {
+// interfaces returns the error type, every interface type the module's
+// code mentions, and every interface type written in the source of the
+// standard-library packages the module imports, function bodies included
+// (errors.Is finds Unwrap through an interface literal).
+func (l *loader) interfaces() []*types.Interface {
+	var out []*types.Interface
 	seen := map[*types.Interface]bool{}
-	var ifaces []*types.Interface
 	add := func(t types.Type) {
 		if it, ok := t.Underlying().(*types.Interface); ok && it.NumMethods() > 0 && it.IsMethodSet() && !seen[it] {
 			seen[it] = true
-			ifaces = append(ifaces, it)
+			out = append(out, it)
 		}
 	}
 	add(types.Universe.Lookup("error").Type())
 	std := map[*types.Package]bool{}
-	for _, p := range l.pkgs {
-		for _, tv := range p.info.Types {
+	for pkg, info := range l.info {
+		for _, tv := range info.Types {
 			if tv.Type != nil {
 				add(tv.Type)
 			}
 		}
-		for _, imp := range p.pkg.Imports() {
-			if l.pkgs[imp.Path()] == nil {
+		for _, imp := range pkg.Imports() {
+			if l.info[imp] == nil {
 				std[imp] = true
 			}
 		}
 	}
 	for pkg := range std {
-		bp, err := l.ctxt.Import(pkg.Path(), "", 0)
+		bp, err := build.Default.Import(pkg.Path(), "", 0)
 		if err != nil {
-			continue
+			continue // its interfaces stay unknown, so more is reported, not less
 		}
 		for _, name := range bp.GoFiles {
 			f, err := parser.ParseFile(l.fset, filepath.Join(bp.Dir, name), nil, parser.SkipObjectResolution)
@@ -419,9 +259,9 @@ func (l *loader) satisfiedMethods() map[types.Object]bool {
 				continue
 			}
 			ast.Inspect(f, func(n ast.Node) bool {
-				if it, ok := n.(*ast.InterfaceType); ok && len(it.Methods.List) > 0 {
-					// Evaluated in package scope; a literal naming a type
-					// local to a function fails to resolve and is skipped.
+				// Checked in package scope: a literal that names a type
+				// local to a function does not resolve and is skipped.
+				if it, ok := n.(*ast.InterfaceType); ok {
 					info := &types.Info{Types: map[ast.Expr]types.TypeAndValue{}}
 					if types.CheckExpr(l.fset, pkg, token.NoPos, it, info) == nil {
 						add(info.Types[it].Type)
@@ -431,38 +271,5 @@ func (l *loader) satisfiedMethods() map[types.Object]bool {
 			})
 		}
 	}
-
-	satisfied := map[types.Object]bool{}
-	for _, p := range l.pkgs {
-		for _, obj := range p.info.Defs {
-			tn, ok := obj.(*types.TypeName)
-			if !ok || tn.IsAlias() || types.IsInterface(tn.Type()) {
-				continue
-			}
-			if n, ok := tn.Type().(*types.Named); !ok || n.TypeParams().Len() > 0 {
-				continue
-			}
-			for _, t := range []types.Type{tn.Type(), types.NewPointer(tn.Type())} {
-				for _, it := range ifaces {
-					if !types.Implements(t, it) {
-						continue
-					}
-					for i := 0; i < it.NumMethods(); i++ {
-						m := it.Method(i)
-						if f, ok := lookupMethod(t, m); ok {
-							satisfied[f.Origin()] = true
-						}
-					}
-				}
-			}
-		}
-	}
-	return satisfied
-}
-
-// lookupMethod finds the method of t, possibly promoted, that implements m.
-func lookupMethod(t types.Type, m *types.Func) (*types.Func, bool) {
-	obj, _, _ := types.LookupFieldOrMethod(t, false, m.Pkg(), m.Name())
-	f, ok := obj.(*types.Func)
-	return f, ok
+	return out
 }

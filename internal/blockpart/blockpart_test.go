@@ -52,17 +52,11 @@ func TestSplitIsExact(t *testing.T) {
 		for r := 0; r < g.BlockRows; r++ {
 			for s := 0; s < g.BlockCols; s++ {
 				blk := g.Block(r, s)
-				u, l := g.Upper(r, s), g.Lower(r, s)
-				if !u.AddM(l).Equal(blk, 0) {
-					return false
-				}
-				// U strictly above-or-on diagonal, L strictly below.
+				// U on and above the diagonal, L strictly below, U+L = A_rs.
 				for i := 0; i < w; i++ {
 					for j := 0; j < w; j++ {
-						if j < i && u.At(i, j) != 0 {
-							return false
-						}
-						if j >= i && l.At(i, j) != 0 {
+						u, l := g.UpperAt(r, s, i, j), g.LowerAt(r, s, i, j)
+						if u+l != blk.At(i, j) || j < i && u != 0 || j >= i && l != 0 {
 							return false
 						}
 					}
@@ -113,26 +107,4 @@ func mustPanic(t *testing.T, f func()) {
 		}
 	}()
 	f()
-}
-
-// Upper returns U_rs as a w×w dense matrix.
-func (g *Grid) Upper(r, s int) *matrix.Dense {
-	u := matrix.NewDense(g.W, g.W)
-	for a := 0; a < g.W; a++ {
-		for b := a; b < g.W; b++ {
-			u.Set(a, b, g.At(r, s, a, b))
-		}
-	}
-	return u
-}
-
-// Lower returns L_rs as a w×w dense matrix.
-func (g *Grid) Lower(r, s int) *matrix.Dense {
-	l := matrix.NewDense(g.W, g.W)
-	for a := 1; a < g.W; a++ {
-		for b := 0; b < a; b++ {
-			l.Set(a, b, g.At(r, s, a, b))
-		}
-	}
-	return l
 }

@@ -53,7 +53,7 @@ func TestBandProductExact(t *testing.T) {
 					if j < 0 || j >= dim {
 						continue
 					}
-					if got := res.At(i, j); got != want.At(i, j) {
+					if got := res.Progs[0].At(i, j); got != want.At(i, j) {
 						t.Fatalf("w=%d dim=%d: O[%d][%d]=%g, want %g", w, dim, i, j, got, want.At(i, j))
 					}
 				}
@@ -76,7 +76,7 @@ func TestBandProductWithE(t *testing.T) {
 			if j < 0 || j >= dim {
 				continue
 			}
-			if got := res.At(i, j); got != want.At(i, j)+e.At(i, j) {
+			if got := res.Progs[0].At(i, j); got != want.At(i, j)+e.At(i, j) {
 				t.Fatalf("O[%d][%d]=%g, want %g", i, j, got, want.At(i, j)+e.At(i, j))
 			}
 		}
@@ -113,7 +113,7 @@ func TestEmitCycleModel(t *testing.T) {
 			if j < min {
 				min = j
 			}
-			if got, want := res.EmitCycle(i, j), i+j+min+w; got != want {
+			if got, want := res.Progs[0].EmitCycle(i, j), i+j+min+w; got != want {
 				t.Errorf("emit(%d,%d)=%d, want %d", i, j, got, want)
 			}
 		}
@@ -187,7 +187,7 @@ func TestSelfFeedbackDiagonal(t *testing.T) {
 			if i >= w {
 				wantDiag[i] += wantDiag[i-w]
 			}
-			if got := res.At(i, i); got != wantDiag[i] {
+			if got := res.Progs[0].At(i, i); got != wantDiag[i] {
 				t.Errorf("w=%d: O[%d][%d]=%g, want %g", w, i, i, got, wantDiag[i])
 			}
 		}
@@ -230,9 +230,3 @@ func TestRunValidation(t *testing.T) {
 		}()
 	}
 }
-
-// At delegates to the first program (single-program convenience).
-func (r *Result) At(rho, gamma int) float64 { return r.Progs[0].At(rho, gamma) }
-
-// EmitCycle delegates to the first program.
-func (r *Result) EmitCycle(rho, gamma int) int { return r.Progs[0].EmitCycle(rho, gamma) }

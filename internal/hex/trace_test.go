@@ -42,8 +42,8 @@ func TestTraceEvents(t *testing.T) {
 	}
 	for _, e := range outs {
 		rho, gamma := e.Index/dim, e.Index%dim
-		if e.Cycle != res.EmitCycle(rho, gamma) {
-			t.Errorf("c-out (%d,%d) at cycle %d, want %d", rho, gamma, e.Cycle, res.EmitCycle(rho, gamma))
+		if e.Cycle != res.Progs[0].EmitCycle(rho, gamma) {
+			t.Errorf("c-out (%d,%d) at cycle %d, want %d", rho, gamma, e.Cycle, res.Progs[0].EmitCycle(rho, gamma))
 		}
 	}
 }
@@ -56,7 +56,7 @@ func TestW1Degenerate(t *testing.T) {
 	a, b := randBands(rng, dim, 1)
 	res := New(1).Run(plainProgram(a, b, nil))
 	for i := 0; i < dim; i++ {
-		if got, want := res.At(i, i), a.At(i, i)*b.At(i, i); got != want {
+		if got, want := res.Progs[0].At(i, i), a.At(i, i)*b.At(i, i); got != want {
 			t.Errorf("O[%d][%d]=%g, want %g", i, i, got, want)
 		}
 	}
@@ -79,7 +79,7 @@ func TestLargerArray(t *testing.T) {
 			if j < 0 || j >= dim {
 				continue
 			}
-			if res.At(i, j) != want.At(i, j) {
+			if res.Progs[0].At(i, j) != want.At(i, j) {
 				t.Fatalf("O[%d][%d] wrong", i, j)
 			}
 		}

@@ -289,8 +289,8 @@ func TestTriSolvePlan(t *testing.T) {
 			if s.MACs != total {
 				t.Fatalf("n=%d w=%d: MACs %d vs per-PE sum %d", n, w, s.MACs, total)
 			}
-			if s.Utilization() <= 0 || s.Utilization() > 1 {
-				t.Fatalf("n=%d w=%d: utilization %g out of range", n, w, s.Utilization())
+			if u := float64(s.MACs+s.Divisions) / float64(s.W*s.T); u <= 0 || u > 1 {
+				t.Fatalf("n=%d w=%d: utilization %g out of range", n, w, u)
 			}
 			if TriSolveFor(n, w) != s {
 				t.Fatalf("n=%d w=%d: same shape should share one compiled plan", n, w)
@@ -334,13 +334,4 @@ func TestTriSolveExecAgainstSubstitution(t *testing.T) {
 			}
 		}
 	}
-}
-
-// Utilization returns (MACs + Divisions)/(w·T), the PE duty the array would
-// measure (approaches ½ as n grows).
-func (s *TriSolve) Utilization() float64 {
-	if s.T == 0 {
-		return 0
-	}
-	return float64(s.MACs+s.Divisions) / (float64(s.W) * float64(s.T))
 }

@@ -182,12 +182,16 @@ func TestSparsePlanStepFormula(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		total := 0
-		for r := 0; r < nbar; r++ {
-			total += s.BandSteps(r)
+		// Band r's program spans 2w·q_r steps; n̄₊ bands are active.
+		total, active := 0, 0
+		for _, cols := range pat {
+			total += 2 * w * len(cols)
+			if len(cols) > 0 {
+				active++
+			}
 		}
 		want := 0
-		if active := s.ActiveBands(); active > 0 {
+		if active > 0 {
 			want = total + (active-1)*(2*w-2) + 2*w - 3
 		}
 		if s.T != want {
@@ -252,7 +256,7 @@ func TestSparseOverlapStepFormula(t *testing.T) {
 		if s.TOverlap > s.T {
 			t.Fatalf("w=%d pattern %v: TOverlap=%d exceeds T=%d", w, pat, s.TOverlap, s.T)
 		}
-		if s.ActiveBands() <= 1 && s.TOverlap != s.T {
+		if len(spans) <= 1 && s.TOverlap != s.T {
 			t.Fatalf("w=%d pattern %v: single program must not change span: TOverlap=%d T=%d", w, pat, s.TOverlap, s.T)
 		}
 		if s.Q == 0 && (s.TOverlap != 0 || s.OverlapUtilization() != 0) {
@@ -382,23 +386,4 @@ func TestSparsePlanEvictionWhileInUse(t *testing.T) {
 			t.Fatal("held plan changed behavior after eviction")
 		}
 	}
-}
-
-// BandSteps returns the 2w·q_r compute span of row band r's program — 0 for
-// an empty band. The telescoped total is the T formula: Σ BandSteps +
-// (active−1)(2w−2) + 2w − 3, and exactly 0 when no band is active.
-func (s *SparseMatVec) BandSteps(r int) int {
-	return 2 * s.W * int(s.q[r])
-}
-
-// ActiveBands returns the number of row bands with at least one retained
-// block (the n̄₊ of the step-count formula).
-func (s *SparseMatVec) ActiveBands() int {
-	n := 0
-	for _, qr := range s.q {
-		if qr > 0 {
-			n++
-		}
-	}
-	return n
 }
