@@ -76,12 +76,12 @@ func main() {
 	}
 	checkMarkdown(*root)
 	checkAPINames(*root)
-	report, err := unusedExports(*root, allowed)
-	if err != nil {
+	if l, err := newLoader(*root); err != nil {
 		complain("unused exports: %v", err)
-	}
-	for _, r := range report {
-		complain("%s", r)
+	} else {
+		for _, r := range unusedExports(l, allowed) {
+			complain("%s", r)
+		}
 	}
 
 	if problems > 0 {

@@ -80,9 +80,13 @@ func TestUnused(t *testing.T) { Unused(1) }
 
 // TestUnusedExports: an export only a test calls is reported; methods
 // used through fmt.Stringer or a module interface are not; an allow-list
-// entry with no reason, or for a used name, is reported.
+// entry without a kind and reason, for a used name or for an unknown name
+// is reported.
 func TestUnusedExports(t *testing.T) {
-	root := tinyModule(t)
+	l, err := newLoader(tinyModule(t))
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, c := range []struct {
 		name  string
 		allow map[string]string
@@ -97,10 +101,7 @@ func TestUnusedExports(t *testing.T) {
 		{"allowed but unknown", map[string]string{"p.Unused": "reference: a test helper", "p.Gone": "reference: deleted"},
 			[]string{"allow-list entry p.Gone names no exported object"}},
 	} {
-		got, err := unusedExports(root, c.allow)
-		if err != nil {
-			t.Fatalf("%s: %v", c.name, err)
-		}
+		got := unusedExports(l, c.allow)
 		if len(got) != len(c.want) {
 			t.Errorf("%s: report %q, want %d lines %q", c.name, got, len(c.want), c.want)
 			continue

@@ -47,8 +47,7 @@ var moduleLine = regexp.MustCompile(`(?m)^module\s+(\S+)`)
 // allowReason matches a reason that names its kind and then says why.
 var allowReason = regexp.MustCompile(`^(closed form|reference): \S`)
 
-// unusedExports type-checks every non-test package of the module rooted
-// at root, nested modules included, and reports each exported
+// unusedExports reports, over the packages l checked, each exported
 // package-level object or method declared under internal/ that no
 // production code references (a func calling itself does not count). A
 // method is also used when a package-level type of the module, or a
@@ -57,11 +56,7 @@ var allowReason = regexp.MustCompile(`^(closed form|reference): \S`)
 // Names in allow are not reported; an entry without a kind and reason, or
 // for a name that is not a candidate or that is used, is. A name used
 // only by another unused name shows up once that one is deleted.
-func unusedExports(root string, allow map[string]string) ([]string, error) {
-	l, err := newLoader(root)
-	if err != nil {
-		return nil, err
-	}
+func unusedExports(l *loader, allow map[string]string) []string {
 	cand := map[types.Object]string{} // candidate → report name
 	var named []*types.Named
 	for pkg := range l.info {
@@ -121,7 +116,7 @@ func unusedExports(root string, allow map[string]string) ([]string, error) {
 		_, ok := allow[key]
 		if !ok && !used[c] {
 			pos := l.fset.Position(c.Pos())
-			rel, _ := filepath.Rel(root, pos.Filename) // pos lies under root
+			rel, _ := filepath.Rel(l.root, pos.Filename) // pos lies under the root
 			out = append(out, fmt.Sprintf("%s:%d: exported %s has no use outside its declaration in non-test code", filepath.ToSlash(rel), pos.Line, key))
 		}
 		if ok && used[c] {
@@ -136,7 +131,7 @@ func unusedExports(root string, allow map[string]string) ([]string, error) {
 		}
 	}
 	sort.Strings(out)
-	return out, nil
+	return out
 }
 
 // loader type-checks the module's packages from source, once each, so all
@@ -150,10 +145,11 @@ type loader struct {
 	info         map[*types.Package]*types.Info
 }
 
-// newLoader checks every directory under root that holds non-test Go files
-// of the build, skipping testdata and dot or underscore directories. A
-// nested module (perfbench) sits at its own path under the root module's,
-// so one directory-to-path mapping serves both.
+// newLoader type-checks every non-test package of the module rooted at
+// root: each directory that holds non-test Go files of the build,
+// skipping testdata and dot or underscore directories. A nested module
+// (perfbench) sits at its own path under the root module's, so one
+// directory-to-path mapping serves both.
 func newLoader(root string) (*loader, error) {
 	mod, err := os.ReadFile(filepath.Join(root, "go.mod"))
 	if err != nil {
